@@ -12,16 +12,19 @@ the weighted ones.  The second-order relation
     U = psi'' + (4 - 4/q) psi' + ((2 - 2/q)^2 - (mk)^2) psi
 
 is inverted by convolution with the two-sided exponential kernel K1, realizing
-the mode-k inverse Laplacian with the unique integrable tail constants.
+the mode-k inverse Laplacian with the unique integrable tail constants.  Being a
+two-sided exponential, K1's trapezoid convolution is exactly one forward and
+one backward first-order recurrence, evaluated in O(n) by ``_Recurrence``; the
+K2 scans of ``resolvent`` run on the same helper.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .params import VortexParams
 
@@ -146,6 +149,18 @@ def lq_norm(fn: ModeFunction, q: float) -> float:
     return lq_norm_samples(fn.samples, fn.grid.h, q)
 
 
+def _fd4(y: np.ndarray, h: float) -> np.ndarray:
+    """First derivative: 4th-order centered inside, 2nd order at the two end
+    points on each side (one-sided at the ends, centered one point in)."""
+    d = np.empty_like(y)
+    d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
+    d[0] = (-3 * y[0] + 4 * y[1] - y[2]) / (2 * h)
+    d[1] = (y[2] - y[0]) / (2 * h)
+    d[-2] = (y[-1] - y[-3]) / (2 * h)
+    d[-1] = (3 * y[-1] - 4 * y[-2] + y[-3]) / (2 * h)
+    return d
+
+
 def second_order_relation(psi: ModeFunction, params: VortexParams, k: int | None = None) -> ModeFunction:
     """Apply psi'' + (4-4/q) psi' + ((2-2/q)^2 - (mk)^2) psi by finite differences.
 
@@ -159,15 +174,10 @@ def second_order_relation(psi: ModeFunction, params: VortexParams, k: int | None
     h = psi.grid.h
     y = psi.samples
     n = y.size
-    d1 = np.empty(n, dtype=complex)
+    d1 = _fd4(y, h)
     d2 = np.empty(n, dtype=complex)
-    d1[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
     d2[2:-2] = (-y[:-4] + 16 * y[1:-3] - 30 * y[2:-2] + 16 * y[3:-1] - y[4:]) / (12 * h * h)
     # one-sided 2nd order at the ends, centered 2nd order one point in
-    d1[0] = (-3 * y[0] + 4 * y[1] - y[2]) / (2 * h)
-    d1[-1] = (3 * y[-1] - 4 * y[-2] + y[-3]) / (2 * h)
-    d1[1] = (y[2] - y[0]) / (2 * h)
-    d1[-2] = (y[-1] - y[-3]) / (2 * h)
     d2[0] = (2 * y[0] - 5 * y[1] + 4 * y[2] - y[3]) / (h * h)
     d2[-1] = (2 * y[-1] - 5 * y[-2] + 4 * y[-3] - y[-4]) / (h * h)
     d2[1] = (y[0] - 2 * y[1] + y[2]) / (h * h)
@@ -215,23 +225,57 @@ def phi1_matrix(grid: LogGrid, kernel: KernelK1) -> np.ndarray:
     return grid.h * K * _trapezoid_weights(grid.n)[None, :]
 
 
+class _Recurrence:
+    """Solve S_i = P_i + D_i * S_{i+1} (i < npan, S_npan = 0) for a fixed D and
+    any number of right-hand sides P (shape (npan,) or (npan, batch)).
+
+    The panels are split into blocks short enough that the cumulative product
+    of |D| over one block stays a normal float (decay_per_panel = -log|D|);
+    within a block the recurrence is a cumulative sum of P over the cumulative
+    product of D, and the block's lowest value seeds the block below.  The
+    cumulative products and their reciprocals depend on D only and are built
+    once.
+    """
+
+    def __init__(self, D: np.ndarray, decay_per_panel: float):
+        npan = D.shape[0]
+        seg = npan if decay_per_panel <= 0 else max(8, int(300.0 / decay_per_panel))
+        self.npan = npan
+        self.blocks = []
+        for hi in range(npan, 0, -seg):
+            lo = max(0, hi - seg)
+            cp = np.cumprod(D[lo:hi][::-1])[::-1]
+            self.blocks.append((lo, hi, cp, 1.0 / cp))
+
+    def __call__(self, P: np.ndarray) -> np.ndarray:
+        S = np.zeros((self.npan + 1,) + P.shape[1:], dtype=complex)
+        for lo, hi, cp, inv in self.blocks:
+            if P.ndim == 2:
+                cp, inv = cp[:, None], inv[:, None]
+            T = np.cumsum((P[lo:hi] * inv)[::-1], axis=0)[::-1]
+            T += S[hi]
+            T *= cp
+            S[lo:hi] = T
+        return S
+
+
 def _phi1_samples(samples: np.ndarray, grid: LogGrid, kernel: KernelK1) -> np.ndarray:
-    n = grid.n
-    lags = np.arange(-(n - 1), n) * grid.h
-    ker = np.exp(np.where(lags >= 0.0, -kernel.A_plus * lags, kernel.A_minus * lags))
-    full = fftconvolve(samples * _trapezoid_weights(n), ker)
-    return grid.h * full[n - 1 : 2 * n - 1]
+    """sum_j y_j K1(t_i - t_j) with y = h w x (w the trapezoid weights), as y_i
+    plus a backward recurrence over j > i (decay e^{-A- h}) plus a forward one
+    over j < i (decay e^{-A+ h})."""
+    n, h = grid.n, grid.h
+    y = samples * (h * _trapezoid_weights(n))
+
+    def later(A, ys):  # sum_{j > i} e^{-A h (j - i)} ys_j
+        d = math.exp(-A * h)
+        return _Recurrence(np.full(n - 1, d), A * h)(d * ys[1:])
+
+    return y + later(kernel.A_minus, y) + later(kernel.A_plus, y[::-1])[::-1]
 
 
-def apply_phi1(fn: ModeFunction, kernel: KernelK1, method: str = "fft") -> ModeFunction:
-    """Convolve with K1 using trapezoid weights (fast or direct path)."""
-    if method == "fft":
-        out = _phi1_samples(fn.samples, fn.grid, kernel)
-    elif method == "direct":
-        out = phi1_matrix(fn.grid, kernel) @ fn.samples
-    else:
-        raise ValueError("method must be 'fft' or 'direct'")
-    return fn.with_samples(out)
+def apply_phi1(fn: ModeFunction, kernel: KernelK1) -> ModeFunction:
+    """Convolve with K1 using trapezoid weights, in O(n)."""
+    return fn.with_samples(_phi1_samples(fn.samples, fn.grid, kernel))
 
 
 def _trapz_half_line(t: np.ndarray, vals: np.ndarray, h: float, upper: bool) -> complex:

@@ -39,6 +39,8 @@ from .modes import (
     KernelK1,
     LogGrid,
     ModeFunction,
+    _fd4,
+    _Recurrence,
     _trapz_half_line,
     apply_phi1,
     lq_norm,
@@ -122,30 +124,31 @@ def k2_eval(t, s, kernel: KernelK2):
 # panel quadrature for backward (t -> +infinity) kernel scans
 # --------------------------------------------------------------------------
 
-def _osc_moments(c: float, L: np.ndarray):
-    """E1 = int_0^L e^{icx} dx and E2 = int_0^L x e^{icx} dx, stable for small |cL|."""
-    E1 = np.empty(L.shape, dtype=complex)
-    E2 = np.empty(L.shape, dtype=complex)
-    z = 1j * c * L
-    small = np.abs(z) < 0.25
-    big = ~small
-    if big.any():
-        Lb = L[big]
-        e = np.exp(1j * c * Lb)
-        E1[big] = (e - 1.0) / (1j * c)
-        E2[big] = Lb * e / (1j * c) + (e - 1.0) / c**2
-    if small.any():
-        zs = z[small]
-        s1 = np.zeros(zs.shape, dtype=complex)
-        s2 = np.zeros(zs.shape, dtype=complex)
-        term = np.ones(zs.shape, dtype=complex)
-        for n in range(12):
-            s1 += term / math.factorial(n + 1)
-            s2 += term * (n + 1) / math.factorial(n + 2)
-            term = term * zs
-        E1[small] = L[small] * s1
-        E2[small] = L[small] ** 2 * s2
-    return E1, E2
+# Taylor coefficients in y^2 of (y - sin y) / y^3; eight terms reach double
+# precision for |y| < 0.5, where the closed form cancels
+_SIN_REMAINDER = tuple((-1) ** m / math.factorial(2 * m + 3) for m in range(8))
+
+
+def _osc_weights(y: np.ndarray):
+    """Linear-panel weights against a phase of rate y (per unit panel length):
+
+        gb = int_0^1 (1 - x) e^{-iyx} dx,   ga = int_0^1 x e^{-iyx} dx,
+
+    plus the panel phase e^{-iy}.  Only the odd part (y - sin y)/y^3 cancels for
+    small y, so only it switches to its series there.
+    """
+    Y = y * y
+    s = np.sin(y)
+    half = np.sin(0.5 * y)
+    gb_re = 2.0 * half * half / Y                # (1 - cos y) / y^2
+    small = np.abs(y) < 0.5
+    rem = (y - s) / np.where(small, 1.0, Y * y)
+    rem[small] = np.polynomial.polynomial.polyval(Y[small], _SIN_REMAINDER)
+    gb_im = -y * rem
+    gb = gb_re + 1j * gb_im
+    ga = (s / y - gb_re) - 1j * (gb_im + y * gb_re)
+    phase = (1.0 - 2.0 * half * half) - 1j * s
+    return gb, ga, phase
 
 
 def _exp_moments(Beff: complex, h: float):
@@ -166,94 +169,72 @@ def _exp_moments(Beff: complex, h: float):
     return M0, M1, M2
 
 
-def _backward_recurrence(P: np.ndarray, D: np.ndarray, decay_per_panel: float) -> np.ndarray:
-    """Solve S_i = P_i + D_i * S_{i+1} with S_{n-1} = 0, vectorized in blocks.
-
-    Block spans are capped so that intermediate rescalings stay within floating
-    range; within a block the recurrence is evaluated by cumulative products.
-    """
-    npan = P.shape[0]
-    batched = P.ndim == 2
-    S = np.zeros((npan + 1,) + P.shape[1:], dtype=complex)
-    seg = npan if decay_per_panel <= 0 else max(8, int(300.0 / decay_per_panel))
-    hi = npan
-    while hi > 0:
-        lo = max(0, hi - seg)
-        Dl = D[lo:hi]
-        cp = np.cumprod(Dl[::-1])[::-1]
-        ratio = P[lo:hi] / (cp[:, None] if batched else cp)
-        T = np.cumsum(ratio[::-1], axis=0)[::-1]
-        tail = T + S[hi]
-        S[lo:hi] = (cp[:, None] if batched else cp) * tail
-        hi = lo
-    return S
-
-
-def _scan_backward(samples, grid: LogGrid, alpha: float, B: complex, c: float,
-                   exp_weight: bool = False, order: int = 1) -> np.ndarray:
-    """Evaluate S_i = int_{t_i}^{t_max} e^{ic(e^{-alpha s} - e^{-alpha t_i})}
+class _ScanPlan:
+    """Backward K2 scan S_i = int_{t_i}^{t_max} e^{ic(e^{-alpha s} - e^{-alpha t_i})}
     e^{B(t_i - s)} [e^{-alpha s} if exp_weight] g(s) ds on every grid node.
+
+    Everything that does not depend on g is built once: the per-panel weights
+    (``wi`` for the panel's left sample, ``wj`` for its right one, and for
+    ``order=2`` ``wk`` for the next sample), the node factor e^{-alpha t} of the
+    c == 0 exp-weighted scan, and the recurrence blocks of the panel factors
+    D = e^{-icL - Bh}.  Applying the plan to samples g (shape (n,) or (n, batch))
+    forms the panel integrals P = wi g_i + wj g_{i+1} [+ wk g_{i+2}] and runs the
+    recurrence S_i = P_i + D_i S_{i+1}.
 
     ``order=2`` (quadratic panel interpolation) is supported for c == 0 only.
     """
-    g = np.asarray(samples, dtype=complex)
-    t = grid.nodes
-    h = grid.h
-    n = grid.n
-    batched = g.ndim == 2
 
-    if c == 0.0:
-        Beff = B + alpha if exp_weight else B
-        M0, M1, M2 = _exp_moments(Beff, h)
-        gi = g[:-1]
-        gj = g[1:]
-        if order == 1:
-            P = (M0 - M1 / h) * gi + (M1 / h) * gj
-        elif order == 2:
-            w0 = (M2 - 3 * h * M1 + 2 * h * h * M0) / (2 * h * h)
-            w1 = (2 * h * M1 - M2) / (h * h)
-            w2 = (M2 - h * M1) / (2 * h * h)
-            P = np.empty_like(gi)
-            P[:-1] = w0 * g[:-2] + w1 * g[1:-1] + w2 * g[2:]
-            P[-1] = (M0 - M1 / h) * g[-2] + (M1 / h) * g[-1]
+    def __init__(self, grid: LogGrid, alpha: float, B: complex, c: float,
+                 exp_weight: bool = False, order: int = 1):
+        t = grid.nodes
+        h = grid.h
+        npan = grid.n - 1
+        self.wk = None
+        self.node_factor = None
+        if c == 0.0:
+            Beff = B + alpha if exp_weight else B
+            M0, M1, M2 = _exp_moments(Beff, h)
+            self.wi = np.full(npan, M0 - M1 / h)
+            self.wj = np.full(npan, M1 / h)
+            if order == 2:
+                # quadratic panels except the last, which stays linear
+                self.wi[:-1] = (M2 - 3 * h * M1 + 2 * h * h * M0) / (2 * h * h)
+                self.wj[:-1] = (2 * h * M1 - M2) / (h * h)
+                self.wk = np.full(npan - 1, (M2 - h * M1) / (2 * h * h))
+            elif order != 1:
+                raise ValueError("order must be 1 or 2")
+            D = np.full(npan, np.exp(-Beff * h), dtype=complex)
+            decay = Beff.real * h
+            if exp_weight:
+                self.node_factor = np.exp(-alpha * t)
         else:
-            raise ValueError("order must be 1 or 2")
-        D = np.full(n - 1, np.exp(-Beff * h), dtype=complex)
-        S = _backward_recurrence(P, D, Beff.real * h)
-        if exp_weight:
-            ea = np.exp(-alpha * t)
-            S = S * (ea[:, None] if batched else ea)
-        return S
+            if order != 1:
+                raise ValueError("quadratic panels are implemented for the c == 0 path only")
+            w_nodes = np.exp(-alpha * t)
+            wb = w_nodes[:-1]  # w at the panel's left t-node (larger w)
+            wa = w_nodes[1:]
+            L = wb - wa
+            ebh = np.exp(-B * h)
+            gb, ga, phase = _osc_weights(c * L)
+            # the smooth factor g / (alpha w) is interpolated linearly in w; the
+            # e^{-alpha s} weight cancels the 1/w
+            div_b, div_a = (alpha, alpha) if exp_weight else (alpha * wb, alpha * wa)
+            self.wi = L * gb / div_b
+            self.wj = L * ga * ebh / div_a
+            D = phase * ebh
+            decay = B.real * h
+        self.recurrence = _Recurrence(D, decay)
 
-    if order != 1:
-        raise ValueError("quadratic panels are implemented for the c == 0 path only")
-    w_nodes = np.exp(-alpha * t)
-    wb = w_nodes[:-1]  # w at the panel's left t-node (larger w)
-    wa = w_nodes[1:]
-    L = wb - wa
-    ebh = np.exp(-B * h)
-    if exp_weight:
-        Fb = g[:-1] / alpha
-        Fa = ebh * g[1:] / alpha
-    else:
-        div_b = alpha * wb
-        div_a = alpha * wa
-        if batched:
-            div_b = div_b[:, None]
-            div_a = div_a[:, None]
-        Fb = g[:-1] / div_b
-        Fa = ebh * g[1:] / div_a
-    E1, E2 = _osc_moments(c, L)
-    phase = np.exp(-1j * c * L)
-    wB = E2 / L
-    wA = E1 - wB
-    if batched:
-        P = phase[:, None] * (Fa * wA[:, None] + Fb * wB[:, None])
-        D = phase * np.full(n - 1, ebh)
-    else:
-        P = phase * (Fa * wA + Fb * wB)
-        D = phase * ebh
-    return _backward_recurrence(P, D, B.real * h)
+    def __call__(self, samples) -> np.ndarray:
+        g = np.asarray(samples, dtype=complex)
+        col = (slice(None), None) if g.ndim == 2 else slice(None)
+        P = self.wi[col] * g[:-1] + self.wj[col] * g[1:]
+        if self.wk is not None:
+            P[:-1] += self.wk[col] * g[2:]
+        S = self.recurrence(P)
+        if self.node_factor is not None:
+            S *= self.node_factor[col]
+        return S
 
 
 def apply_phi2(fn: ModeFunction, kernel: KernelK2) -> ModeFunction:
@@ -263,23 +244,13 @@ def apply_phi2(fn: ModeFunction, kernel: KernelK2) -> ModeFunction:
     |apply_phi2(G)| <= apply_phi2 of |G| with the phase removed.
     """
     p = kernel.params
-    out = _scan_backward(fn.samples, fn.grid, p.alpha, kernel.B, kernel.phase_amplitude)
-    return fn.with_samples(out)
+    plan = _ScanPlan(fn.grid, p.alpha, kernel.B, kernel.phase_amplitude)
+    return fn.with_samples(plan(fn.samples))
 
 
 # --------------------------------------------------------------------------
 # ODE residual (phase-gauged finite differences)
 # --------------------------------------------------------------------------
-
-def _fd4(y: np.ndarray, h: float) -> np.ndarray:
-    d = np.empty_like(y)
-    d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
-    d[0] = (-3 * y[0] + 4 * y[1] - y[2]) / (2 * h)
-    d[1] = (y[2] - y[0]) / (2 * h)
-    d[-2] = (y[-1] - y[-3]) / (2 * h)
-    d[-1] = (3 * y[-1] - 4 * y[-2] + y[-3]) / (2 * h)
-    return d
-
 
 def ode_residual(U: ModeFunction, psi: ModeFunction | None, G: ModeFunction,
                  lam: complex, params: VortexParams, k: int,
@@ -392,7 +363,8 @@ def solve_k0(G: ModeFunction, lam: complex, params: VortexParams,
     """Closed-form k = 0 resolvent: U = -alpha * (exponential kernel) * G."""
     cfg = cfg or SolveConfig()
     kernel = KernelK2(params, 0, lam)
-    out = -params.alpha * _scan_backward(G.samples, G.grid, params.alpha, kernel.B, 0.0, order=2)
+    plan = _ScanPlan(G.grid, params.alpha, kernel.B, 0.0, order=2)
+    out = -params.alpha * plan(G.samples)
     U = G.with_samples(out, rep="U")
     res, frac, tz = (math.nan, 1.0, math.nan)
     if cfg.compute_residual:
@@ -436,9 +408,10 @@ def solve_mode(G: ModeFunction, lam: complex, k: int, params: VortexParams,
             return np.zeros_like(x)
     elif cfg.map_kind == "full":
         coef = 1j * p.beta * p.alpha**2 * (2.0 - p.alpha) / 2.0
+        scan = _ScanPlan(grid, p.alpha, B, c, exp_weight=True)
 
         def tmap(x):
-            return coef * _scan_backward(phi1_arr(x), grid, p.alpha, B, c, exp_weight=True)
+            return coef * scan(phi1_arr(x))
     elif cfg.map_kind == "reduced":
         coef = p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k)
 
@@ -447,19 +420,18 @@ def solve_mode(G: ModeFunction, lam: complex, k: int, params: VortexParams,
     else:
         raise ValueError("map_kind must be 'full' or 'reduced'")
 
-    U0 = -p.alpha * _scan_backward(G.samples, grid, p.alpha, B, c)
+    U0 = -p.alpha * _ScanPlan(grid, p.alpha, B, c)(G.samples)
     method_used = "picard"
     history: list[float] = []
 
     if cfg.method == "dense":
-        pm = phi1_matrix(grid, k1)
-        if cfg.map_kind == "full":
-            coef = 1j * p.beta * p.alpha**2 * (2.0 - p.alpha) / 2.0
-            tmat = coef * _scan_backward(pm, grid, p.alpha, B, c, exp_weight=True)
-        else:
-            tmat = (p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k)) * pm
+        # the map applied to every column of the identity
         if c == 0.0:
             tmat = np.zeros((grid.n, grid.n), dtype=complex)
+        elif cfg.map_kind == "full":
+            tmat = coef * scan(phi1_matrix(grid, k1))
+        else:
+            tmat = coef * phi1_matrix(grid, k1)
         U = np.linalg.solve(np.eye(grid.n, dtype=complex) - tmat, U0)
         iters = 1
         method_used = "dense"

@@ -148,9 +148,11 @@ def suite_identities(cfg: RunConfig) -> tuple[dict, list, list]:
         "params": _params_dict(p),
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
-        "note": ("the closed-form shortcuts are rapid-phase asymptotics; at these"
-                 " parameters their true errors are O(0.01..1), so strict"
-                 " tolerances are expected to fail"),
+        "note": ("each closed-form shortcut is the boundary term of one"
+                 " integration by parts, so its error is the computable"
+                 " remainder integral, which vanishes only in the rapid-phase"
+                 " limit; at these parameters strict tolerances are expected"
+                 " to fail"),
     }
     cols = ["check", "t", "r", "mu_re", "mu_im", "abs_error"]
     return summary, rows, cols
@@ -258,9 +260,11 @@ def _residual_checks(cfg: RunConfig) -> tuple[list, list]:
     gauss = np.exp(-grid.nodes**2).astype(complex)
     solve_cfg = SolveConfig(residual_tol=cfg.residual_tol)
     worst = 0.0
+    min_zone = 1.0
     for lam in cfg.probe_lambdas():
         sol0 = solve_k0(ModeFunction(0, "G", grid, gauss), lam, p, solve_cfg)
         worst = max(worst, sol0.residual)
+        min_zone = min(min_zone, sol0.residual_zone[0])
         rows.append({"check": "residual", "k": 0, "q": p.q, "alpha": p.alpha,
                      "lambda_re": lam.real, "lambda_im": lam.imag,
                      "value": sol0.residual, "bound": cfg.residual_tol,
@@ -268,11 +272,14 @@ def _residual_checks(cfg: RunConfig) -> tuple[list, list]:
         for k in (1, 2):
             sol = solve_mode(ModeFunction(k, "G", grid, gauss), lam, k, p, solve_cfg)
             worst = max(worst, sol.residual)
+            min_zone = min(min_zone, sol.residual_zone[0])
             rows.append({"check": "residual", "k": k, "q": p.q, "alpha": p.alpha,
                          "lambda_re": lam.real, "lambda_im": lam.imag,
                          "value": sol.residual, "bound": cfg.residual_tol,
                          "passed": sol.residual <= cfg.residual_tol})
+    # the residual is measured only on the resolvable zone (see ode_residual)
     checks = [{"name": "ode_residuals", "worst_residual": worst,
+               "min_zone_fraction": min_zone,
                "tolerance": cfg.residual_tol, "passed": worst <= cfg.residual_tol}]
     return checks, rows
 

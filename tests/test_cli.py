@@ -1,13 +1,16 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ssvortex
 from ssvortex.cli import ConfigError, build_config, main, parse_config_file
 from ssvortex.params import VortexParams
-from ssvortex.suites import RunConfig, emit, run
+from ssvortex.suites import RunConfig, _residual_checks, emit, run
 
 
 def write(path, text):
@@ -131,6 +134,15 @@ def _small_all_config(tmp_path, out_name):
     )
 
 
+def test_residual_check_reports_min_zone_fraction(tmp_path):
+    cfg = _small_all_config(tmp_path, "z")
+    checks, rows = _residual_checks(cfg)
+    frac = checks[0]["min_zone_fraction"]
+    # the k >= 1 solves leave the fast-phase far left out of the zone
+    assert 0.0 < frac < 1.0
+    assert len(rows) == 3 * len(cfg.lambdas)
+
+
 def test_repeat_runs_are_byte_identical(tmp_path):
     cfg1 = _small_all_config(tmp_path, "r1")
     cfg2 = _small_all_config(tmp_path, "r2")
@@ -151,3 +163,14 @@ def test_worker_pool_output_matches_sequential(tmp_path):
     run(cfg2, log=lambda *a: None)
     for name in sorted(os.listdir(tmp_path / "w1")):
         assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name, shallow=False), name
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal takes about as long to import as the rest of the program's
+    # start-up; the K1 recurrence needs nothing from it
+    src = os.path.dirname(os.path.dirname(ssvortex.__file__))
+    code = "import sys, ssvortex.cli, ssvortex.suites; print('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

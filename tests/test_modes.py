@@ -140,15 +140,18 @@ def test_phi1_indicator_closed_form():
     np.testing.assert_allclose(out.samples[sel].real, expect, atol=5e-6)
 
 
-def test_phi1_fft_matches_direct():
-    g = LogGrid(-10.0, 10.0, 257)
+@pytest.mark.parametrize("grid, k, q", [
+    *[pytest.param(LogGrid(-10.0, 10.0, 257), k, q, id=f"k{k}-q{q}")
+      for k in (1, 8) for q in (1.2, 2.0, 6.0)],
+    # A+ h = 0.33 per panel, so the recurrence runs in several blocks
+    pytest.param(LogGrid(-40.0, 40.0, 4097), 8, 2.0, id="k8-q2.0-blocks"),
+])
+def test_phi1_recurrence_matches_matrix(grid, k, q):
     rng = np.random.default_rng(3)
-    fn = ModeFunction(1, "U", g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
-    ker = KernelK1(1, 2.0, 2)
-    a = apply_phi1(fn, ker, method="fft").samples
-    b = apply_phi1(fn, ker, method="direct").samples
-    np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-11)
-    np.testing.assert_allclose(b, phi1_matrix(g, ker) @ fn.samples, rtol=1e-14)
+    fn = ModeFunction(k, "U", grid, rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n))
+    ker = KernelK1(k, q, 2)
+    out = apply_phi1(fn, ker).samples
+    np.testing.assert_allclose(out, phi1_matrix(grid, ker) @ fn.samples, rtol=1e-11, atol=0)
 
 
 def test_phi1_young_bound_randomized():

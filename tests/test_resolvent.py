@@ -9,6 +9,8 @@ from ssvortex.modes import KernelK1, LogGrid, ModeFunction, lq_norm
 from ssvortex.params import VortexParams
 from ssvortex.resolvent import (
     KernelK2,
+    _osc_weights,
+    _ScanPlan,
     SolveConfig,
     SpectralPoint,
     apply_phi2,
@@ -102,15 +104,70 @@ def test_phi2_young_bound_randomized():
 
 
 def test_phi2_pointwise_majorant():
-    from ssvortex.resolvent import _scan_backward
     g = LogGrid(-15.0, 15.0, 2001)
     rng = np.random.default_rng(6)
     fn = ModeFunction(1, "G", g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
     ker = KernelK2(P, 1, 0.25 + 0.7j)
     lhs = np.abs(apply_phi2(fn, ker).samples)
-    rhs = _scan_backward(np.abs(fn.samples).astype(complex), g, P.alpha,
-                         complex(ker.B.real), 0.0).real
+    rhs = _ScanPlan(g, P.alpha, complex(ker.B.real), 0.0)(np.abs(fn.samples)).real
     assert np.all(lhs <= rhs * (1 + 1e-12) + 1e-14)
+
+
+def test_osc_weights_match_quadrature():
+    def against_phase(f, y):  # int_0^1 f(x) e^{-iyx} dx by weighted (QAWO) quadrature
+        re = quad(f, 0.0, 1.0, weight="cos", wvar=y, epsabs=1e-17, epsrel=1e-13)[0]
+        im = quad(f, 0.0, 1.0, weight="sin", wvar=y, epsabs=1e-17, epsrel=1e-13)[0]
+        return re - 1j * im
+
+    # both sides of the series/closed-form switch at |y| = 0.5, and y < 0
+    for y in (1e-9, 1e-4, 0.1, 0.4999, 0.5001, 2.0, 40.0, -0.3, -7.0):
+        gb, ga, phase = _osc_weights(np.array([y]))
+        want_b = against_phase(lambda x: 1.0 - x, y)
+        want_a = against_phase(lambda x: x, y)
+        assert abs(gb[0] - want_b) <= 1e-13 * abs(want_b)
+        assert abs(ga[0] - want_a) <= 1e-13 * abs(want_a)
+        assert abs(phase[0] - np.exp(-1j * y)) <= 1e-15
+
+
+def test_scan_plan_reuse_is_bit_identical():
+    g = LogGrid(-15.0, 15.0, 2001)
+    B = KernelK2(P, 1, 0.25 + 0.7j).B
+    rng = np.random.default_rng(7)
+    x1, x2 = (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n) for _ in range(2))
+    for exp_weight in (False, True):
+        plan = _ScanPlan(g, P.alpha, B, 2.0, exp_weight=exp_weight)
+        a1, a2 = plan(x1), plan(x2)
+        np.testing.assert_array_equal(a1, _ScanPlan(g, P.alpha, B, 2.0, exp_weight=exp_weight)(x1))
+        np.testing.assert_array_equal(a2, _ScanPlan(g, P.alpha, B, 2.0, exp_weight=exp_weight)(x2))
+
+
+@pytest.mark.parametrize("c, exp_weight, order", [
+    (2.0, False, 1), (2.0, True, 1), (0.0, False, 1), (0.0, True, 1), (0.0, False, 2)])
+def test_scan_plan_batched_matches_columns(c, exp_weight, order):
+    g = LogGrid(-10.0, 10.0, 501)
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((g.n, 4)) + 1j * rng.standard_normal((g.n, 4))
+    plan = _ScanPlan(g, P.alpha, KernelK2(P, 1, 0.5).B, c, exp_weight=exp_weight, order=order)
+    batched = plan(X)
+    for j in range(X.shape[1]):
+        np.testing.assert_allclose(batched[:, j], plan(X[:, j]), rtol=1e-14, atol=0)
+
+
+def test_scan_plan_multiple_blocks_match_sequential_recurrence():
+    # Re(B) * h = 3.05 per panel: blocks of 98 panels, three of them here
+    g = LogGrid(-10.0, 10.0, 201)
+    kernel = KernelK2(P, 1, 60.0)
+    B, c, h = kernel.B, kernel.phase_amplitude, g.h
+    plan = _ScanPlan(g, P.alpha, B, c)
+    assert len(plan.recurrence.blocks) == 3
+    x = np.random.default_rng(9).standard_normal(g.n) + 0j
+    w = np.exp(-P.alpha * g.nodes)
+    D = np.exp(-1j * c * (w[:-1] - w[1:]) - B * h)
+    Pn = plan.wi * x[:-1] + plan.wj * x[1:]
+    want = np.zeros(g.n, dtype=complex)
+    for i in range(g.n - 2, -1, -1):
+        want[i] = Pn[i] + D[i] * want[i + 1]
+    np.testing.assert_allclose(plan(x), want, rtol=1e-13, atol=0)
 
 
 def test_solve_k0_closed_form():
