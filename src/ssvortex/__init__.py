@@ -12,7 +12,6 @@ from .generator import (
 from .homogeneous import (
     Homo2Params,
     ShootingResult,
-    eval_2f2_reg,
     homo2_defect,
     homo2_params,
     hyp2f2_regularized,
@@ -35,7 +34,6 @@ from .params import (
     FieldSample,
     SelfSimilarPoint,
     VortexParams,
-    a0_of,
     map_field,
     omega_bar,
     v_bar,
@@ -45,7 +43,6 @@ from .resolvent import (
     KernelK2,
     ResolventSolution,
     SolveConfig,
-    SpectralPoint,
     apply_phi2,
     contraction_bound,
     k2_eval,

@@ -33,6 +33,17 @@ from .params import VortexParams
 NO_INTEGRABLE = "no_integrable_solution"
 INCONCLUSIVE = "inconclusive"
 
+# a normalized connection determinant above this certifies NO_INTEGRABLE
+MISMATCH_THRESHOLD = 1e-6
+# wedge/vector integration: DOP853 relative tolerance, and the number of
+# chunks per side after each of which the state is renormalized
+SHOOT_RTOL = 1e-8
+SHOOT_CHUNKS = 24
+# term budget of the 2F2 series
+SERIES_MAX_TERMS = 800
+# step of the z-derivative stencils in homo2_defect, relative to |z|
+DEFECT_REL_STEP = 5e-4
+
 
 def q_frak(alpha: float, k: int) -> float:
     return math.sqrt(alpha * alpha - 2.0 * alpha + 4.0 * k * k) / alpha
@@ -56,7 +67,7 @@ def homo2_params(params: VortexParams, k: int, lam: complex) -> Homo2Params:
     """Parameter choice (amplitude normalized to 1, m = 2 convention)."""
     if k < 1:
         raise ValueError("the transformed equation is defined for k >= 1")
-    alpha = params.alpha if isinstance(params, VortexParams) else float(params)
+    alpha = params.alpha
     lam = complex(lam)
     qf = q_frak(alpha, k)
     return Homo2Params(
@@ -82,32 +93,27 @@ class SeriesError(RuntimeError):
     """Raised when the hypergeometric series fails to converge in budget."""
 
 
-def hyp2f2_regularized(a1, a2, b1, b2, z, max_terms: int = 800,
-                       with_diagnostics: bool = False):
+def hyp2f2_regularized(a1, a2, b1, b2, z):
     """Regularized series sum_n (a1)_n (a2)_n z^n / (n! Gamma(b1+n) Gamma(b2+n)).
 
     Entire in the lower parameters: nonpositive-integer b's contribute zero
     reciprocal-gamma factors until the pole region is passed.  Stops once the
     term magnitude stays below 1e-16 of the partial sum for 3 consecutive
-    terms.  ``with_diagnostics`` also returns a cancellation estimate
-    (eps * max|term| / |sum|), which bounds the attainable relative accuracy.
+    terms.
     """
     z = complex(z)
     if z == 0:
-        val = _rgamma(b1) * _rgamma(b2)
-        return (val, 0.0) if with_diagnostics else val
+        return _rgamma(b1) * _rgamma(b2)
     if abs(z) > 50.0:
         raise SeriesError(f"|z| = {abs(z):.3g} beyond the supported term budget")
     total = 0.0 + 0.0j
     poch = 1.0 + 0.0j
     zn = 1.0 + 0.0j
-    biggest = 0.0
     consec = 0
     n_min = int(max(8.0, -np.real(b1), -np.real(b2), 2.0 * abs(z))) + 4
-    for n in range(max_terms):
+    for n in range(SERIES_MAX_TERMS):
         term = poch * zn * _rgamma(b1 + n) * _rgamma(b2 + n)
         total += term
-        biggest = max(biggest, abs(term))
         if n >= n_min:
             if abs(term) < 1e-16 * max(abs(total), 1e-300):
                 consec += 1
@@ -118,18 +124,11 @@ def hyp2f2_regularized(a1, a2, b1, b2, z, max_terms: int = 800,
         poch *= (a1 + n) * (a2 + n) / (n + 1.0)
         zn *= z
     else:
-        raise SeriesError(f"series did not settle within {max_terms} terms at z = {z}")
-    if with_diagnostics:
-        cond = 2.2e-16 * biggest / max(abs(total), 1e-300)
-        return total, cond
+        raise SeriesError(f"series did not settle within {SERIES_MAX_TERMS} terms at z = {z}")
     return total
 
 
-def eval_2f2_reg(p: Homo2Params, z) -> complex:
-    return hyp2f2_regularized(p.a1, p.a2, p.b1, p.b2, z)
-
-
-def homo2_defect(p: Homo2Params, z_values, rel_step: float = 5e-4) -> float:
+def homo2_defect(p: Homo2Params, z_values) -> float:
     """Max relative defect of the third-order ODE for the series branch.
 
     Derivatives in z are taken by high-order centered stencils with step
@@ -139,7 +138,7 @@ def homo2_defect(p: Homo2Params, z_values, rel_step: float = 5e-4) -> float:
     worst = 0.0
     for z in np.atleast_1d(z_values):
         z = complex(z)
-        h = rel_step * max(abs(z), 1e-3)
+        h = DEFECT_REL_STEP * max(abs(z), 1e-3)
         w = [hyp2f2_regularized(p.a1, p.a2, p.b1, p.b2, z + j * h) for j in range(-3, 4)]
         wm3, wm2, wm1, w0, wp1, wp2, wp3 = w
         d1 = (wm2 - 8 * wm1 + 8 * wp1 - wp2) / (12 * h)
@@ -160,7 +159,6 @@ class ShootingResult:
     k: int
     mismatch: float
     verdict: str
-    det: complex = 0.0j
     note: str = ""
 
 
@@ -177,17 +175,13 @@ def _system_matrix(t: float, params: VortexParams, k: int, lam: complex) -> np.n
 
 
 def shoot_homogeneous(params: VortexParams, k: int, lam: complex,
-                      grid: LogGrid | None = None, rtol: float = 1e-8,
-                      chunks: int = 24, threshold: float = 1e-6,
-                      left_scale: complex = 1.0, right_scale: complex = 1.0) -> ShootingResult:
+                      grid: LogGrid | None = None) -> ShootingResult:
     """Two-sided shooting verdict on integrable homogeneous solutions at lambda.
 
     The left-admissible plane (decaying stream-function branch plus the decaying
     U branch) is integrated as its wedge vector with chunked renormalization;
     the right-admissible line (psi ~ e^{-(mk+2-2/q)t}) is integrated backward.
-    ``mismatch`` is the normalized connection determinant at t = 0; ``det``
-    carries the raw determinant, which is homogeneous of degree one in each
-    end's initialization scale.
+    ``mismatch`` is the normalized connection determinant at t = 0.
     """
     p = params
     lam = complex(lam)
@@ -197,7 +191,6 @@ def shoot_homogeneous(params: VortexParams, k: int, lam: complex,
         # the radial mode is first-order: its homogeneous solution grows like
         # e^{Re(B) t} as t -> +inf, so no nonzero solution is integrable
         return ShootingResult(lam=lam, k=0, mismatch=1.0, verdict=NO_INTEGRABLE,
-                              det=complex(left_scale * right_scale),
                               note="first-order radial mode, analytic verdict")
     grid = grid or LogGrid(-12.0, 12.0, 256)
     t_left, t_right = grid.t_min, grid.t_max
@@ -214,42 +207,33 @@ def shoot_homogeneous(params: VortexParams, k: int, lam: complex,
 
     # left 2-plane spanned by (1, A-, 0) and (0, 0, 1): wedge = (A-, -1, 0)
     eta = np.array([A_minus, -1.0, 0.0], dtype=complex)
-    log_growth = 0.0
-    eta_norm0 = np.linalg.norm(eta)
-    eta /= eta_norm0
+    eta /= np.linalg.norm(eta)
     try:
-        for t0, t1 in zip(np.linspace(t_left, 0.0, chunks + 1)[:-1],
-                          np.linspace(t_left, 0.0, chunks + 1)[1:]):
+        for t0, t1 in zip(np.linspace(t_left, 0.0, SHOOT_CHUNKS + 1)[:-1],
+                          np.linspace(t_left, 0.0, SHOOT_CHUNKS + 1)[1:]):
             sol = solve_ivp(rhs_wedge, (t0, t1), eta, method="DOP853",
-                            rtol=rtol, atol=1e-13)
+                            rtol=SHOOT_RTOL, atol=1e-13)
             if not sol.success:
                 return ShootingResult(lam=lam, k=k, mismatch=0.0, verdict=INCONCLUSIVE,
                                       note=f"left integration failed: {sol.message}")
             eta = sol.y[:, -1]
-            nrm = np.linalg.norm(eta)
-            log_growth += math.log(nrm)
-            eta /= nrm
+            eta /= np.linalg.norm(eta)
         yC = np.array([1.0, -A_plus, 0.0], dtype=complex)
-        yC_norm0 = np.linalg.norm(yC)
-        yC /= yC_norm0
-        for t0, t1 in zip(np.linspace(t_right, 0.0, chunks + 1)[:-1],
-                          np.linspace(t_right, 0.0, chunks + 1)[1:]):
+        yC /= np.linalg.norm(yC)
+        for t0, t1 in zip(np.linspace(t_right, 0.0, SHOOT_CHUNKS + 1)[:-1],
+                          np.linspace(t_right, 0.0, SHOOT_CHUNKS + 1)[1:]):
             sol = solve_ivp(rhs_vec, (t0, t1), yC, method="DOP853",
-                            rtol=rtol, atol=1e-13)
+                            rtol=SHOOT_RTOL, atol=1e-13)
             if not sol.success:
                 return ShootingResult(lam=lam, k=k, mismatch=0.0, verdict=INCONCLUSIVE,
                                       note=f"right integration failed: {sol.message}")
             yC = sol.y[:, -1]
-            nrm = np.linalg.norm(yC)
-            log_growth += math.log(nrm)
-            yC /= nrm
+            yC /= np.linalg.norm(yC)
     except (ValueError, FloatingPointError) as exc:
         return ShootingResult(lam=lam, k=k, mismatch=0.0, verdict=INCONCLUSIVE,
                               note=f"stiff integration failure: {exc}")
     mism = abs(eta @ yC)
-    det = (eta @ yC) * complex(left_scale) * complex(right_scale) \
-        * eta_norm0 * yC_norm0 * math.exp(min(log_growth, 700.0))
-    verdict = NO_INTEGRABLE if mism > threshold else INCONCLUSIVE
+    verdict = NO_INTEGRABLE if mism > MISMATCH_THRESHOLD else INCONCLUSIVE
     note = "" if verdict == NO_INTEGRABLE else \
         "connection determinant below threshold: possible eigenvalue or resolution limit"
-    return ShootingResult(lam=lam, k=k, mismatch=mism, verdict=verdict, det=det, note=note)
+    return ShootingResult(lam=lam, k=k, mismatch=mism, verdict=verdict, note=note)

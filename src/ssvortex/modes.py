@@ -98,29 +98,6 @@ class ModeFunction:
     def from_callable(cls, k: int, rep: str, grid: LogGrid, fn) -> "ModeFunction":
         return cls(k, rep, grid, np.asarray(fn(grid.nodes), dtype=complex))
 
-    def to_csv(self, path, q: float, m: int) -> None:
-        t = self.grid.nodes
-        with open(path, "w") as fh:
-            fh.write(f"# k={self.k} rep={self.rep} q={float(q)!r} m={m}\n")
-            fh.write("t,re,im\n")
-            for ti, v in zip(t, self.samples):
-                fh.write(f"{float(ti)!r},{float(v.real)!r},{float(v.imag)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("#"):
-                raise ValueError("missing metadata header line")
-            meta = dict(item.split("=") for item in header[1:].split())
-            fh.readline()  # column header
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        t = np.array([float(r[0]) for r in rows])
-        vals = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-        grid = LogGrid(t[0], t[-1], t.size)
-        fn = cls(int(meta["k"]), meta["rep"], grid, vals)
-        return fn, float(meta["q"]), int(meta["m"])
-
 
 def reweight(fn: ModeFunction, target_rep: str, q: float) -> ModeFunction:
     """Convert between weighted representations by an exact exponential factor."""
@@ -161,15 +138,15 @@ def _fd4(y: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def second_order_relation(psi: ModeFunction, params: VortexParams, k: int | None = None) -> ModeFunction:
-    """Apply psi'' + (4-4/q) psi' + ((2-2/q)^2 - (mk)^2) psi by finite differences.
+def second_order_relation(psi: ModeFunction, params: VortexParams) -> ModeFunction:
+    """Apply psi'' + (4-4/q) psi' + ((2-2/q)^2 - (mk)^2) psi by finite differences,
+    with k the mode index of psi.
 
     Interior points use 4th-order centered stencils; the two points at each end
     fall back to 2nd order and should be excluded from residual metrics.
     """
     if psi.rep != "psi":
         raise ValueError("input must be in the psi representation")
-    k = psi.k if k is None else k
     q, m = params.q, params.m
     h = psi.grid.h
     y = psi.samples
@@ -183,7 +160,7 @@ def second_order_relation(psi: ModeFunction, params: VortexParams, k: int | None
     d2[1] = (y[0] - 2 * y[1] + y[2]) / (h * h)
     d2[-2] = (y[-3] - 2 * y[-2] + y[-1]) / (h * h)
     c1 = 4.0 - 4.0 / q
-    c0 = (2.0 - 2.0 / q) ** 2 - float(m * k) ** 2
+    c0 = (2.0 - 2.0 / q) ** 2 - float(m * psi.k) ** 2
     return psi.with_samples(d2 + c1 * d1 + c0 * y, rep="U")
 
 

@@ -53,10 +53,6 @@ class VortexParams:
         return 1.0 - 2.0 / (self.alpha * self.q)
 
 
-def a0_of(params: VortexParams) -> float:
-    return params.a0
-
-
 def _power(rho, expo):
     # exp/log keeps rho**expo accurate over many decades of rho
     return np.exp(expo * np.log(rho))

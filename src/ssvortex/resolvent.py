@@ -45,7 +45,6 @@ from .modes import (
     apply_phi1,
     lq_norm,
     lq_norm_samples,
-    phi1_matrix,
     psi_from_U,
 )
 from .params import VortexParams
@@ -58,23 +57,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.history = list(history or [])
         self.gamma = gamma
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A complex number lambda = lambda1 + i*lambda2 probed against the resolvent set."""
-
-    lambda1: float
-    lambda2: float = 0.0
-
-    @property
-    def value(self) -> complex:
-        return complex(self.lambda1, self.lambda2)
-
-    @classmethod
-    def from_complex(cls, z) -> "SpectralPoint":
-        z = complex(z)
-        return cls(z.real, z.imag)
 
 
 @dataclass(frozen=True)
@@ -252,16 +234,19 @@ def apply_phi2(fn: ModeFunction, kernel: KernelK2) -> ModeFunction:
 # ODE residual (phase-gauged finite differences)
 # --------------------------------------------------------------------------
 
+# largest h * max(phase rate, 1) at which residuals are measured
+RESIDUAL_ZONE_THETA = 0.02
+
+
 def ode_residual(U: ModeFunction, psi: ModeFunction | None, G: ModeFunction,
-                 lam: complex, params: VortexParams, k: int,
-                 theta: float = 0.02):
+                 lam: complex, params: VortexParams, k: int):
     """Relative L^q residual of the first-order mode ODE.
 
     The derivative of U is taken after factoring out the known phase
     e^{-i c e^{-alpha t}} (exact product rule), and the norm is restricted to
-    the sub-grid where h * max(phase rate, 1) <= theta; beyond it no pointwise
-    stencil can resolve the oscillation.  Returns (residual, zone_fraction,
-    zone_t_min).
+    the sub-grid where h * max(phase rate, 1) <= RESIDUAL_ZONE_THETA; beyond it
+    no pointwise stencil can resolve the oscillation.  Returns (residual,
+    zone_fraction, zone_t_min).
     """
     p = params
     lam = complex(lam)
@@ -277,7 +262,7 @@ def ode_residual(U: ModeFunction, psi: ModeFunction | None, G: ModeFunction,
             * np.exp(-p.alpha * t) * psi.samples
     r = lhs - G.samples
     rate = np.maximum(np.abs(c) * p.alpha * np.exp(-p.alpha * t), 1.0)
-    zone = h * rate <= theta
+    zone = h * rate <= RESIDUAL_ZONE_THETA
     zone[:2] = False
     zone[-2:] = False
     if not zone.any():
@@ -298,20 +283,17 @@ def ode_residual(U: ModeFunction, psi: ModeFunction | None, G: ModeFunction,
 
 @dataclass
 class SolveConfig:
-    """Tolerances and strategy knobs for the mode solves.
+    """Tolerances and map choice for the mode solves.
 
     map_kind "full" iterates the exact kernel map (fixed point satisfies the
     ODE); "reduced" iterates the bare K1 shortcut map (rapid-phase limit).
-    method "picard" iterates only; "auto" falls back to a Krylov solve of the
-    same linear system if Picard stalls; "dense" materializes the map.
+    ``max_iter`` caps the Picard steps before the Krylov fallback takes over.
     """
 
     tol: float = 1e-10
     residual_tol: float = 1e-6
     max_iter: int = 400
-    method: str = "auto"
     map_kind: str = "full"
-    fd_theta: float = 0.02
     initial: np.ndarray | None = None
     compute_residual: bool = True
 
@@ -368,7 +350,7 @@ def solve_k0(G: ModeFunction, lam: complex, params: VortexParams,
     U = G.with_samples(out, rep="U")
     res, frac, tz = (math.nan, 1.0, math.nan)
     if cfg.compute_residual:
-        res, frac, tz = ode_residual(U, None, G, lam, params, 0, cfg.fd_theta)
+        res, frac, tz = ode_residual(U, None, G, lam, params, 0)
     c1 = _c1_functional(None, G, kernel)
     return ResolventSolution(
         U=U, psi=None, c1=c1, c2=0.0j, c3=0.0j, iterations=1,
@@ -384,9 +366,11 @@ def solve_mode(G: ModeFunction, lam: complex, k: int, params: VortexParams,
 
     Starting from U0 = -alpha * Phi2(G), each step reconstructs psi from the
     current iterate and integrates the first-order ODE exactly, so the limit
-    satisfies the ODE to quadrature accuracy.  With map_kind="reduced" the
-    K1-shortcut map is iterated instead (its fixed point does not satisfy the
-    ODE at moderate phase rates; see the module docstring).
+    satisfies the ODE to quadrature accuracy.  If Picard has not converged
+    within ``max_iter`` steps, or diverges, a Krylov solve of the same linear
+    system takes over; ``method`` of the result says which one finished.  With
+    map_kind="reduced" the K1-shortcut map is iterated instead (its fixed point
+    does not satisfy the ODE at moderate phase rates; see the module docstring).
     """
     if k < 1:
         raise ValueError("solve_mode requires k >= 1; use solve_k0 for the radial mode")
@@ -423,59 +407,38 @@ def solve_mode(G: ModeFunction, lam: complex, k: int, params: VortexParams,
     U0 = -p.alpha * _ScanPlan(grid, p.alpha, B, c)(G.samples)
     method_used = "picard"
     history: list[float] = []
-
-    if cfg.method == "dense":
-        # the map applied to every column of the identity
-        if c == 0.0:
-            tmat = np.zeros((grid.n, grid.n), dtype=complex)
-        elif cfg.map_kind == "full":
-            tmat = coef * scan(phi1_matrix(grid, k1))
-        else:
-            tmat = coef * phi1_matrix(grid, k1)
-        U = np.linalg.solve(np.eye(grid.n, dtype=complex) - tmat, U0)
-        iters = 1
-        method_used = "dense"
-    else:
-        U = U0.copy() if cfg.initial is None else np.asarray(cfg.initial, dtype=complex).copy()
-        iters = 0
-        converged = False
-        growing = 0
-        for _ in range(cfg.max_iter):
-            Unew = U0 + tmap(U)
-            iters += 1
-            upd = lq_norm_samples(Unew - U, grid.h, p.q) / max(lq_norm_samples(Unew, grid.h, p.q), 1e-300)
-            history.append(upd)
-            U = Unew
-            if upd < cfg.tol:
-                converged = True
+    U = U0.copy() if cfg.initial is None else np.asarray(cfg.initial, dtype=complex).copy()
+    iters = 0
+    converged = False
+    growing = 0
+    for _ in range(cfg.max_iter):
+        Unew = U0 + tmap(U)
+        iters += 1
+        upd = lq_norm_samples(Unew - U, grid.h, p.q) / max(lq_norm_samples(Unew, grid.h, p.q), 1e-300)
+        history.append(upd)
+        U = Unew
+        if upd < cfg.tol:
+            converged = True
+            break
+        if len(history) >= 2 and upd > history[-2]:
+            growing += 1
+            if growing >= 4 and upd > 10.0:
                 break
-            if len(history) >= 2 and upd > history[-2]:
-                growing += 1
-                if growing >= 4 and upd > 10.0:
-                    break
-            else:
-                growing = 0
-        if not converged:
-            if cfg.method == "auto":
-                op = LinearOperator((grid.n, grid.n), dtype=complex,
-                                    matvec=lambda x: x - tmap(x))
-                U, info = lgmres(op, U0, x0=U0, rtol=cfg.tol, atol=0.0, maxiter=2000)
-                if info != 0:
-                    raise ConvergenceError(
-                        f"Krylov fallback failed (info={info})", history, gamma)
-                method_used = "krylov"
-            else:
-                raise ConvergenceError(
-                    f"Picard iteration did not converge within {cfg.max_iter} iterations "
-                    f"(a-priori factor {gamma:.3g}, last update {history[-1]:.3g})",
-                    history, gamma)
+        else:
+            growing = 0
+    if not converged:
+        op = LinearOperator((grid.n, grid.n), dtype=complex, matvec=lambda x: x - tmap(x))
+        U, info = lgmres(op, U0, x0=U0, rtol=cfg.tol, atol=0.0, maxiter=2000)
+        if info != 0:
+            raise ConvergenceError(f"Krylov fallback failed (info={info})", history, gamma)
+        method_used = "krylov"
 
     U_fn = G.with_samples(U, rep="U")
     psi, c2, c3 = psi_from_U(U_fn, p, k)
     c1 = _c1_functional(psi, G, kernel)
     res, frac, tz = (math.nan, 1.0, math.nan)
     if cfg.compute_residual:
-        res, frac, tz = ode_residual(U_fn, psi, G, lam, p, k, cfg.fd_theta)
+        res, frac, tz = ode_residual(U_fn, psi, G, lam, p, k)
     ratios = [b / a for a, b in zip(history[:-1], history[1:]) if a > 0]
     contraction = float(np.median(ratios)) if ratios else 0.0
     return ResolventSolution(

@@ -3,14 +3,16 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ssvortex
+from ssvortex import suites
 from ssvortex.cli import ConfigError, build_config, main, parse_config_file
 from ssvortex.params import VortexParams
-from ssvortex.suites import RunConfig, _residual_checks, emit, run
+from ssvortex.suites import RunConfig, _contraction_checks, _residual_checks, emit, run
 
 
 def write(path, text):
@@ -55,6 +57,16 @@ def test_cli_exit_2_on_lambda_at_a0(tmp_path, capsys):
     cfg = write(tmp_path / "c.cfg", "lambdas = -1.0+0j\n")
     assert main(["resolvent", "--config", cfg]) == 2
     assert "a0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "young_batch = 0", "bound_batch = 0", "lambda_offsets = none"])
+def test_cli_exit_2_on_empty_sample_set(tmp_path, capsys, line):
+    # a Young, norm-bound or residual check over no samples would pass
+    # vacuously; the config is rejected before any suite runs
+    cfg = write(tmp_path / "c.cfg", f"suites = none\n{line}\n")
+    assert main(["all", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_empty_suites_exits_zero(tmp_path):
@@ -132,6 +144,20 @@ def _small_all_config(tmp_path, out_name):
         lambdas=(complex(-0.5), complex(0.0)),
         shoot_k=(1,), shoot_offsets=(1.0,), shoot_imags=(0.0,),
     )
+
+
+def test_iteration_budget_needs_picard_to_finish(monkeypatch):
+    # a Picard run that breaks off early and is finished by Krylov reports a
+    # small iteration count; it must not pass the certificate
+    def krylov_finished(G, lam, k, params, cfg=None):
+        return SimpleNamespace(method="krylov", iterations=3)
+
+    monkeypatch.setattr(suites, "solve_mode", krylov_finished)
+    checks, rows = _contraction_checks(RunConfig())
+    verdict = {c["name"]: c["passed"] for c in checks}
+    assert verdict["contraction_factor_below_one"]
+    assert not verdict["picard_iteration_budget"]
+    assert not any(r["passed"] for r in rows if r["check"] == "picard_iterations")
 
 
 def test_residual_check_reports_min_zone_fraction(tmp_path):

@@ -11,7 +11,7 @@ from ssvortex.generator import (
 )
 from ssvortex.modes import KernelK1, LogGrid, ModeFunction, k1_eval, lq_norm_samples
 from ssvortex.params import VortexParams
-from ssvortex.resolvent import solve_mode
+from ssvortex.resolvent import SolveConfig, solve_mode
 
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)  # a0 = -1
 
@@ -34,7 +34,7 @@ def test_generator_action_matches_analytic_formula():
     t = g.nodes
     gen = assemble_generator(1, P, g)
     U = np.exp(-(t - 2.0) ** 2)
-    action = gen.apply(U.astype(complex))
+    action = gen.entries @ U.astype(complex)
     dU = -2.0 * (t - 2.0) * U
     ker = KernelK1(1, P.q, P.m)
 
@@ -56,7 +56,7 @@ def _masked_consistency(gen, sol, G, p, k, lam, theta=0.05):
     # far left; measure the mismatch over the resolvable zone, as for residuals
     g = G.grid
     t = g.nodes
-    mism = gen.apply(sol.U.samples) - lam * sol.U.samples - G.samples
+    mism = gen.entries @ sol.U.samples - lam * sol.U.samples - G.samples
     rate = np.maximum(abs(p.m * k * p.beta) * p.alpha * np.exp(-p.alpha * t), 1.0)
     zone = g.h * rate <= theta
     zone[:2] = False
@@ -89,7 +89,7 @@ def test_generator_resolvent_consistency_tight_example():
     G = ModeFunction(1, "G", g, np.exp(-g.nodes**2))
     sol = solve_mode(G, 0.5, 1, P)
     gen = assemble_generator(1, P, g)
-    mism = gen.apply(sol.U.samples) - 0.5 * sol.U.samples - G.samples
+    mism = gen.entries @ sol.U.samples - 0.5 * sol.U.samples - G.samples
     rel = lq_norm_samples(mism[2:-2], g.h, P.q) / lq_norm_samples(G.samples, g.h, P.q)
     assert rel < 1e-5
 
@@ -143,11 +143,11 @@ def test_growth_fit_exact_cases():
 
 def test_eig_scan_k0_and_beta_zero():
     g = LogGrid(-8.0, 8.0, 256)
-    rep = eig_scan([0], P, g, cross_probe=False)
+    rep = eig_scan([0], P, g)
     m0 = rep["modes"][0]
     assert m0["max_re"] <= P.a0 + 1e-9
     p0 = VortexParams(alpha=0.5, beta=0.0, m=2, q=2.0)
-    rep2 = eig_scan([2], p0, g, cross_probe=False)
+    rep2 = eig_scan([2], p0, g)
     np.testing.assert_allclose(sorted(np.real(rep2["modes"][0]["eigenvalues"])),
                                sorted(np.real(m0["eigenvalues"])), rtol=1e-9, atol=1e-9)
 
@@ -158,7 +158,7 @@ def test_eig_scan_refinement_converges_left_of_a0():
     res = []
     for n in (512, 1024, 2048):
         g = LogGrid(-8.0, 8.0, n)
-        res.append(eig_scan([1], P, g, cross_probe=False)["modes"][0]["max_re"])
+        res.append(eig_scan([1], P, g)["modes"][0]["max_re"])
     inc1 = res[1] - res[0]
     inc2 = res[2] - res[1]
     assert abs(inc2) < abs(inc1) / 1.5
@@ -176,6 +176,27 @@ def test_eig_scan_unprobeable_flags_are_survivors():
     assert m["probes"]
     assert m["survivors"]
     assert not rep["passed"]
+
+
+def test_eig_scan_probe_judged_by_probe_cfg_residual_tol(monkeypatch):
+    # no grid tried puts an eigenvalue right of a0, so plant one at a0 + 0.5:
+    # the probe solve there has a residual near 2e-7, resolved under the
+    # default residual_tol = 1e-6 and a survivor under 1e-12
+    a0 = P.a0
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array([a0 + 0.5 + 0j]))
+    g = LogGrid(-8.0, 8.0, 64)
+    probe_grid = LogGrid(-25.0, 25.0, 2**16 + 1)
+    rep = eig_scan([1], P, g, probe_grid=probe_grid)
+    (probe,) = rep["modes"][0]["probes"]
+    assert probe["lambda"] == a0 + 0.5
+    assert 0.0 < probe["residual"] < 1e-6
+    assert probe["resolved"] and not rep["modes"][0]["survivors"]
+    assert rep["passed"]
+    strict = eig_scan([1], P, g, probe_grid=probe_grid, probe_cfg=SolveConfig(residual_tol=1e-12))
+    (probe,) = strict["modes"][0]["probes"]
+    assert not probe["resolved"]
+    assert strict["modes"][0]["survivors"] == [a0 + 0.5]
+    assert not strict["passed"]
 
 
 def test_dedupe_flags():

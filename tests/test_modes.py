@@ -204,14 +204,3 @@ def test_psi_tail_slopes():
     ker = KernelK1(1, 2.0, 2)
     assert sr == pytest.approx(-ker.A_plus, rel=1e-3)
     assert sl == pytest.approx(ker.A_minus, rel=1e-3)
-
-
-def test_mode_function_csv_round_trip(tmp_path):
-    g = LogGrid(-2.0, 2.0, 33)
-    fn = gaussian_mode(g, k=3, rep="G")
-    path = tmp_path / "mode.csv"
-    fn.to_csv(path, q=2.5, m=2)
-    back, q, m = ModeFunction.from_csv(path)
-    assert (back.k, back.rep, q, m) == (3, "G", 2.5, 2)
-    np.testing.assert_allclose(back.samples, fn.samples, rtol=0, atol=0)
-    np.testing.assert_allclose(back.grid.nodes, g.nodes, rtol=1e-15)

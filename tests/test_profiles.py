@@ -7,7 +7,6 @@ from ssvortex.params import (
     FieldSample,
     SelfSimilarPoint,
     VortexParams,
-    a0_of,
     map_field,
     omega_bar,
     v_bar,
@@ -15,9 +14,9 @@ from ssvortex.params import (
 
 
 def test_a0_values():
-    assert a0_of(VortexParams(alpha=0.5, q=2.0)) == pytest.approx(-1.0)
-    assert a0_of(VortexParams(alpha=0.5, q=4.0)) == pytest.approx(0.0)
-    assert a0_of(VortexParams(alpha=0.25, q=2.0)) == pytest.approx(-3.0)
+    assert VortexParams(alpha=0.5, q=2.0).a0 == pytest.approx(-1.0)
+    assert VortexParams(alpha=0.5, q=4.0).a0 == pytest.approx(0.0)
+    assert VortexParams(alpha=0.25, q=2.0).a0 == pytest.approx(-3.0)
 
 
 def test_a0_sign_sweep():

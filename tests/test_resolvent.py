@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ssvortex.modes import KernelK1, LogGrid, ModeFunction, lq_norm
+from ssvortex.modes import KernelK1, LogGrid, ModeFunction, lq_norm, phi1_matrix
 from ssvortex.params import VortexParams
 from ssvortex.resolvent import (
     KernelK2,
     _osc_weights,
     _ScanPlan,
     SolveConfig,
-    SpectralPoint,
     apply_phi2,
     contraction_bound,
     k2_eval,
@@ -35,12 +34,6 @@ def cquad(f, a, b, **kw):
 
 def gaussian(grid, k=1, rep="G"):
     return ModeFunction(k, rep, grid, np.exp(-grid.nodes**2))
-
-
-def test_spectral_point():
-    z = SpectralPoint.from_complex(0.25 - 1.5j)
-    assert z.lambda1 == 0.25 and z.lambda2 == -1.5
-    assert z.value == 0.25 - 1.5j
 
 
 def test_kernel_k2_domain():
@@ -246,11 +239,19 @@ def test_solve_mode_unique_fixed_point():
 
 
 def test_solve_mode_dense_matches_picard():
+    # oracle: the full map T applied to every column of the identity, and the
+    # linear system (I - T) U = U0 solved directly
     g = LogGrid(-18.0, 18.0, 2049)
     G = gaussian(g)
     a = solve_mode(G, 0.5, 1, P, SolveConfig(compute_residual=False))
-    b = solve_mode(G, 0.5, 1, P, SolveConfig(compute_residual=False, method="dense"))
-    np.testing.assert_allclose(b.U.samples, a.U.samples, atol=1e-9 * np.abs(a.U.samples).max())
+    kernel = KernelK2(P, 1, 0.5)
+    B, c = kernel.B, kernel.phase_amplitude
+    coef = 1j * P.beta * P.alpha**2 * (2.0 - P.alpha) / 2.0
+    T = coef * _ScanPlan(g, P.alpha, B, c, exp_weight=True)(phi1_matrix(g, KernelK1(1, P.q, P.m)))
+    U0 = -P.alpha * _ScanPlan(g, P.alpha, B, c)(G.samples)
+    dense = np.linalg.solve(np.eye(g.n) - T, U0)
+    assert a.method == "picard"
+    np.testing.assert_allclose(dense, a.U.samples, atol=1e-9 * np.abs(a.U.samples).max())
 
 
 def test_solve_mode_reduced_map_leaves_ode_defect():
@@ -402,22 +403,28 @@ def test_ode_residual_zone_reporting():
     assert tmin > g.t_min
 
 
-def test_iteration_budget_exhaustion_raises_with_history():
+def test_iteration_budget_exhaustion_raises_with_history(monkeypatch):
+    # Picard stops at its budget of two steps; when the Krylov fallback then
+    # fails too, the error carries Picard's history and the a-priori factor
+    from ssvortex import resolvent
     from ssvortex.resolvent import ConvergenceError
+    monkeypatch.setattr(resolvent, "lgmres", lambda op, b, **kw: (b, 1))
     g = LogGrid(-15.0, 15.0, 1025)
     G = gaussian(g)
     with pytest.raises(ConvergenceError) as exc:
-        solve_mode(G, -0.5, 1, P, SolveConfig(method="picard", max_iter=2,
-                                              compute_residual=False))
+        solve_mode(G, -0.5, 1, P, SolveConfig(max_iter=2, compute_residual=False))
     assert len(exc.value.history) == 2
     assert exc.value.gamma == pytest.approx(contraction_bound(P, 1))
 
 
 def test_auto_method_falls_back_to_krylov():
+    # Picard stops at its budget of two steps, keeps their history, and Krylov
+    # finishes the same linear system
     g = LogGrid(-20.0, 20.0, 2**13 + 1)
     G = gaussian(g)
     ref = solve_mode(G, -0.5, 1, P, SolveConfig(compute_residual=False))
-    sol = solve_mode(G, -0.5, 1, P, SolveConfig(method="auto", max_iter=2))
+    sol = solve_mode(G, -0.5, 1, P, SolveConfig(max_iter=2))
     assert sol.method == "krylov"
+    assert len(sol.update_history) == 2
     assert sol.residual < 1e-5
     np.testing.assert_allclose(sol.U.samples, ref.U.samples, atol=1e-8 * np.abs(ref.U.samples).max())
