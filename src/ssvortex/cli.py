@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
-from .params import VortexParams
-from .suites import SUITES, RunConfig, run
+from .suites import DEFAULT_PARAMS, SUITES, RunConfig, run
 
 _SUBCOMMAND_SUITES = {
     "verify": ("identities",),
@@ -30,8 +29,9 @@ _SUBCOMMAND_SUITES = {
 }
 
 _PARAM_KEYS = {"alpha", "beta", "m", "q"}
+# file keys: the run inputs of RunConfig, with `out` for `out_dir`
 _CONFIG_KEYS = _PARAM_KEYS | {"out"} | {
-    f.name for f in fields(RunConfig) if f.name not in ("params",)
+    f.name for f in fields(RunConfig) if f.name not in ("params", "out_dir")
 }
 
 
@@ -76,27 +76,12 @@ def parse_config_file(path: str) -> dict:
 def build_config(file_values: dict, overrides: dict, suites) -> RunConfig:
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    pkw = {}
-    for key in _PARAM_KEYS:
-        if key in merged:
-            pkw[key] = merged.pop(key)
-    if "m" in pkw:
-        pkw["m"] = int(pkw["m"])
-    params = VortexParams(**{"alpha": 0.5, "beta": 1.0, "m": 2, "q": 2.0, **pkw})
+    pkw = {key: merged.pop(key) for key in _PARAM_KEYS & merged.keys()}
+    params = replace(DEFAULT_PARAMS, **pkw)
     if suites is not None:
         merged["suites"] = tuple(suites)
-    elif "suites" in merged:
-        s = merged["suites"]
-        merged["suites"] = tuple(s) if isinstance(s, tuple) else (s,)
-    if "lambdas" in merged:
-        lams = merged["lambdas"]
-        if not isinstance(lams, tuple):
-            lams = (lams,)
-        merged["lambdas"] = tuple(complex(z) for z in lams)
     if "out" in merged:
         merged["out_dir"] = str(merged.pop("out"))
-    if "k_max" in merged:
-        merged["k_max"] = int(merged["k_max"])
     return RunConfig(params=params, **merged)
 
 
@@ -128,14 +113,11 @@ def main(argv=None) -> int:
 
     overrides = {
         "alpha": args.alpha, "beta": args.beta, "q": args.q, "m": args.m,
-        "k_max": args.kmax, "seed": args.seed, "out_dir": args.out,
+        "k_max": args.kmax, "seed": args.seed, "out": args.out,
         "workers": args.workers,
     }
-    suites = None
-    if args.command != "all":
-        suites = _SUBCOMMAND_SUITES[args.command]
-    elif "suites" not in file_values:
-        suites = SUITES
+    # `all` runs the file's `suites`, or every suite by default
+    suites = None if args.command == "all" else _SUBCOMMAND_SUITES[args.command]
     try:
         cfg = build_config(file_values, overrides, suites)
     except (ValueError, TypeError) as exc:

@@ -175,6 +175,10 @@ def _dedupe_flags(flagged: np.ndarray, radius: float = 0.3, cap: int = 16):
     return kept
 
 
+# largest grid a dense eigensolve is run on
+SCAN_N_MAX = 4096
+
+
 def eig_scan(k_values, params: VortexParams, grid: LogGrid,
              eps_disc: float = 0.05, probe_grid: LogGrid | None = None,
              probe_cfg: SolveConfig | None = None) -> dict:
@@ -186,8 +190,8 @@ def eig_scan(k_values, params: VortexParams, grid: LogGrid,
     truncation artifact rather than spectrum.  Conclusions are desk-scale
     evidence: the probe, not the discretized eigenvalue, is the arbiter.
     """
-    if grid.n > 4096:
-        raise ValueError("dense eigensolve capped at n = 4096; use a coarser scan grid")
+    if grid.n > SCAN_N_MAX:
+        raise ValueError(f"dense eigensolve capped at n = {SCAN_N_MAX}; use a coarser scan grid")
     p = params
     a0 = p.a0
     probe_grid = probe_grid or LogGrid(-20.0, 20.0, 2**16 + 1)

@@ -94,10 +94,6 @@ class ModeFunction:
     def with_samples(self, samples, rep=None) -> "ModeFunction":
         return ModeFunction(self.k, rep or self.rep, self.grid, samples)
 
-    @classmethod
-    def from_callable(cls, k: int, rep: str, grid: LogGrid, fn) -> "ModeFunction":
-        return cls(k, rep, grid, np.asarray(fn(grid.nodes), dtype=complex))
-
 
 def reweight(fn: ModeFunction, target_rep: str, q: float) -> ModeFunction:
     """Convert between weighted representations by an exact exponential factor."""
@@ -255,48 +251,12 @@ def apply_phi1(fn: ModeFunction, kernel: KernelK1) -> ModeFunction:
     return fn.with_samples(_phi1_samples(fn.samples, fn.grid, kernel))
 
 
-def _trapz_half_line(t: np.ndarray, vals: np.ndarray, h: float, upper: bool) -> complex:
-    """Trapezoid integral of vals over t >= 0 (upper) or t <= 0, splitting the
-    panel containing zero by linear interpolation."""
-    if upper:
-        mask = t >= 0.0
-    else:
-        mask = t <= 0.0
-    if not mask.any():
-        return 0.0 + 0.0j
-    idx = np.nonzero(mask)[0]
-    ts = t[idx]
-    vs = vals[idx]
-    total = np.trapezoid(vs, ts) if hasattr(np, "trapezoid") else np.trapz(vs, ts)
-    # partial panel between the grid node nearest zero and zero itself
-    if upper and idx[0] > 0:
-        t0, t1 = t[idx[0] - 1], ts[0]
-        v0, v1 = vals[idx[0] - 1], vs[0]
-        vz = v0 + (v1 - v0) * (0.0 - t0) / (t1 - t0)
-        total = total + 0.5 * (vz + v1) * (t1 - 0.0)
-    elif not upper and idx[-1] < t.size - 1:
-        t0, t1 = ts[-1], t[idx[-1] + 1]
-        v0, v1 = vs[-1], vals[idx[-1] + 1]
-        vz = v0 + (v1 - v0) * (0.0 - t0) / (t1 - t0)
-        total = total + 0.5 * (v0 + vz) * (0.0 - t0)
-    return complex(total)
-
-
-def psi_from_U(fn: ModeFunction, params: VortexParams, k: int | None = None):
-    """Reconstruct psi = -(1/(2mk)) * K1-convolution of U, with the tail functionals.
-
-    Returns (psi, c2, c3) where c2 and c3 are the unique constants that make the
-    reconstruction integrable, truncated to the grid:
-        c2 = -(1/(2mk)) * int_{-inf}^0 e^{A+ s} U(s) ds
-        c3 = -(1/(2mk)) * int_0^inf  e^{-A- s} U(s) ds
-    """
+def psi_from_U(fn: ModeFunction, params: VortexParams, k: int | None = None) -> ModeFunction:
+    """Reconstruct psi = -(1/(2mk)) * K1-convolution of U, the unique integrable
+    solution of the second-order relation (truncated to the grid)."""
     k = fn.k if k is None else k
     if k < 1:
         raise ValueError("psi_from_U requires k >= 1 (no stream-function coupling at k = 0)")
     kernel = KernelK1(k, params.q, params.m)
     scale = -1.0 / (2.0 * params.m * k)
-    psi = fn.with_samples(scale * _phi1_samples(fn.samples, fn.grid, kernel), rep="psi")
-    t = fn.grid.nodes
-    c2 = scale * _trapz_half_line(t, np.exp(kernel.A_plus * t) * fn.samples, fn.grid.h, upper=False)
-    c3 = scale * _trapz_half_line(t, np.exp(-kernel.A_minus * t) * fn.samples, fn.grid.h, upper=True)
-    return psi, c2, c3
+    return fn.with_samples(scale * _phi1_samples(fn.samples, fn.grid, kernel), rep="psi")

@@ -8,6 +8,7 @@ the profile is stationary in the new frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,21 @@ SELF_SIMILAR = "self_similar"
 
 _KINDS = (VORTICITY, VELOCITY)
 _FRAMES = (PHYSICAL, SELF_SIMILAR)
+
+
+def _number(name: str, value, integer: bool):
+    """``value`` as a finite float, or as an int if ``integer`` (an integral
+    float such as 2.0 counts); anything else raises ValueError naming ``name``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        kind = "an integer" if integer else "a real number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if integer:
+        return value if isinstance(value, int) else int(x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -40,7 +56,8 @@ class VortexParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if int(self.m) != self.m or self.m < 2:
+        object.__setattr__(self, "m", _number("m", self.m, integer=True))
+        if self.m < 2:
             raise ValueError(f"m must be an integer >= 2, got {self.m}")
         if not 2.0 <= self.q <= 2.0 / self.alpha:
             raise ValueError(

@@ -41,7 +41,6 @@ from .modes import (
     ModeFunction,
     _fd4,
     _Recurrence,
-    _trapz_half_line,
     apply_phi1,
     lq_norm,
     lq_norm_samples,
@@ -157,25 +156,24 @@ class _ScanPlan:
 
     Everything that does not depend on g is built once: the per-panel weights
     (``wi`` for the panel's left sample, ``wj`` for its right one, and for
-    ``order=2`` ``wk`` for the next sample), the node factor e^{-alpha t} of the
-    c == 0 exp-weighted scan, and the recurrence blocks of the panel factors
-    D = e^{-icL - Bh}.  Applying the plan to samples g (shape (n,) or (n, batch))
-    forms the panel integrals P = wi g_i + wj g_{i+1} [+ wk g_{i+2}] and runs the
-    recurrence S_i = P_i + D_i S_{i+1}.
+    ``order=2`` ``wk`` for the next sample) and the recurrence blocks of the
+    panel factors D = e^{-icL - Bh}.  Applying the plan to samples g (shape
+    (n,) or (n, batch)) forms the panel integrals P = wi g_i + wj g_{i+1}
+    [+ wk g_{i+2}] and runs the recurrence S_i = P_i + D_i S_{i+1}.
 
-    ``order=2`` (quadratic panel interpolation) is supported for c == 0 only.
+    ``order=2`` (quadratic panel interpolation) is supported for c == 0 only,
+    and ``exp_weight`` for c != 0 only.
     """
 
     def __init__(self, grid: LogGrid, alpha: float, B: complex, c: float,
                  exp_weight: bool = False, order: int = 1):
-        t = grid.nodes
         h = grid.h
         npan = grid.n - 1
         self.wk = None
-        self.node_factor = None
         if c == 0.0:
-            Beff = B + alpha if exp_weight else B
-            M0, M1, M2 = _exp_moments(Beff, h)
+            if exp_weight:
+                raise ValueError("the exp-weighted scan is implemented for c != 0 only")
+            M0, M1, M2 = _exp_moments(B, h)
             self.wi = np.full(npan, M0 - M1 / h)
             self.wj = np.full(npan, M1 / h)
             if order == 2:
@@ -185,14 +183,11 @@ class _ScanPlan:
                 self.wk = np.full(npan - 1, (M2 - h * M1) / (2 * h * h))
             elif order != 1:
                 raise ValueError("order must be 1 or 2")
-            D = np.full(npan, np.exp(-Beff * h), dtype=complex)
-            decay = Beff.real * h
-            if exp_weight:
-                self.node_factor = np.exp(-alpha * t)
+            D = np.full(npan, np.exp(-B * h), dtype=complex)
         else:
             if order != 1:
                 raise ValueError("quadratic panels are implemented for the c == 0 path only")
-            w_nodes = np.exp(-alpha * t)
+            w_nodes = np.exp(-alpha * grid.nodes)
             wb = w_nodes[:-1]  # w at the panel's left t-node (larger w)
             wa = w_nodes[1:]
             L = wb - wa
@@ -204,8 +199,7 @@ class _ScanPlan:
             self.wi = L * gb / div_b
             self.wj = L * ga * ebh / div_a
             D = phase * ebh
-            decay = B.real * h
-        self.recurrence = _Recurrence(D, decay)
+        self.recurrence = _Recurrence(D, B.real * h)
 
     def __call__(self, samples) -> np.ndarray:
         g = np.asarray(samples, dtype=complex)
@@ -213,10 +207,7 @@ class _ScanPlan:
         P = self.wi[col] * g[:-1] + self.wj[col] * g[1:]
         if self.wk is not None:
             P[:-1] += self.wk[col] * g[2:]
-        S = self.recurrence(P)
-        if self.node_factor is not None:
-            S *= self.node_factor[col]
-        return S
+        return self.recurrence(P)
 
 
 def apply_phi2(fn: ModeFunction, kernel: KernelK2) -> ModeFunction:
@@ -302,9 +293,6 @@ class SolveConfig:
 class ResolventSolution:
     U: ModeFunction
     psi: ModeFunction | None
-    c1: complex
-    c2: complex
-    c3: complex
     iterations: int
     residual: float
     contraction: float
@@ -322,24 +310,6 @@ def contraction_bound(params: VortexParams, k: int) -> float:
     return 2.0 * p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k * (p.m * k - 2.0 + 2.0 / p.q))
 
 
-def _c1_functional(U_psi, G: ModeFunction, kernel: KernelK2) -> complex:
-    p = kernel.params
-    t = G.grid.nodes
-    h = G.grid.h
-    c = kernel.phase_amplitude
-    # only t >= 0 contributes (plus one interpolation node just below zero);
-    # zeroing far-left entries avoids spurious overflow in e^{-B t}
-    sel = t >= -2.0 * h
-    weight = np.zeros(t.size, dtype=complex)
-    weight[sel] = np.exp(1j * c * np.exp(-p.alpha * t[sel]) - kernel.B * t[sel])
-    c1 = -p.alpha * _trapz_half_line(t, weight * G.samples, h, upper=True)
-    if U_psi is not None:
-        c1 = c1 - 1j * p.m * kernel.k * p.beta * p.alpha**2 * (2.0 - p.alpha) * \
-            _trapz_half_line(t, weight * np.exp(-p.alpha * np.where(sel, t, 0.0)) * U_psi.samples,
-                             h, upper=True)
-    return c1
-
-
 def solve_k0(G: ModeFunction, lam: complex, params: VortexParams,
              cfg: SolveConfig | None = None) -> ResolventSolution:
     """Closed-form k = 0 resolvent: U = -alpha * (exponential kernel) * G."""
@@ -351,9 +321,8 @@ def solve_k0(G: ModeFunction, lam: complex, params: VortexParams,
     res, frac, tz = (math.nan, 1.0, math.nan)
     if cfg.compute_residual:
         res, frac, tz = ode_residual(U, None, G, lam, params, 0)
-    c1 = _c1_functional(None, G, kernel)
     return ResolventSolution(
-        U=U, psi=None, c1=c1, c2=0.0j, c3=0.0j, iterations=1,
+        U=U, psi=None, iterations=1,
         residual=res, contraction=0.0, method="direct",
         residual_ok=(not cfg.compute_residual) or res <= cfg.residual_tol,
         residual_zone=(frac, tz),
@@ -434,15 +403,14 @@ def solve_mode(G: ModeFunction, lam: complex, k: int, params: VortexParams,
         method_used = "krylov"
 
     U_fn = G.with_samples(U, rep="U")
-    psi, c2, c3 = psi_from_U(U_fn, p, k)
-    c1 = _c1_functional(psi, G, kernel)
+    psi = psi_from_U(U_fn, p, k)
     res, frac, tz = (math.nan, 1.0, math.nan)
     if cfg.compute_residual:
         res, frac, tz = ode_residual(U_fn, psi, G, lam, p, k)
     ratios = [b / a for a, b in zip(history[:-1], history[1:]) if a > 0]
     contraction = float(np.median(ratios)) if ratios else 0.0
     return ResolventSolution(
-        U=U_fn, psi=psi, c1=c1, c2=c2, c3=c3, iterations=iters,
+        U=U_fn, psi=psi, iterations=iters,
         residual=res, contraction=contraction, method=method_used,
         residual_ok=(not cfg.compute_residual) or res <= cfg.residual_tol,
         residual_zone=(frac, tz), update_history=history,

@@ -12,14 +12,14 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .generator import assemble_generator, eig_scan, evolve
+from .generator import SCAN_N_MAX, assemble_generator, eig_scan, evolve
 from .homogeneous import MISMATCH_THRESHOLD, NO_INTEGRABLE, shoot_homogeneous
 from .modes import KernelK1, LogGrid, ModeFunction, apply_phi1, lq_norm
-from .params import VortexParams
+from .params import VortexParams, _number
 from .resolvent import (
     KernelK2,
     SolveConfig,
@@ -40,60 +40,87 @@ YOUNG_LATTICE = ((2.0, 0.5), (2.5, 0.8), (3.0, 2.0 / 3.0), (4.0, 0.5))
 LATTICE_K = tuple(range(1, 9))
 LAMBDA_OFFSETS_YOUNG = (0.5, 2.0)
 
+# fixed grid spans t in [-T, T] (point counts are RunConfig fields)
+FINE_T = 25.0        # residual-grade solves
+NORM_T = 25.0        # norm-ratio batches
+YOUNG_T, YOUNG_N = 40.0, 4097
+EVOLVE_T_MIN, EVOLVE_T_MAX = -8.0, 10.0
+SHOOT_SPAN = 12.0
+
+DEFAULT_PARAMS = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)
+
 
 @dataclass
 class RunConfig:
-    """Everything a batch run needs; all randomized checks derive from ``seed``."""
+    """Everything a batch run needs; all randomized checks derive from ``seed``.
 
-    params: VortexParams = field(default_factory=lambda: VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0))
+    Values are normalized to the declared field types: an integral float is
+    accepted for an int, a scalar for a tuple (as a 1-tuple).
+    """
+
+    params: VortexParams = DEFAULT_PARAMS
     suites: tuple = SUITES
     k_max: int = 8
     seed: int = 1234
     out_dir: str = "out"
-    lambdas: tuple = ()          # probe points; default a0 + offsets below
+    # probe points lambda = a0 + offset; complex offsets are allowed
     lambda_offsets: tuple = (0.1, 0.5, 1.0, 4.0)
     workers: int = 1
-    residual_tol: float = 1e-6
     young_batch: int = 100
     bound_batch: int = 12
-    # grids
-    fine_t: float = 25.0
+    # grid point counts, the scan span and the evolution time
     fine_n: int = 2**17 + 1
-    norm_t: float = 25.0
     norm_n: int = 2**14 + 1
-    young_t: float = 40.0
-    young_n: int = 4097
     scan_t: float = 12.0
     scan_n: int = 2048
-    evolve_t_min: float = -8.0
-    evolve_t_max: float = 10.0
     evolve_n: int = 1024
     tau_end: float = 5.0
-    shoot_span: float = 12.0
     shoot_k: tuple = (1, 2, 3)
     shoot_offsets: tuple = (0.8, 1.6, 2.4, 3.2, 4.0)
     shoot_imags: tuple = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
     def __post_init__(self):
+        # f.type is the annotation's text (postponed annotations, PEP 563)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", "float"):
+                value = _number(f.name, value, f.type == "int")
+            elif f.type == "tuple":
+                value = tuple(value) if isinstance(value, (tuple, list)) else (value,)
+            setattr(self, f.name, value)
+        for name, integer in (("shoot_k", True), ("shoot_offsets", False), ("shoot_imags", False)):
+            setattr(self, name, tuple(_number(name, x, integer) for x in getattr(self, name)))
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suites {unknown}; choose from {SUITES}")
-        if self.k_max < 0 or int(self.k_max) != self.k_max:
-            raise ValueError("k_max must be a nonnegative integer")
+        if self.k_max < 0 or any(k < 0 for k in self.shoot_k):
+            raise ValueError("k_max and shoot_k must be nonnegative")
         # a check over no samples would pass vacuously
         if self.young_batch < 1 or self.bound_batch < 1:
             raise ValueError("young_batch and bound_batch must be at least 1")
-        if not self.lambdas:
-            self.lambdas = tuple(complex(self.params.a0 + off) for off in self.lambda_offsets)
-        if not self.lambdas:
-            raise ValueError("no probe points: set lambdas or lambda_offsets")
-        bad = [z for z in self.lambdas if not complex(z).real > self.params.a0]
+        if min(self.fine_n, self.norm_n, self.scan_n, self.evolve_n) < 16:
+            raise ValueError("every grid needs at least 16 points")
+        if self.scan_n > SCAN_N_MAX:
+            raise ValueError(f"scan_n = {self.scan_n} exceeds the dense eigensolve cap {SCAN_N_MAX}")
+        lambdas = self.probe_lambdas()
+        if not lambdas:
+            raise ValueError("no probe points: set lambda_offsets")
+        bad = [z for z in lambdas if not z.real > self.params.a0]
         if bad:
             raise ValueError(
                 f"every probe point needs Re(lambda) > a0 = {self.params.a0:.6g}; got {bad}")
 
     def probe_lambdas(self):
-        return tuple(complex(z) for z in self.lambdas)
+        return tuple(complex(self.params.a0 + off) for off in self.lambda_offsets)
+
+
+def _summary(name: str, cfg: RunConfig, checks: list, **extra) -> dict:
+    """The report envelope every suite shares; ``passed`` iff every check did."""
+    p = cfg.params
+    return {"suite": name,
+            "params": {"alpha": p.alpha, "beta": p.beta, "m": p.m, "q": p.q, "a0": p.a0},
+            "seed": cfg.seed, "checks": checks,
+            "passed": all(c["passed"] for c in checks), **extra}
 
 
 def _map_tasks(fn, tasks, workers):
@@ -148,17 +175,12 @@ def suite_identities(cfg: RunConfig) -> tuple[dict, list, list]:
         {"name": "kernel_composition_collapse", "max_error": max_comp,
          "tolerance": 1e-6, "passed": bool(max_comp <= 1e-6)},
     ]
-    summary = {
-        "suite": "identities",
-        "params": _params_dict(p),
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-        "note": ("each closed-form shortcut is the boundary term of one"
-                 " integration by parts, so its error is the computable"
-                 " remainder integral, which vanishes only in the rapid-phase"
-                 " limit; at these parameters strict tolerances are expected"
-                 " to fail"),
-    }
+    summary = _summary("identities", cfg, checks, note=(
+        "each closed-form shortcut is the boundary term of one"
+        " integration by parts, so its error is the computable"
+        " remainder integral, which vanishes only in the rapid-phase"
+        " limit; at these parameters strict tolerances are expected"
+        " to fail"))
     cols = ["check", "t", "r", "mu_re", "mu_im", "abs_error"]
     return summary, rows, cols
 
@@ -174,7 +196,7 @@ def _young_checks(cfg: RunConfig) -> tuple[list, list]:
     rng = np.random.default_rng(cfg.seed + 1)
     for q, alpha in YOUNG_LATTICE:
         p = VortexParams(alpha=alpha, beta=cfg.params.beta, m=2, q=q)
-        grid = LogGrid(-cfg.young_t, cfg.young_t, cfg.young_n)
+        grid = LogGrid(-YOUNG_T, YOUNG_T, YOUNG_N)
         for k in LATTICE_K:
             kernel = KernelK1(k, q, 2)
             bound = 2.0 / kernel.A_minus
@@ -263,9 +285,10 @@ def _contraction_checks(cfg: RunConfig) -> tuple[list, list]:
 def _residual_checks(cfg: RunConfig) -> tuple[list, list]:
     p = cfg.params
     rows = []
-    grid = LogGrid(-cfg.fine_t, cfg.fine_t, cfg.fine_n)
+    grid = LogGrid(-FINE_T, FINE_T, cfg.fine_n)
     gauss = np.exp(-grid.nodes**2).astype(complex)
-    solve_cfg = SolveConfig(residual_tol=cfg.residual_tol)
+    solve_cfg = SolveConfig()
+    tol = solve_cfg.residual_tol
     worst = 0.0
     min_zone = 1.0
     for lam in cfg.probe_lambdas():
@@ -274,20 +297,20 @@ def _residual_checks(cfg: RunConfig) -> tuple[list, list]:
         min_zone = min(min_zone, sol0.residual_zone[0])
         rows.append({"check": "residual", "k": 0, "q": p.q, "alpha": p.alpha,
                      "lambda_re": lam.real, "lambda_im": lam.imag,
-                     "value": sol0.residual, "bound": cfg.residual_tol,
-                     "passed": sol0.residual <= cfg.residual_tol})
+                     "value": sol0.residual, "bound": tol,
+                     "passed": sol0.residual <= tol})
         for k in (1, 2):
             sol = solve_mode(ModeFunction(k, "G", grid, gauss), lam, k, p, solve_cfg)
             worst = max(worst, sol.residual)
             min_zone = min(min_zone, sol.residual_zone[0])
             rows.append({"check": "residual", "k": k, "q": p.q, "alpha": p.alpha,
                          "lambda_re": lam.real, "lambda_im": lam.imag,
-                         "value": sol.residual, "bound": cfg.residual_tol,
-                         "passed": sol.residual <= cfg.residual_tol})
+                         "value": sol.residual, "bound": tol,
+                         "passed": sol.residual <= tol})
     # the residual is measured only on the resolvable zone (see ode_residual)
     checks = [{"name": "ode_residuals", "worst_residual": worst,
                "min_zone_fraction": min_zone,
-               "tolerance": cfg.residual_tol, "passed": worst <= cfg.residual_tol}]
+               "tolerance": tol, "passed": worst <= tol}]
     return checks, rows
 
 
@@ -298,7 +321,7 @@ def suite_resolvent(cfg: RunConfig) -> tuple[dict, list, list]:
     resid_checks, resid_rows = _residual_checks(cfg)
     bound = resolvent_bound_check(
         cfg.probe_lambdas(), p, min(cfg.k_max, 3),
-        grid=LogGrid(-cfg.norm_t, cfg.norm_t, cfg.norm_n),
+        grid=LogGrid(-NORM_T, NORM_T, cfg.norm_n),
         batch=cfg.bound_batch, seed=cfg.seed + 2,
         cfg=SolveConfig(compute_residual=False),
     )
@@ -310,14 +333,9 @@ def suite_resolvent(cfg: RunConfig) -> tuple[dict, list, list]:
         {"name": "resolvent_norm_bound", "M_empirical": bound["M_empirical"],
          "M_alpha_bound": bound["M_alpha_bound"], "passed": bound["passed"]},
     ]
-    summary = {
-        "suite": "resolvent",
-        "params": _params_dict(p),
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
     cols = ["check", "k", "q", "alpha", "lambda_re", "lambda_im", "value", "bound", "passed"]
-    return summary, young_rows + contr_rows + resid_rows + bound_rows, cols
+    return (_summary("resolvent", cfg, checks),
+            young_rows + contr_rows + resid_rows + bound_rows, cols)
 
 
 # --------------------------------------------------------------------------
@@ -327,8 +345,8 @@ def suite_resolvent(cfg: RunConfig) -> tuple[dict, list, list]:
 def suite_semigroup(cfg: RunConfig) -> tuple[dict, list, list]:
     p = cfg.params
     a0 = p.a0
-    grid = LogGrid(cfg.evolve_t_min, cfg.evolve_t_max, cfg.evolve_n)
-    center = cfg.evolve_t_max - 0.22 * (cfg.evolve_t_max - cfg.evolve_t_min)
+    grid = LogGrid(EVOLVE_T_MIN, EVOLVE_T_MAX, cfg.evolve_n)
+    center = EVOLVE_T_MAX - 0.22 * (EVOLVE_T_MAX - EVOLVE_T_MIN)
     U0 = np.exp(-(grid.nodes - center) ** 2).astype(complex)
 
     def one(k):
@@ -350,13 +368,7 @@ def suite_semigroup(cfg: RunConfig) -> tuple[dict, list, list]:
         {"name": "all_modes_below_threshold", "rates": {str(k): v for k, v in fits.items()},
          "threshold": a0 + 0.05, "passed": bool(all_below)},
     ]
-    summary = {
-        "suite": "semigroup",
-        "params": _params_dict(p),
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
-    return summary, rows, ["k", "tau", "norm"]
+    return _summary("semigroup", cfg, checks), rows, ["k", "tau", "norm"]
 
 
 # --------------------------------------------------------------------------
@@ -366,23 +378,17 @@ def suite_semigroup(cfg: RunConfig) -> tuple[dict, list, list]:
 def suite_spectrum(cfg: RunConfig) -> tuple[dict, list, list]:
     p = cfg.params
     grid = LogGrid(-cfg.scan_t, cfg.scan_t, cfg.scan_n)
-    report = eig_scan(range(cfg.k_max + 1), p, grid,
-                      probe_cfg=SolveConfig(residual_tol=cfg.residual_tol))
+    report = eig_scan(range(cfg.k_max + 1), p, grid)
     rows = []
     for m in report["modes"]:
         for ev in m.pop("eigenvalues", ()):
             rows.append({"k": m["k"], "re": float(ev.real), "im": float(ev.imag)})
-    summary = {
-        "suite": "spectrum",
-        "params": _params_dict(p),
-        "checks": [{
-            "name": "no_surviving_eigenvalue_right_of_a0",
-            "a0": report["a0"], "eps_disc": report["eps_disc"],
-            "modes": report["modes"],
-            "passed": report["passed"],
-        }],
+    summary = _summary("spectrum", cfg, [{
+        "name": "no_surviving_eigenvalue_right_of_a0",
+        "a0": report["a0"], "eps_disc": report["eps_disc"],
+        "modes": report["modes"],
         "passed": report["passed"],
-    }
+    }])
     return summary, rows, ["k", "re", "im"]
 
 
@@ -393,7 +399,7 @@ def suite_spectrum(cfg: RunConfig) -> tuple[dict, list, list]:
 def suite_shooting(cfg: RunConfig) -> tuple[dict, list, list]:
     p = cfg.params
     a0 = p.a0
-    grid = LogGrid(-cfg.shoot_span, cfg.shoot_span, 256)
+    grid = LogGrid(-SHOOT_SPAN, SHOOT_SPAN, 256)
     lam_res = [a0 + off for off in cfg.shoot_offsets]
     lam_ims = list(cfg.shoot_imags)
     tasks = [(0, complex(a0 + 1.0, 0.0))]
@@ -411,24 +417,16 @@ def suite_shooting(cfg: RunConfig) -> tuple[dict, list, list]:
              "mismatch": r.mismatch, "verdict": r.verdict} for r in results]
     ok = all(r.verdict == NO_INTEGRABLE for r in results)
     min_mismatch = min(r.mismatch for r in results)
-    summary = {
-        "suite": "shooting",
-        "params": _params_dict(p),
-        "checks": [{"name": "no_integrable_homogeneous_solution",
-                    "min_mismatch": min_mismatch, "threshold": MISMATCH_THRESHOLD,
-                    "passed": ok}],
-        "passed": ok,
-    }
+    summary = _summary("shooting", cfg, [{
+        "name": "no_integrable_homogeneous_solution",
+        "min_mismatch": min_mismatch, "threshold": MISMATCH_THRESHOLD,
+        "passed": ok}])
     return summary, rows, ["k", "re_lambda", "im_lambda", "mismatch", "verdict"]
 
 
 # --------------------------------------------------------------------------
 # emission
 # --------------------------------------------------------------------------
-
-def _params_dict(p: VortexParams) -> dict:
-    return {"alpha": p.alpha, "beta": p.beta, "m": p.m, "q": p.q, "a0": p.a0}
-
 
 def _sanitize(obj):
     if isinstance(obj, complex):
@@ -497,7 +495,6 @@ def run(cfg: RunConfig, log=print) -> int:
         if name not in cfg.suites:
             continue
         summary, rows, cols = _SUITE_FN[name](cfg)
-        summary["seed"] = cfg.seed
         emit(summary, rows, cols, cfg.out_dir, name)
         ok = summary["passed"]
         all_ok = all_ok and ok

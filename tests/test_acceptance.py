@@ -34,6 +34,7 @@ from ssvortex.resolvent import (
     verify_neat_identities,
 )
 from ssvortex.suites import (
+    NORM_T,
     RunConfig,
     _contraction_checks,
     _residual_checks,
@@ -163,7 +164,7 @@ def test_criterion_5_resolvent_residual_and_bound(cfg):
     worst = checks[0]["worst_residual"]
     ok_resid = checks[0]["passed"]
     rep = resolvent_bound_check(cfg.probe_lambdas(), P, 2,
-                                grid=LogGrid(-cfg.norm_t, cfg.norm_t, cfg.norm_n),
+                                grid=LogGrid(-NORM_T, NORM_T, cfg.norm_n),
                                 batch=cfg.bound_batch, seed=cfg.seed + 2)
     ok_bound = rep["passed"] and math.isfinite(rep["M_empirical"])
     ok = ok_resid and ok_bound
@@ -222,9 +223,9 @@ def test_criterion_10_determinism(tmp_path):
         return RunConfig(
             params=P, suites=("identities", "resolvent", "semigroup", "spectrum", "shooting"),
             k_max=1, seed=99, out_dir=str(tmp_path / name),
-            young_batch=2, bound_batch=1, fine_n=2049, fine_t=18.0,
+            young_batch=2, bound_batch=1, fine_n=4097,
             norm_n=1025, scan_n=128, scan_t=8.0, evolve_n=256, tau_end=2.0,
-            lambdas=(complex(-0.5), complex(0.0)),
+            lambda_offsets=(0.5, 1.0),
             shoot_k=(1,), shoot_offsets=(1.0,), shoot_imags=(0.0,),
         )
 

@@ -26,14 +26,14 @@ def test_parse_config_values(tmp_path):
 alpha = 0.6
 m = 3
 suites = semigroup, shooting
-lambdas = -0.1+0j, 0.5+1j
+lambda_offsets = 0.9, 1.5+1j
 out = results
 """)
     vals = parse_config_file(cfg)
     assert vals["alpha"] == 0.6
     assert vals["m"] == 3
     assert vals["suites"] == ("semigroup", "shooting")
-    assert vals["lambdas"] == ((-0.1 + 0j), (0.5 + 1j))
+    assert vals["lambda_offsets"] == (0.9, 1.5 + 1j)
     assert vals["out"] == "results"
 
 
@@ -54,7 +54,7 @@ def test_cli_exit_2_on_bad_config(tmp_path, capsys):
 
 def test_cli_exit_2_on_lambda_at_a0(tmp_path, capsys):
     # alpha=0.5, q=2 gives a0 = -1; a probe exactly on the line is rejected
-    cfg = write(tmp_path / "c.cfg", "lambdas = -1.0+0j\n")
+    cfg = write(tmp_path / "c.cfg", "lambda_offsets = 0.5, 0+1j\n")
     assert main(["resolvent", "--config", cfg]) == 2
     assert "a0" in capsys.readouterr().err
 
@@ -67,6 +67,36 @@ def test_cli_exit_2_on_empty_sample_set(tmp_path, capsys, line):
     cfg = write(tmp_path / "c.cfg", f"suites = none\n{line}\n")
     assert main(["all", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "m = 2.5", "k_max = 1.5", "young_batch = 1.5", "seed = 1+1j", "tau_end = 1+1j",
+    "shoot_k = 1, 2.5", "shoot_imags = 1+1j", "scan_n = 8192", "fine_n = 8", "lambdas = -0.5+0j", "out_dir = x"])
+def test_cli_exit_2_on_invalid_value(tmp_path, capsys, line):
+    # a non-integral integer, a complex real, a grid the dense eigensolve or
+    # the log grid refuses, and a key that is not a run input are all
+    # rejected before any suite runs
+    cfg = write(tmp_path / "c.cfg", f"suites = none\n{line}\n")
+    assert main(["all", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_build_config_normalizes_types():
+    # integral floats are ints, scalars of tuple keys are 1-tuples
+    cfg = build_config({"m": 3.0, "k_max": 2.0, "shoot_k": 1, "lambda_offsets": 0.5 + 1j,
+                        "suites": "shooting"}, {}, None)
+    assert cfg.params.m == 3 and isinstance(cfg.params.m, int)
+    assert cfg.k_max == 2 and isinstance(cfg.k_max, int)
+    assert cfg.shoot_k == (1,)
+    assert cfg.suites == ("shooting",)
+    assert cfg.probe_lambdas() == (complex(-0.5, 1.0),)
+
+
+def test_cli_out_flag_overrides_config_file(tmp_path):
+    cfg = write(tmp_path / "c.cfg", f"suites = none\nout = {tmp_path / 'from_file'}\n")
+    assert main(["all", "--config", cfg, "--out", str(tmp_path / "from_flag")]) == 0
+    assert (tmp_path / "from_flag").is_dir()
+    assert not (tmp_path / "from_file").exists()
 
 
 def test_cli_empty_suites_exits_zero(tmp_path):
@@ -83,7 +113,7 @@ def test_unwritable_out_dir_exits_2(tmp_path):
 
 
 def test_build_config_overrides():
-    cfg = build_config({"alpha": 0.6, "seed": 9}, {"alpha": 0.7, "out_dir": "x"}, None)
+    cfg = build_config({"alpha": 0.6, "seed": 9}, {"alpha": 0.7, "out": "x"}, None)
     assert cfg.params.alpha == 0.7
     assert cfg.seed == 9
     assert cfg.out_dir == "x"
@@ -139,9 +169,9 @@ def _small_all_config(tmp_path, out_name):
         params=VortexParams(alpha=0.5, beta=1.0),
         suites=("identities", "resolvent", "semigroup", "spectrum", "shooting"),
         k_max=1, seed=99, out_dir=str(tmp_path / out_name),
-        young_batch=2, bound_batch=1, fine_n=2049, fine_t=18.0,
+        young_batch=2, bound_batch=1, fine_n=4097,
         norm_n=1025, scan_n=128, scan_t=8.0, evolve_n=256, tau_end=2.0,
-        lambdas=(complex(-0.5), complex(0.0)),
+        lambda_offsets=(0.5, 1.0),
         shoot_k=(1,), shoot_offsets=(1.0,), shoot_imags=(0.0,),
     )
 
@@ -166,7 +196,7 @@ def test_residual_check_reports_min_zone_fraction(tmp_path):
     frac = checks[0]["min_zone_fraction"]
     # the k >= 1 solves leave the fast-phase far left out of the zone
     assert 0.0 < frac < 1.0
-    assert len(rows) == 3 * len(cfg.lambdas)
+    assert len(rows) == 3 * len(cfg.lambda_offsets)
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

@@ -125,6 +125,21 @@ def test_evolve_rejects_unstable_dt():
         evolve(np.ones(g.n), 1.0, 10.0 * stable_dt(gen), gen)
 
 
+@pytest.mark.parametrize("alpha, beta, m, q, k", [
+    (0.5, 1.0, 2, 2.0, 0), (0.5, 1.0, 2, 2.0, 1), (0.5, 1.0, 2, 2.0, 8),
+    (0.5, -1.0, 2, 4.0, 1),    # critical line q = 2/alpha, negative beta
+    (0.8, 1.0, 3, 2.5, 1), (0.8, 1.0, 3, 2.5, 8)])
+def test_stable_dt_inside_rk4_region(alpha, beta, m, q, k):
+    # the step limit comes from a cheap spectral-radius estimate; every
+    # eigenvalue of the generator times that step must lie in RK4's stability
+    # region |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1 (measured: 0.61 at k = 0,
+    # up to 0.998 at alpha = 0.8, m = 3)
+    gen = assemble_generator(k, VortexParams(alpha=alpha, beta=beta, m=m, q=q),
+                             LogGrid(-8.0, 10.0, 512))
+    z = stable_dt(gen) * np.linalg.eigvals(gen.entries)
+    assert np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24).max() <= 1.0
+
+
 def test_evolve_k1_rate_below_threshold():
     g = LogGrid(-8.0, 10.0, 1024)
     gen = assemble_generator(1, P, g)

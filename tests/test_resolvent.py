@@ -135,7 +135,7 @@ def test_scan_plan_reuse_is_bit_identical():
 
 
 @pytest.mark.parametrize("c, exp_weight, order", [
-    (2.0, False, 1), (2.0, True, 1), (0.0, False, 1), (0.0, True, 1), (0.0, False, 2)])
+    (2.0, False, 1), (2.0, True, 1), (0.0, False, 1), (0.0, False, 2)])
 def test_scan_plan_batched_matches_columns(c, exp_weight, order):
     g = LogGrid(-10.0, 10.0, 501)
     rng = np.random.default_rng(8)
@@ -144,6 +144,15 @@ def test_scan_plan_batched_matches_columns(c, exp_weight, order):
     batched = plan(X)
     for j in range(X.shape[1]):
         np.testing.assert_allclose(batched[:, j], plan(X[:, j]), rtol=1e-14, atol=0)
+
+
+def test_scan_plan_rejects_unsupported_combinations():
+    g = LogGrid(-10.0, 10.0, 501)
+    B = KernelK2(P, 1, 0.5).B
+    with pytest.raises(ValueError, match="exp-weighted"):
+        _ScanPlan(g, P.alpha, B, 0.0, exp_weight=True)
+    with pytest.raises(ValueError, match="quadratic"):
+        _ScanPlan(g, P.alpha, B, 2.0, order=2)
 
 
 def test_scan_plan_multiple_blocks_match_sequential_recurrence():
@@ -173,7 +182,7 @@ def test_solve_k0_closed_form():
     sel = g.nodes < -0.5
     expect = -np.exp(0.5 * g.nodes[sel]) * (1 - np.exp(-0.5))
     np.testing.assert_allclose(sol.U.samples[sel].real, expect, atol=5e-6)
-    assert sol.c2 == 0 and sol.c3 == 0 and sol.psi is None
+    assert sol.psi is None
 
 
 def test_solve_k0_zero_rhs_and_residual():
@@ -202,7 +211,6 @@ def test_solve_mode_zero_rhs():
     z = ModeFunction(1, "G", g, np.zeros(g.n))
     sol = solve_mode(z, 0.5, 1, P, SolveConfig(compute_residual=False))
     assert np.all(sol.U.samples == 0)
-    assert sol.c1 == 0 and sol.c2 == 0 and sol.c3 == 0
 
 
 def test_solve_mode_requires_k_positive_and_lambda_right_of_a0():
