@@ -27,22 +27,13 @@ from .modes import (
     lq_norm,
     phi1_matrix,
     psi_from_U,
-    reweight,
     second_order_relation,
 )
-from .params import (
-    FieldSample,
-    SelfSimilarPoint,
-    VortexParams,
-    map_field,
-    omega_bar,
-    v_bar,
-)
+from .params import VortexParams
 from .resolvent import (
     ConvergenceError,
     KernelK2,
     ResolventSolution,
-    SolveConfig,
     apply_phi2,
     contraction_bound,
     k2_eval,

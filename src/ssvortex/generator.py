@@ -22,7 +22,7 @@ import numpy as np
 
 from .modes import KernelK1, LogGrid, ModeFunction, lq_norm_samples, phi1_matrix
 from .params import VortexParams
-from .resolvent import SolveConfig, solve_k0, solve_mode
+from .resolvent import solve_k0, solve_mode
 
 
 @dataclass(frozen=True)
@@ -177,25 +177,25 @@ def _dedupe_flags(flagged: np.ndarray, radius: float = 0.3, cap: int = 16):
 
 # largest grid a dense eigensolve is run on
 SCAN_N_MAX = 4096
+# eigenvalues with Re > a0 + EPS_DISC are flagged and cross-probed by a
+# resolvent solve of a Gaussian on PROBE_GRID
+EPS_DISC = 0.05
+PROBE_GRID = LogGrid(-20.0, 20.0, 2**16 + 1)
 
 
-def eig_scan(k_values, params: VortexParams, grid: LogGrid,
-             eps_disc: float = 0.05, probe_grid: LogGrid | None = None,
-             probe_cfg: SolveConfig | None = None) -> dict:
+def eig_scan(k_values, params: VortexParams, grid: LogGrid) -> dict:
     """Dense eigenvalue scan of every mode generator, with resolvent cross-probes.
 
-    Any eigenvalue with Re > a0 + eps_disc is flagged; a flagged point is
+    Any eigenvalue with Re > a0 + EPS_DISC is flagged; a flagged point is
     discarded ("does not survive") when the resolvent solve at that point meets
-    ``probe_cfg.residual_tol`` (``sol.residual_ok``), which identifies it as a
-    truncation artifact rather than spectrum.  Conclusions are desk-scale
+    the solver's residual tolerance (``sol.residual_ok``), which identifies it
+    as a truncation artifact rather than spectrum.  Conclusions are desk-scale
     evidence: the probe, not the discretized eigenvalue, is the arbiter.
     """
     if grid.n > SCAN_N_MAX:
         raise ValueError(f"dense eigensolve capped at n = {SCAN_N_MAX}; use a coarser scan grid")
     p = params
     a0 = p.a0
-    probe_grid = probe_grid or LogGrid(-20.0, 20.0, 2**16 + 1)
-    probe_cfg = probe_cfg or SolveConfig()
     modes = []
     for k in k_values:
         entry = {"k": int(k)}
@@ -208,11 +208,11 @@ def eig_scan(k_values, params: VortexParams, grid: LogGrid,
             continue
         entry["max_re"] = float(ev.real.max())
         entry["eigenvalues"] = ev
-        flagged = ev[ev.real > a0 + eps_disc]
+        flagged = ev[ev.real > a0 + EPS_DISC]
         entry["n_flagged"] = int(flagged.size)
         entry["probes"] = []
         if flagged.size:
-            gauss = np.exp(-probe_grid.nodes**2).astype(complex)
+            gauss = np.exp(-PROBE_GRID.nodes**2).astype(complex)
             for z in _dedupe_flags(flagged):
                 if not z.real > a0:
                     # the solve is only defined right of a0; such a flag cannot
@@ -221,11 +221,11 @@ def eig_scan(k_values, params: VortexParams, grid: LogGrid,
                                             "resolved": False,
                                             "note": "left of a0, not probeable"})
                     continue
-                G = ModeFunction(k, "G", probe_grid, gauss)
+                G = ModeFunction(k, "G", PROBE_GRID, gauss)
                 if k == 0:
-                    sol = solve_k0(G, z, p, probe_cfg)
+                    sol = solve_k0(G, z, p)
                 else:
-                    sol = solve_mode(G, z, k, p, probe_cfg)
+                    sol = solve_mode(G, z, k, p)
                 entry["probes"].append({
                     "lambda": z,
                     "residual": sol.residual,
@@ -235,4 +235,4 @@ def eig_scan(k_values, params: VortexParams, grid: LogGrid,
         modes.append(entry)
     ok_modes = [m for m in modes if "failed" not in m]
     passed = all(not m["survivors"] for m in ok_modes) and len(ok_modes) == len(modes)
-    return {"eps_disc": eps_disc, "a0": a0, "modes": modes, "passed": passed}
+    return {"eps_disc": EPS_DISC, "a0": a0, "modes": modes, "passed": passed}

@@ -27,7 +27,6 @@ import numpy as np
 import scipy.special as sp
 from scipy.integrate import solve_ivp
 
-from .modes import LogGrid
 from .params import VortexParams
 
 NO_INTEGRABLE = "no_integrable_solution"
@@ -39,6 +38,9 @@ MISMATCH_THRESHOLD = 1e-6
 # chunks per side after each of which the state is renormalized
 SHOOT_RTOL = 1e-8
 SHOOT_CHUNKS = 24
+# the left side is integrated from t = -SHOOT_SPAN and the right side from
+# t = SHOOT_SPAN, both to the matching point t = 0
+SHOOT_SPAN = 12.0
 # term budget of the 2F2 series
 SERIES_MAX_TERMS = 800
 # step of the z-derivative stencils in homo2_defect, relative to |z|
@@ -174,8 +176,7 @@ def _system_matrix(t: float, params: VortexParams, k: int, lam: complex) -> np.n
     ], dtype=complex)
 
 
-def shoot_homogeneous(params: VortexParams, k: int, lam: complex,
-                      grid: LogGrid | None = None) -> ShootingResult:
+def shoot_homogeneous(params: VortexParams, k: int, lam: complex) -> ShootingResult:
     """Two-sided shooting verdict on integrable homogeneous solutions at lambda.
 
     The left-admissible plane (decaying stream-function branch plus the decaying
@@ -192,8 +193,7 @@ def shoot_homogeneous(params: VortexParams, k: int, lam: complex,
         # e^{Re(B) t} as t -> +inf, so no nonzero solution is integrable
         return ShootingResult(lam=lam, k=0, mismatch=1.0, verdict=NO_INTEGRABLE,
                               note="first-order radial mode, analytic verdict")
-    grid = grid or LogGrid(-12.0, 12.0, 256)
-    t_left, t_right = grid.t_min, grid.t_max
+    t_left, t_right = -SHOOT_SPAN, SHOOT_SPAN
     cw = 2.0 - 2.0 / p.q
     A_plus = p.m * k + 2.0 - 2.0 / p.q
     A_minus = p.m * k - 2.0 + 2.0 / p.q

@@ -28,16 +28,7 @@ import numpy as np
 
 from .params import VortexParams
 
-REPS = ("f", "u", "psi", "U", "G")
-
-# target = source * exp(weight * t); the G representation has no unweighted
-# partner in REPS, so it has no conversions
-_REWEIGHT = {
-    ("f", "psi"): lambda q: 2.0 / q - 2.0,
-    ("psi", "f"): lambda q: 2.0 - 2.0 / q,
-    ("u", "U"): lambda q: 2.0 / q,
-    ("U", "u"): lambda q: -2.0 / q,
-}
+REPS = ("psi", "U", "G")
 
 
 @dataclass(frozen=True)
@@ -93,15 +84,6 @@ class ModeFunction:
 
     def with_samples(self, samples, rep=None) -> "ModeFunction":
         return ModeFunction(self.k, rep or self.rep, self.grid, samples)
-
-
-def reweight(fn: ModeFunction, target_rep: str, q: float) -> ModeFunction:
-    """Convert between weighted representations by an exact exponential factor."""
-    key = (fn.rep, target_rep)
-    if key not in _REWEIGHT:
-        raise ValueError(f"no reweighting defined for {fn.rep} -> {target_rep}")
-    w = _REWEIGHT[key](q)
-    return fn.with_samples(fn.samples * np.exp(w * fn.grid.nodes), rep=target_rep)
 
 
 def _trapezoid_weights(n: int) -> np.ndarray:
@@ -251,10 +233,10 @@ def apply_phi1(fn: ModeFunction, kernel: KernelK1) -> ModeFunction:
     return fn.with_samples(_phi1_samples(fn.samples, fn.grid, kernel))
 
 
-def psi_from_U(fn: ModeFunction, params: VortexParams, k: int | None = None) -> ModeFunction:
-    """Reconstruct psi = -(1/(2mk)) * K1-convolution of U, the unique integrable
-    solution of the second-order relation (truncated to the grid)."""
-    k = fn.k if k is None else k
+def psi_from_U(fn: ModeFunction, params: VortexParams) -> ModeFunction:
+    """Reconstruct psi = -(1/(2mk)) * K1-convolution of U (k = fn.k), the unique
+    integrable solution of the second-order relation (truncated to the grid)."""
+    k = fn.k
     if k < 1:
         raise ValueError("psi_from_U requires k >= 1 (no stream-function coupling at k = 0)")
     kernel = KernelK1(k, params.q, params.m)

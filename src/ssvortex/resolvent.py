@@ -272,21 +272,12 @@ def ode_residual(U: ModeFunction, psi: ModeFunction | None, G: ModeFunction,
 # solves
 # --------------------------------------------------------------------------
 
-@dataclass
-class SolveConfig:
-    """Tolerances and map choice for the mode solves.
-
-    map_kind "full" iterates the exact kernel map (fixed point satisfies the
-    ODE); "reduced" iterates the bare K1 shortcut map (rapid-phase limit).
-    ``max_iter`` caps the Picard steps before the Krylov fallback takes over.
-    """
-
-    tol: float = 1e-10
-    residual_tol: float = 1e-6
-    max_iter: int = 400
-    map_kind: str = "full"
-    initial: np.ndarray | None = None
-    compute_residual: bool = True
+# Picard stops once the relative update falls below PICARD_TOL, or after
+# PICARD_MAX_ITER steps, when a Krylov solve to the same relative tolerance takes
+# over; a solve whose ODE residual exceeds RESIDUAL_TOL is not residual_ok
+PICARD_TOL = 1e-10
+PICARD_MAX_ITER = 400
+RESIDUAL_TOL = 1e-6
 
 
 @dataclass
@@ -311,39 +302,38 @@ def contraction_bound(params: VortexParams, k: int) -> float:
 
 
 def solve_k0(G: ModeFunction, lam: complex, params: VortexParams,
-             cfg: SolveConfig | None = None) -> ResolventSolution:
+             compute_residual: bool = True) -> ResolventSolution:
     """Closed-form k = 0 resolvent: U = -alpha * (exponential kernel) * G."""
-    cfg = cfg or SolveConfig()
     kernel = KernelK2(params, 0, lam)
     plan = _ScanPlan(G.grid, params.alpha, kernel.B, 0.0, order=2)
     out = -params.alpha * plan(G.samples)
     U = G.with_samples(out, rep="U")
     res, frac, tz = (math.nan, 1.0, math.nan)
-    if cfg.compute_residual:
+    if compute_residual:
         res, frac, tz = ode_residual(U, None, G, lam, params, 0)
     return ResolventSolution(
         U=U, psi=None, iterations=1,
         residual=res, contraction=0.0, method="direct",
-        residual_ok=(not cfg.compute_residual) or res <= cfg.residual_tol,
+        residual_ok=(not compute_residual) or res <= RESIDUAL_TOL,
         residual_zone=(frac, tz),
     )
 
 
 def solve_mode(G: ModeFunction, lam: complex, k: int, params: VortexParams,
-               cfg: SolveConfig | None = None) -> ResolventSolution:
+               map_kind: str = "full", compute_residual: bool = True) -> ResolventSolution:
     """Solve the mode-k resolvent equation by Picard iteration of the kernel map.
 
     Starting from U0 = -alpha * Phi2(G), each step reconstructs psi from the
     current iterate and integrates the first-order ODE exactly, so the limit
     satisfies the ODE to quadrature accuracy.  If Picard has not converged
-    within ``max_iter`` steps, or diverges, a Krylov solve of the same linear
+    within PICARD_MAX_ITER steps, or diverges, a Krylov solve of the same linear
     system takes over; ``method`` of the result says which one finished.  With
     map_kind="reduced" the K1-shortcut map is iterated instead (its fixed point
     does not satisfy the ODE at moderate phase rates; see the module docstring).
+    With compute_residual=False the ODE residual is skipped and reported as NaN.
     """
     if k < 1:
         raise ValueError("solve_mode requires k >= 1; use solve_k0 for the radial mode")
-    cfg = cfg or SolveConfig()
     p = params
     kernel = KernelK2(p, k, lam)
     k1 = KernelK1(k, p.q, p.m)
@@ -359,13 +349,13 @@ def solve_mode(G: ModeFunction, lam: complex, k: int, params: VortexParams,
         # beta = 0: the coupling term vanishes and the map has no Phi1 feedback
         def tmap(x):
             return np.zeros_like(x)
-    elif cfg.map_kind == "full":
+    elif map_kind == "full":
         coef = 1j * p.beta * p.alpha**2 * (2.0 - p.alpha) / 2.0
         scan = _ScanPlan(grid, p.alpha, B, c, exp_weight=True)
 
         def tmap(x):
             return coef * scan(phi1_arr(x))
-    elif cfg.map_kind == "reduced":
+    elif map_kind == "reduced":
         coef = p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k)
 
         def tmap(x):
@@ -376,17 +366,17 @@ def solve_mode(G: ModeFunction, lam: complex, k: int, params: VortexParams,
     U0 = -p.alpha * _ScanPlan(grid, p.alpha, B, c)(G.samples)
     method_used = "picard"
     history: list[float] = []
-    U = U0.copy() if cfg.initial is None else np.asarray(cfg.initial, dtype=complex).copy()
+    U = U0.copy()
     iters = 0
     converged = False
     growing = 0
-    for _ in range(cfg.max_iter):
+    for _ in range(PICARD_MAX_ITER):
         Unew = U0 + tmap(U)
         iters += 1
         upd = lq_norm_samples(Unew - U, grid.h, p.q) / max(lq_norm_samples(Unew, grid.h, p.q), 1e-300)
         history.append(upd)
         U = Unew
-        if upd < cfg.tol:
+        if upd < PICARD_TOL:
             converged = True
             break
         if len(history) >= 2 and upd > history[-2]:
@@ -397,22 +387,22 @@ def solve_mode(G: ModeFunction, lam: complex, k: int, params: VortexParams,
             growing = 0
     if not converged:
         op = LinearOperator((grid.n, grid.n), dtype=complex, matvec=lambda x: x - tmap(x))
-        U, info = lgmres(op, U0, x0=U0, rtol=cfg.tol, atol=0.0, maxiter=2000)
+        U, info = lgmres(op, U0, x0=U0, rtol=PICARD_TOL, atol=0.0, maxiter=2000)
         if info != 0:
             raise ConvergenceError(f"Krylov fallback failed (info={info})", history, gamma)
         method_used = "krylov"
 
-    U_fn = G.with_samples(U, rep="U")
-    psi = psi_from_U(U_fn, p, k)
+    U_fn = ModeFunction(k, "U", grid, U)
+    psi = psi_from_U(U_fn, p)
     res, frac, tz = (math.nan, 1.0, math.nan)
-    if cfg.compute_residual:
+    if compute_residual:
         res, frac, tz = ode_residual(U_fn, psi, G, lam, p, k)
     ratios = [b / a for a, b in zip(history[:-1], history[1:]) if a > 0]
     contraction = float(np.median(ratios)) if ratios else 0.0
     return ResolventSolution(
         U=U_fn, psi=psi, iterations=iters,
         residual=res, contraction=contraction, method=method_used,
-        residual_ok=(not cfg.compute_residual) or res <= cfg.residual_tol,
+        residual_ok=(not compute_residual) or res <= RESIDUAL_TOL,
         residual_zone=(frac, tz), update_history=history,
     )
 
@@ -541,7 +531,7 @@ def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, 
 
 def resolvent_bound_check(lambda_values, params: VortexParams, k_max: int,
                           grid: LogGrid | None = None, batch: int = 20,
-                          seed: int = 0, cfg: SolveConfig | None = None) -> dict:
+                          seed: int = 0) -> dict:
     """Empirical resolvent norm ratios against the layered Young-inequality bound.
 
     For each (lambda, k <= k_max) and a batch of random right-hand sides, record
@@ -550,7 +540,6 @@ def resolvent_bound_check(lambda_values, params: VortexParams, k_max: int,
     """
     p = params
     grid = grid or LogGrid(-25.0, 25.0, 8193)
-    cfg = cfg or SolveConfig(compute_residual=False)
     rng = np.random.default_rng(seed)
     rows = []
     M_emp = 0.0
@@ -565,7 +554,10 @@ def resolvent_bound_check(lambda_values, params: VortexParams, k_max: int,
             for _ in range(batch):
                 raw = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
                 G = ModeFunction(k, "G", grid, raw)
-                sol = solve_k0(G, lam, p, cfg) if k == 0 else solve_mode(G, lam, k, p, cfg)
+                if k == 0:
+                    sol = solve_k0(G, lam, p, compute_residual=False)
+                else:
+                    sol = solve_mode(G, lam, k, p, compute_residual=False)
                 ratio = lq_norm(sol.U, p.q) / lq_norm(G, p.q)
                 worst = max(worst, ratio)
             M_emp = max(M_emp, worst * (lam.real - p.a0))

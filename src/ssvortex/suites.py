@@ -16,13 +16,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import resolvent
 from .generator import SCAN_N_MAX, assemble_generator, eig_scan, evolve
 from .homogeneous import MISMATCH_THRESHOLD, NO_INTEGRABLE, shoot_homogeneous
 from .modes import KernelK1, LogGrid, ModeFunction, apply_phi1, lq_norm
 from .params import VortexParams, _number
 from .resolvent import (
     KernelK2,
-    SolveConfig,
     apply_phi2,
     contraction_bound,
     resolvent_bound_check,
@@ -45,7 +45,6 @@ FINE_T = 25.0        # residual-grade solves
 NORM_T = 25.0        # norm-ratio batches
 YOUNG_T, YOUNG_N = 40.0, 4097
 EVOLVE_T_MIN, EVOLVE_T_MAX = -8.0, 10.0
-SHOOT_SPAN = 12.0
 
 DEFAULT_PARAMS = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)
 
@@ -93,8 +92,11 @@ class RunConfig:
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suites {unknown}; choose from {SUITES}")
-        if self.k_max < 0 or any(k < 0 for k in self.shoot_k):
-            raise ValueError("k_max and shoot_k must be nonnegative")
+        if self.seed < 0 or self.k_max < 0 or any(k < 0 for k in self.shoot_k):
+            raise ValueError("seed, k_max and shoot_k must be nonnegative")
+        # shooting points are lambda = a0 + offset, which must lie right of a0
+        if self.scan_t <= 0 or self.tau_end <= 0 or any(off <= 0 for off in self.shoot_offsets):
+            raise ValueError("scan_t, tau_end and every shoot_offsets entry must be positive")
         # a check over no samples would pass vacuously
         if self.young_batch < 1 or self.bound_batch < 1:
             raise ValueError("young_batch and bound_batch must be at least 1")
@@ -252,16 +254,15 @@ def _contraction_checks(cfg: RunConfig) -> tuple[list, list]:
     iter_ok = True
     grid = LogGrid(-20.0, 20.0, 2**14 + 1)
     gauss = np.exp(-grid.nodes**2).astype(complex)
-    cfg_red = SolveConfig(map_kind="reduced", compute_residual=False)
-    cfg_full = SolveConfig(compute_residual=False)
     for q, alpha in YOUNG_LATTICE:
         p = VortexParams(alpha=alpha, beta=cfg.params.beta, m=2, q=q)
         for k in (1, 2, 4, 8):
             g = contraction_bound(p, k)
-            budget = int(math.ceil(math.log(1e-10) / math.log(g))) + 1
+            budget = int(math.ceil(math.log(resolvent.PICARD_TOL) / math.log(g))) + 1
             for off in LAMBDA_OFFSETS_YOUNG:
                 G = ModeFunction(k, "G", grid, gauss)
-                sol = solve_mode(G, p.a0 + off, k, p, cfg_red)
+                sol = solve_mode(G, p.a0 + off, k, p, map_kind="reduced",
+                                 compute_residual=False)
                 # a Picard run that broke off and was finished by Krylov
                 # certifies nothing, however few steps it took
                 ok = sol.method == "picard" and sol.iterations <= budget
@@ -269,7 +270,7 @@ def _contraction_checks(cfg: RunConfig) -> tuple[list, list]:
                 rows.append({"check": "picard_iterations", "k": k, "q": q, "alpha": alpha,
                              "lambda_re": p.a0 + off, "lambda_im": 0.0,
                              "value": sol.iterations, "bound": budget, "passed": ok})
-                full = solve_mode(G, p.a0 + off, k, p, cfg_full)
+                full = solve_mode(G, p.a0 + off, k, p, compute_residual=False)
                 rows.append({"check": "picard_iterations_full_map", "k": k, "q": q,
                              "alpha": alpha, "lambda_re": p.a0 + off, "lambda_im": 0.0,
                              "value": full.iterations, "bound": budget,
@@ -287,12 +288,11 @@ def _residual_checks(cfg: RunConfig) -> tuple[list, list]:
     rows = []
     grid = LogGrid(-FINE_T, FINE_T, cfg.fine_n)
     gauss = np.exp(-grid.nodes**2).astype(complex)
-    solve_cfg = SolveConfig()
-    tol = solve_cfg.residual_tol
+    tol = resolvent.RESIDUAL_TOL
     worst = 0.0
     min_zone = 1.0
     for lam in cfg.probe_lambdas():
-        sol0 = solve_k0(ModeFunction(0, "G", grid, gauss), lam, p, solve_cfg)
+        sol0 = solve_k0(ModeFunction(0, "G", grid, gauss), lam, p)
         worst = max(worst, sol0.residual)
         min_zone = min(min_zone, sol0.residual_zone[0])
         rows.append({"check": "residual", "k": 0, "q": p.q, "alpha": p.alpha,
@@ -300,7 +300,7 @@ def _residual_checks(cfg: RunConfig) -> tuple[list, list]:
                      "value": sol0.residual, "bound": tol,
                      "passed": sol0.residual <= tol})
         for k in (1, 2):
-            sol = solve_mode(ModeFunction(k, "G", grid, gauss), lam, k, p, solve_cfg)
+            sol = solve_mode(ModeFunction(k, "G", grid, gauss), lam, k, p)
             worst = max(worst, sol.residual)
             min_zone = min(min_zone, sol.residual_zone[0])
             rows.append({"check": "residual", "k": k, "q": p.q, "alpha": p.alpha,
@@ -323,7 +323,6 @@ def suite_resolvent(cfg: RunConfig) -> tuple[dict, list, list]:
         cfg.probe_lambdas(), p, min(cfg.k_max, 3),
         grid=LogGrid(-NORM_T, NORM_T, cfg.norm_n),
         batch=cfg.bound_batch, seed=cfg.seed + 2,
-        cfg=SolveConfig(compute_residual=False),
     )
     bound_rows = [{"check": "norm_ratio", "k": r["k"], "q": p.q, "alpha": p.alpha,
                    "lambda_re": r["lambda"].real, "lambda_im": r["lambda"].imag,
@@ -399,7 +398,6 @@ def suite_spectrum(cfg: RunConfig) -> tuple[dict, list, list]:
 def suite_shooting(cfg: RunConfig) -> tuple[dict, list, list]:
     p = cfg.params
     a0 = p.a0
-    grid = LogGrid(-SHOOT_SPAN, SHOOT_SPAN, 256)
     lam_res = [a0 + off for off in cfg.shoot_offsets]
     lam_ims = list(cfg.shoot_imags)
     tasks = [(0, complex(a0 + 1.0, 0.0))]
@@ -410,7 +408,7 @@ def suite_shooting(cfg: RunConfig) -> tuple[dict, list, list]:
 
     def one(task):
         k, lam = task
-        return shoot_homogeneous(p, k, lam, grid)
+        return shoot_homogeneous(p, k, lam)
 
     results = _map_tasks(one, tasks, cfg.workers)
     rows = [{"k": r.k, "re_lambda": r.lam.real, "im_lambda": r.lam.imag,

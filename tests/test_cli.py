@@ -71,11 +71,13 @@ def test_cli_exit_2_on_empty_sample_set(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("line", [
     "m = 2.5", "k_max = 1.5", "young_batch = 1.5", "seed = 1+1j", "tau_end = 1+1j",
-    "shoot_k = 1, 2.5", "shoot_imags = 1+1j", "scan_n = 8192", "fine_n = 8", "lambdas = -0.5+0j", "out_dir = x"])
+    "shoot_k = 1, 2.5", "shoot_imags = 1+1j", "scan_n = 8192", "fine_n = 8", "lambdas = -0.5+0j", "out_dir = x",
+    "seed = -5", "scan_t = 0", "tau_end = -1", "shoot_offsets = -0.5"])
 def test_cli_exit_2_on_invalid_value(tmp_path, capsys, line):
     # a non-integral integer, a complex real, a grid the dense eigensolve or
-    # the log grid refuses, and a key that is not a run input are all
-    # rejected before any suite runs
+    # the log grid refuses, a key that is not a run input, a negative seed, an
+    # empty scan span or evolution time, and a shooting point not right of a0
+    # are all rejected before any suite runs
     cfg = write(tmp_path / "c.cfg", f"suites = none\n{line}\n")
     assert main(["all", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
@@ -179,7 +181,7 @@ def _small_all_config(tmp_path, out_name):
 def test_iteration_budget_needs_picard_to_finish(monkeypatch):
     # a Picard run that breaks off early and is finished by Krylov reports a
     # small iteration count; it must not pass the certificate
-    def krylov_finished(G, lam, k, params, cfg=None):
+    def krylov_finished(G, lam, k, params, **options):
         return SimpleNamespace(method="krylov", iterations=3)
 
     monkeypatch.setattr(suites, "solve_mode", krylov_finished)

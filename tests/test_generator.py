@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ssvortex import generator, resolvent
 from ssvortex.generator import (
     assemble_generator,
     eig_scan,
@@ -11,7 +12,7 @@ from ssvortex.generator import (
 )
 from ssvortex.modes import KernelK1, LogGrid, ModeFunction, k1_eval, lq_norm_samples
 from ssvortex.params import VortexParams
-from ssvortex.resolvent import SolveConfig, solve_mode
+from ssvortex.resolvent import solve_mode
 
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)  # a0 = -1
 
@@ -180,12 +181,13 @@ def test_eig_scan_refinement_converges_left_of_a0():
     assert max(res) <= P.a0 + 0.05
 
 
-def test_eig_scan_unprobeable_flags_are_survivors():
+def test_eig_scan_unprobeable_flags_are_survivors(monkeypatch):
     # with an artificially negative threshold every eigenvalue is flagged; the
     # ones left of a0 cannot be cross-probed and must be reported as surviving
+    monkeypatch.setattr(generator, "EPS_DISC", -90.0)
+    monkeypatch.setattr(generator, "PROBE_GRID", LogGrid(-18.0, 18.0, 2**14 + 1))
     g = LogGrid(-8.0, 8.0, 256)
-    rep = eig_scan([1], P, g, eps_disc=-90.0,
-                   probe_grid=LogGrid(-18.0, 18.0, 2**14 + 1))
+    rep = eig_scan([1], P, g)
     m = rep["modes"][0]
     assert m["n_flagged"] > 0
     assert m["probes"]
@@ -193,21 +195,22 @@ def test_eig_scan_unprobeable_flags_are_survivors():
     assert not rep["passed"]
 
 
-def test_eig_scan_probe_judged_by_probe_cfg_residual_tol(monkeypatch):
+def test_eig_scan_probe_judged_by_residual_tol(monkeypatch):
     # no grid tried puts an eigenvalue right of a0, so plant one at a0 + 0.5:
     # the probe solve there has a residual near 2e-7, resolved under the
-    # default residual_tol = 1e-6 and a survivor under 1e-12
+    # default RESIDUAL_TOL = 1e-6 and a survivor under 1e-12
     a0 = P.a0
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array([a0 + 0.5 + 0j]))
+    monkeypatch.setattr(generator, "PROBE_GRID", LogGrid(-25.0, 25.0, 2**16 + 1))
     g = LogGrid(-8.0, 8.0, 64)
-    probe_grid = LogGrid(-25.0, 25.0, 2**16 + 1)
-    rep = eig_scan([1], P, g, probe_grid=probe_grid)
+    rep = eig_scan([1], P, g)
     (probe,) = rep["modes"][0]["probes"]
     assert probe["lambda"] == a0 + 0.5
     assert 0.0 < probe["residual"] < 1e-6
     assert probe["resolved"] and not rep["modes"][0]["survivors"]
     assert rep["passed"]
-    strict = eig_scan([1], P, g, probe_grid=probe_grid, probe_cfg=SolveConfig(residual_tol=1e-12))
+    monkeypatch.setattr(resolvent, "RESIDUAL_TOL", 1e-12)
+    strict = eig_scan([1], P, g)
     (probe,) = strict["modes"][0]["probes"]
     assert not probe["resolved"]
     assert strict["modes"][0]["survivors"] == [a0 + 0.5]

@@ -13,7 +13,6 @@ from ssvortex.homogeneous import (
     q_frak,
     shoot_homogeneous,
 )
-from ssvortex.modes import LogGrid
 from ssvortex.params import VortexParams
 
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)  # a0 = -1
@@ -91,7 +90,6 @@ def test_shoot_k1_no_integrable_solution():
 
 
 def test_shoot_complex_lambda_grid_sample():
-    grid = LogGrid(-10.0, 10.0, 64)
     for lam in (-0.2 + 1.0j, 1.0 - 2.0j):
-        r = shoot_homogeneous(P, 2, lam, grid)
+        r = shoot_homogeneous(P, 2, lam)
         assert r.verdict == NO_INTEGRABLE

@@ -10,7 +10,6 @@ from ssvortex.modes import (
     lq_norm,
     phi1_matrix,
     psi_from_U,
-    reweight,
     second_order_relation,
 )
 from ssvortex.params import VortexParams
@@ -42,42 +41,16 @@ def test_mode_function_validation():
         ModeFunction(1, "U", g, np.full(21, np.nan))
 
 
-def test_reweight_unit_u():
-    g = LogGrid(-2.0, 2.0, 41)
-    u = ModeFunction(1, "u", g, np.ones(41))
-    U = reweight(u, "U", q=2.0)
-    np.testing.assert_allclose(U.samples, np.exp(g.nodes), rtol=1e-14)
-
-
-def test_reweight_round_trip():
-    g = LogGrid(-30.0, 30.0, 301)
-    rng = np.random.default_rng(0)
-    u = ModeFunction(1, "u", g, rng.normal(size=301) + 1j * rng.normal(size=301))
-    back = reweight(reweight(u, "U", 2.0), "u", 2.0)
-    np.testing.assert_allclose(back.samples, u.samples, rtol=1e-14)
-    psi = ModeFunction(1, "psi", g, u.samples)
-    back2 = reweight(reweight(psi, "f", 3.0), "psi", 3.0)
-    np.testing.assert_allclose(back2.samples, psi.samples, rtol=1e-14)
-
-
-def test_reweight_rejects_unrelated():
-    g = LogGrid(-1.0, 1.0, 33)
-    u = ModeFunction(1, "u", g, np.ones(33))
-    with pytest.raises(ValueError):
-        reweight(u, "psi", 2.0)
-    with pytest.raises(ValueError):
-        reweight(u, "u", 2.0)
-
-
 def test_weighted_norm_matches_radial_norm():
     # ||u||_{L^q(r dr)} equals ||U||_{L^q(dt)} for a Gaussian bump in t
     g = LogGrid(-20.0, 20.0, 2001)
     t = g.nodes
-    u = ModeFunction(1, "u", g, np.exp(-t**2))
-    U = reweight(u, "U", q=2.0)
+    q = 2.0
+    u = np.exp(-t**2)   # u(e^t)
+    U = ModeFunction(1, "U", g, u * np.exp(2.0 * t / q))
     # radial-side integral of |u|^q r dr = |u(e^t)|^q e^{2t} dt by quadrature
-    radial = np.sqrt(np.trapezoid(np.abs(u.samples) ** 2 * np.exp(2 * t), t))
-    assert lq_norm(U, 2.0) == pytest.approx(radial, abs=1e-8)
+    radial = np.sqrt(np.trapezoid(np.abs(u) ** 2 * np.exp(2 * t), t))
+    assert lq_norm(U, q) == pytest.approx(radial, abs=1e-8)
 
 
 def test_lq_norm_values():

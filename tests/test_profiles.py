@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from ssvortex.params import (
-    PHYSICAL,
-    SELF_SIMILAR,
-    FieldSample,
-    SelfSimilarPoint,
-    VortexParams,
-    map_field,
-    omega_bar,
-    v_bar,
-)
+from ssvortex.params import VortexParams
 
 
 def test_a0_values():
@@ -39,86 +30,37 @@ def test_param_validation():
         VortexParams(alpha=0.5, m=1)
 
 
-def test_omega_bar_values():
-    assert omega_bar(1.0, VortexParams(alpha=0.5, beta=1.0)) == pytest.approx(1.5)
-    assert omega_bar(4.0, VortexParams(alpha=0.5, beta=1.0)) == pytest.approx(0.75)
-    assert omega_bar(1.0, VortexParams(alpha=0.5, beta=0.0)) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        omega_bar(0.0, VortexParams(alpha=0.5))
+# the background profiles in plain numpy: vorticity beta*(2-alpha)*|x|^{-alpha}
+# and velocity beta*|x|^{1-alpha} e_theta = beta*|x|^{-alpha} (-x2, x1)
+def omega(x, p):
+    return p.beta * (2.0 - p.alpha) * np.linalg.norm(x, axis=-1) ** -p.alpha
 
 
-def test_v_bar_values():
-    assert v_bar(1.0, VortexParams(alpha=0.5, beta=1.0)) == pytest.approx(1.0)
-    assert v_bar(4.0, VortexParams(alpha=0.5, beta=2.0)) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        v_bar(-1.0, VortexParams(alpha=0.5))
+def v(x, p):
+    return p.beta * np.linalg.norm(x, axis=-1, keepdims=True) ** -p.alpha \
+        * np.stack([-x[..., 1], x[..., 0]], axis=-1)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.37, -2.0), (0.9, 0.3)])
+def test_profile_stationarity(alpha, beta):
+    # in xi = x t^{-1/alpha} with amplitudes t*omega and t^{1-1/alpha}*v the
+    # background is the same field at every t
+    p = VortexParams(alpha=alpha, beta=beta)
+    xi = np.random.default_rng(42).normal(size=(200, 2))
+    for t in (0.05, 0.2, 1.0, 7.3, 40.0):
+        x = xi * t ** (1.0 / alpha)
+        np.testing.assert_allclose(t * omega(x, p), omega(xi, p), rtol=1e-12)
+        np.testing.assert_allclose(t ** (1.0 - 1.0 / alpha) * v(x, p), v(xi, p), rtol=1e-12)
 
 
 def test_curl_consistency():
-    # (1/rho) d(rho * v_bar)/drho recovers omega_bar; 4th-order differences
+    # (1/rho) d(rho * v_theta)/drho recovers omega; 4th-order differences
     p = VortexParams(alpha=0.5, beta=1.0)
+    e = np.array([1.0, 0.0])
     for j in range(-10, 11):
         rho = 2.0**j
         h = 1e-3 * rho
         vals = np.array([rho + i * h for i in (-2, -1, 1, 2)])
-        rv = vals * v_bar(vals, p)
+        rv = vals * v(vals[:, None] * e, p)[:, 1]
         d = (rv[0] - 8 * rv[1] + 8 * rv[2] - rv[3]) / (12 * h)
-        assert d / rho == pytest.approx(omega_bar(rho, p), rel=1e-6)
-
-
-def test_curl_value_at_two():
-    p = VortexParams(alpha=0.5, beta=1.0)
-    assert omega_bar(2.0, p) == pytest.approx(1.5 * 2**-0.5, rel=1e-12)
-
-
-def test_map_field_identity_at_t1():
-    p = VortexParams(alpha=0.5)
-    s = FieldSample(2.5, [1.0, -2.0], "vorticity", PHYSICAL)
-    out = map_field(s, 1.0, "to_ss", p)
-    assert out.value == pytest.approx(2.5)
-    np.testing.assert_allclose(out.position, s.position)
-
-
-def test_map_field_self_similar_ansatz():
-    # omega(x, t) = g(x t^{-1/alpha}) / t maps to Omega(xi) = g(xi) for any t
-    p = VortexParams(alpha=0.5)
-    g = lambda xi: np.exp(-np.sum(xi**2))
-    for t in (0.2, 1.0, 7.3):
-        x = np.array([0.7, -1.1])
-        xi = x * t ** (-1.0 / p.alpha)
-        s = FieldSample(g(xi) / t, x, "vorticity", PHYSICAL)
-        out = map_field(s, t, "to_ss", p)
-        assert out.value == pytest.approx(g(out.position), rel=1e-12)
-
-
-def test_map_field_round_trip():
-    p = VortexParams(alpha=0.37)
-    rng = np.random.default_rng(42)
-    for _ in range(1000):
-        t = float(np.exp(rng.uniform(-3, 3)))
-        kind = "vorticity" if rng.random() < 0.5 else "velocity"
-        value = rng.normal() if kind == "vorticity" else rng.normal(size=2)
-        s = FieldSample(value, rng.normal(size=2), kind, PHYSICAL)
-        back = map_field(map_field(s, t, "to_ss", p), t, "to_phys", p)
-        np.testing.assert_allclose(back.position, s.position, rtol=1e-13)
-        np.testing.assert_allclose(np.asarray(back.value), np.asarray(s.value), rtol=1e-13)
-
-
-def test_map_field_errors():
-    p = VortexParams(alpha=0.5)
-    s = FieldSample(1.0, [1.0, 0.0], "vorticity", PHYSICAL)
-    with pytest.raises(ValueError):
-        map_field(s, -1.0, "to_ss", p)
-    with pytest.raises(ValueError):
-        map_field(s, 1.0, "to_phys", p)  # frame mismatch
-    with pytest.raises(ValueError):
-        map_field(s, 1.0, "sideways", p)
-
-
-def test_self_similar_point_round_trip():
-    pt = SelfSimilarPoint.from_physical([3.0, 4.0], 2.0, alpha=0.5)
-    x, t = pt.to_physical(alpha=0.5)
-    np.testing.assert_allclose(x, [3.0, 4.0], rtol=1e-14)
-    assert t == pytest.approx(2.0)
-    polar = SelfSimilarPoint.from_polar(pt.rho, pt.theta, pt.tau)
-    np.testing.assert_allclose(polar.xi, pt.xi, rtol=1e-12)
+        assert d / rho == pytest.approx(omega(rho * e, p), rel=1e-6)

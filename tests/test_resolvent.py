@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ssvortex import resolvent
 from ssvortex.modes import KernelK1, LogGrid, ModeFunction, lq_norm, phi1_matrix
 from ssvortex.params import VortexParams
 from ssvortex.resolvent import (
+    PICARD_TOL,
     KernelK2,
     _osc_weights,
     _ScanPlan,
-    SolveConfig,
     apply_phi2,
     contraction_bound,
     k2_eval,
@@ -178,7 +179,7 @@ def test_solve_k0_closed_form():
     s[np.isclose(g.nodes, 0.0)] = 0.5
     s[np.isclose(g.nodes, 1.0)] = 0.5
     G = ModeFunction(0, "G", g, s)
-    sol = solve_k0(G, 0.0, P, SolveConfig(compute_residual=False))
+    sol = solve_k0(G, 0.0, P, compute_residual=False)
     sel = g.nodes < -0.5
     expect = -np.exp(0.5 * g.nodes[sel]) * (1 - np.exp(-0.5))
     np.testing.assert_allclose(sol.U.samples[sel].real, expect, atol=5e-6)
@@ -195,7 +196,7 @@ def test_solve_k0_zero_rhs_and_residual():
     rng = np.random.default_rng(7)
     for _ in range(20):
         G = ModeFunction(0, "G", g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
-        sol = solve_k0(G, 0.0, P, SolveConfig(compute_residual=False))
+        sol = solve_k0(G, 0.0, P, compute_residual=False)
         assert lq_norm(sol.U, 2.0) <= lq_norm(G, 2.0) * (1 + 1e-6)
     with pytest.raises(ValueError):
         solve_k0(z, -1.0, P)
@@ -209,7 +210,7 @@ def test_contraction_bound_value():
 def test_solve_mode_zero_rhs():
     g = LogGrid(-15.0, 15.0, 1025)
     z = ModeFunction(1, "G", g, np.zeros(g.n))
-    sol = solve_mode(z, 0.5, 1, P, SolveConfig(compute_residual=False))
+    sol = solve_mode(z, 0.5, 1, P, compute_residual=False)
     assert np.all(sol.U.samples == 0)
 
 
@@ -231,19 +232,7 @@ def test_solve_mode_residual_and_bound():
     bound = (P.alpha / (2 / P.q + P.alpha * (-0.5 - 1))) / (1 - gamma)
     assert lq_norm(sol.U, P.q) <= bound * lq_norm(G, P.q)
     assert sol.method == "picard"
-    assert sol.iterations <= int(np.ceil(np.log(1e-10) / np.log(gamma))) + 1
-
-
-def test_solve_mode_unique_fixed_point():
-    g = LogGrid(-20.0, 20.0, 4097)
-    G = gaussian(g)
-    tol = 1e-10
-    a = solve_mode(G, 0.5, 1, P, SolveConfig(tol=tol, compute_residual=False))
-    rng = np.random.default_rng(8)
-    other = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-    b = solve_mode(G, 0.5, 1, P, SolveConfig(tol=tol, compute_residual=False, initial=other))
-    diff = lq_norm(a.U.with_samples(a.U.samples - b.U.samples), P.q) / lq_norm(a.U, P.q)
-    assert diff < 10 * tol
+    assert sol.iterations <= int(np.ceil(np.log(PICARD_TOL) / np.log(gamma))) + 1
 
 
 def test_solve_mode_dense_matches_picard():
@@ -251,7 +240,7 @@ def test_solve_mode_dense_matches_picard():
     # linear system (I - T) U = U0 solved directly
     g = LogGrid(-18.0, 18.0, 2049)
     G = gaussian(g)
-    a = solve_mode(G, 0.5, 1, P, SolveConfig(compute_residual=False))
+    a = solve_mode(G, 0.5, 1, P, compute_residual=False)
     kernel = KernelK2(P, 1, 0.5)
     B, c = kernel.B, kernel.phase_amplitude
     coef = 1j * P.beta * P.alpha**2 * (2.0 - P.alpha) / 2.0
@@ -268,7 +257,7 @@ def test_solve_mode_reduced_map_leaves_ode_defect():
     g = LogGrid(-25.0, 25.0, 2**15 + 1)
     G = gaussian(g)
     full = solve_mode(G, -0.5, 1, P)
-    red = solve_mode(G, -0.5, 1, P, SolveConfig(map_kind="reduced"))
+    red = solve_mode(G, -0.5, 1, P, map_kind="reduced")
     assert full.residual < 1e-6
     assert red.residual > 1e-2
 
@@ -277,7 +266,7 @@ def test_solve_mode_beta_zero_reduces_to_phi2():
     p0 = VortexParams(alpha=0.5, beta=0.0, m=2, q=2.0)
     g = LogGrid(-15.0, 15.0, 2049)
     G = gaussian(g)
-    sol = solve_mode(G, 0.5, 1, p0, SolveConfig(compute_residual=False))
+    sol = solve_mode(G, 0.5, 1, p0, compute_residual=False)
     expect = -p0.alpha * apply_phi2(G, KernelK2(p0, 1, 0.5)).samples
     np.testing.assert_allclose(sol.U.samples, expect, rtol=0, atol=1e-12)
 
@@ -396,7 +385,7 @@ def test_resolvent_ratio_decays_like_inverse_lambda():
     lams = np.array([10.0, 20.0, 40.0, 80.0])
     ratios = []
     for lam in lams:
-        sol = solve_mode(G, lam, 1, P, SolveConfig(compute_residual=False))
+        sol = solve_mode(G, lam, 1, P, compute_residual=False)
         ratios.append(lq_norm(sol.U, P.q) / lq_norm(G, P.q))
     slope = np.polyfit(np.log(lams), np.log(ratios), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.1)
@@ -414,24 +403,25 @@ def test_ode_residual_zone_reporting():
 def test_iteration_budget_exhaustion_raises_with_history(monkeypatch):
     # Picard stops at its budget of two steps; when the Krylov fallback then
     # fails too, the error carries Picard's history and the a-priori factor
-    from ssvortex import resolvent
     from ssvortex.resolvent import ConvergenceError
     monkeypatch.setattr(resolvent, "lgmres", lambda op, b, **kw: (b, 1))
+    monkeypatch.setattr(resolvent, "PICARD_MAX_ITER", 2)
     g = LogGrid(-15.0, 15.0, 1025)
     G = gaussian(g)
     with pytest.raises(ConvergenceError) as exc:
-        solve_mode(G, -0.5, 1, P, SolveConfig(max_iter=2, compute_residual=False))
+        solve_mode(G, -0.5, 1, P, compute_residual=False)
     assert len(exc.value.history) == 2
     assert exc.value.gamma == pytest.approx(contraction_bound(P, 1))
 
 
-def test_auto_method_falls_back_to_krylov():
+def test_auto_method_falls_back_to_krylov(monkeypatch):
     # Picard stops at its budget of two steps, keeps their history, and Krylov
     # finishes the same linear system
     g = LogGrid(-20.0, 20.0, 2**13 + 1)
     G = gaussian(g)
-    ref = solve_mode(G, -0.5, 1, P, SolveConfig(compute_residual=False))
-    sol = solve_mode(G, -0.5, 1, P, SolveConfig(max_iter=2))
+    ref = solve_mode(G, -0.5, 1, P, compute_residual=False)
+    monkeypatch.setattr(resolvent, "PICARD_MAX_ITER", 2)
+    sol = solve_mode(G, -0.5, 1, P)
     assert sol.method == "krylov"
     assert len(sol.update_history) == 2
     assert sol.residual < 1e-5
