@@ -64,3 +64,8 @@ def test_curl_consistency():
         rv = vals * v(vals[:, None] * e, p)[:, 1]
         d = (rv[0] - 8 * rv[1] + 8 * rv[2] - rv[3]) / (12 * h)
         assert d / rho == pytest.approx(omega(rho * e, p), rel=1e-6)
+
+
+def test_curl_value_at_two():
+    p = VortexParams(alpha=0.5, beta=1.0)
+    assert omega(np.array([2.0, 0.0]), p) == pytest.approx(1.5 * 2**-0.5, rel=1e-12)
