@@ -163,15 +163,13 @@ def evolve(U0, tau_end: float, dt: float | None, gen: GeneratorMatrix) -> Evolut
     return EvolutionTrace(times=times, norms=norms, fitted_rate=rate, dt=dt, steps=steps)
 
 
-def _dedupe_flags(flagged: np.ndarray, radius: float = 0.3, cap: int = 16):
+def _dedupe_flags(flagged: np.ndarray, radius: float = 0.3):
     """Greedy clustering of flagged eigenvalues, strongest real part first."""
     order = np.argsort(-flagged.real)
     kept = []
     for z in flagged[order]:
         if all(abs(z - w) > radius for w in kept):
             kept.append(complex(z))
-        if len(kept) >= cap:
-            break
     return kept
 
 

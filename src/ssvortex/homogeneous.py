@@ -27,6 +27,7 @@ import numpy as np
 import scipy.special as sp
 from scipy.integrate import solve_ivp
 
+from .modes import KernelK1
 from .params import VortexParams
 
 NO_INTEGRABLE = "no_integrable_solution"
@@ -176,6 +177,26 @@ def _system_matrix(t: float, params: VortexParams, k: int, lam: complex) -> np.n
     ], dtype=complex)
 
 
+class _FlowFailed(RuntimeError):
+    """Raised when one side of the shooting integration does not finish."""
+
+
+def _flow_to_zero(rhs, y0, t_start: float, side: str) -> np.ndarray:
+    """Integrate y' = rhs(t, y) from t_start to the matching point t = 0 in
+    SHOOT_CHUNKS chunks, renormalizing the state to unit length before the
+    first chunk and after each one."""
+    y = np.array(y0, dtype=complex)
+    y /= np.linalg.norm(y)
+    edges = np.linspace(t_start, 0.0, SHOOT_CHUNKS + 1)
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        sol = solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=SHOOT_RTOL, atol=1e-13)
+        if not sol.success:
+            raise _FlowFailed(f"{side} integration failed: {sol.message}")
+        y = sol.y[:, -1]
+        y /= np.linalg.norm(y)
+    return y
+
+
 def shoot_homogeneous(params: VortexParams, k: int, lam: complex) -> ShootingResult:
     """Two-sided shooting verdict on integrable homogeneous solutions at lambda.
 
@@ -193,10 +214,7 @@ def shoot_homogeneous(params: VortexParams, k: int, lam: complex) -> ShootingRes
         # e^{Re(B) t} as t -> +inf, so no nonzero solution is integrable
         return ShootingResult(lam=lam, k=0, mismatch=1.0, verdict=NO_INTEGRABLE,
                               note="first-order radial mode, analytic verdict")
-    t_left, t_right = -SHOOT_SPAN, SHOOT_SPAN
-    cw = 2.0 - 2.0 / p.q
-    A_plus = p.m * k + 2.0 - 2.0 / p.q
-    A_minus = p.m * k - 2.0 + 2.0 / p.q
+    k1 = KernelK1(k, p.q, p.m)
 
     def rhs_vec(t, y):
         return _system_matrix(t, p, k, lam) @ y
@@ -205,30 +223,12 @@ def shoot_homogeneous(params: VortexParams, k: int, lam: complex) -> ShootingRes
         M = _system_matrix(t, p, k, lam)
         return np.trace(M) * y - M.T @ y
 
-    # left 2-plane spanned by (1, A-, 0) and (0, 0, 1): wedge = (A-, -1, 0)
-    eta = np.array([A_minus, -1.0, 0.0], dtype=complex)
-    eta /= np.linalg.norm(eta)
     try:
-        for t0, t1 in zip(np.linspace(t_left, 0.0, SHOOT_CHUNKS + 1)[:-1],
-                          np.linspace(t_left, 0.0, SHOOT_CHUNKS + 1)[1:]):
-            sol = solve_ivp(rhs_wedge, (t0, t1), eta, method="DOP853",
-                            rtol=SHOOT_RTOL, atol=1e-13)
-            if not sol.success:
-                return ShootingResult(lam=lam, k=k, mismatch=0.0, verdict=INCONCLUSIVE,
-                                      note=f"left integration failed: {sol.message}")
-            eta = sol.y[:, -1]
-            eta /= np.linalg.norm(eta)
-        yC = np.array([1.0, -A_plus, 0.0], dtype=complex)
-        yC /= np.linalg.norm(yC)
-        for t0, t1 in zip(np.linspace(t_right, 0.0, SHOOT_CHUNKS + 1)[:-1],
-                          np.linspace(t_right, 0.0, SHOOT_CHUNKS + 1)[1:]):
-            sol = solve_ivp(rhs_vec, (t0, t1), yC, method="DOP853",
-                            rtol=SHOOT_RTOL, atol=1e-13)
-            if not sol.success:
-                return ShootingResult(lam=lam, k=k, mismatch=0.0, verdict=INCONCLUSIVE,
-                                      note=f"right integration failed: {sol.message}")
-            yC = sol.y[:, -1]
-            yC /= np.linalg.norm(yC)
+        # left 2-plane spanned by (1, A-, 0) and (0, 0, 1): wedge = (A-, -1, 0)
+        eta = _flow_to_zero(rhs_wedge, [k1.A_minus, -1.0, 0.0], -SHOOT_SPAN, "left")
+        yC = _flow_to_zero(rhs_vec, [1.0, -k1.A_plus, 0.0], SHOOT_SPAN, "right")
+    except _FlowFailed as exc:
+        return ShootingResult(lam=lam, k=k, mismatch=0.0, verdict=INCONCLUSIVE, note=str(exc))
     except (ValueError, FloatingPointError) as exc:
         return ShootingResult(lam=lam, k=k, mismatch=0.0, verdict=INCONCLUSIVE,
                               note=f"stiff integration failure: {exc}")

@@ -14,8 +14,9 @@ the weighted ones.  The second-order relation
 is inverted by convolution with the two-sided exponential kernel K1, realizing
 the mode-k inverse Laplacian with the unique integrable tail constants.  Being a
 two-sided exponential, K1's trapezoid convolution is exactly one forward and
-one backward first-order recurrence, evaluated in O(n) by ``_Recurrence``; the
-K2 scans of ``resolvent`` run on the same helper.
+one backward first-order recurrence, evaluated in O(n) by ``_Recurrence``.
+``_Phi1Plan`` builds both recurrences once per (grid, kernel); the K2 scans of
+``resolvent`` run on the same ``_Recurrence``.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ class KernelK1:
 
     k: int
     q: float
-    m: int = 2
+    m: int
 
     def __post_init__(self):
         if self.k < 1:
@@ -214,23 +215,32 @@ class _Recurrence:
         return S
 
 
-def _phi1_samples(samples: np.ndarray, grid: LogGrid, kernel: KernelK1) -> np.ndarray:
-    """sum_j y_j K1(t_i - t_j) with y = h w x (w the trapezoid weights), as y_i
-    plus a backward recurrence over j > i (decay e^{-A- h}) plus a forward one
-    over j < i (decay e^{-A+ h})."""
-    n, h = grid.n, grid.h
-    y = samples * (h * _trapezoid_weights(n))
+class _Phi1Plan:
+    """Trapezoid K1 convolution sum_j y_j K1(t_i - t_j), y = h w x (w the
+    trapezoid weights), as y_i plus a backward recurrence over j > i (decay
+    e^{-A- h}) plus a forward one over j < i (decay e^{-A+ h}).  The weights and
+    both recurrences depend on the grid and the kernel only and are built once."""
 
-    def later(A, ys):  # sum_{j > i} e^{-A h (j - i)} ys_j
-        d = math.exp(-A * h)
-        return _Recurrence(np.full(n - 1, d), A * h)(d * ys[1:])
+    def __init__(self, grid: LogGrid, kernel: KernelK1):
+        n, h = grid.n, grid.h
+        self.scale = h * _trapezoid_weights(n)
 
-    return y + later(kernel.A_minus, y) + later(kernel.A_plus, y[::-1])[::-1]
+        def later(A):  # ys -> sum_{j > i} e^{-A h (j - i)} ys_j
+            d = math.exp(-A * h)
+            recurrence = _Recurrence(np.full(n - 1, d), A * h)
+            return lambda ys: recurrence(d * ys[1:])
+
+        self.backward = later(kernel.A_minus)
+        self.forward = later(kernel.A_plus)
+
+    def __call__(self, samples: np.ndarray) -> np.ndarray:
+        y = samples * self.scale
+        return y + self.backward(y) + self.forward(y[::-1])[::-1]
 
 
 def apply_phi1(fn: ModeFunction, kernel: KernelK1) -> ModeFunction:
     """Convolve with K1 using trapezoid weights, in O(n)."""
-    return fn.with_samples(_phi1_samples(fn.samples, fn.grid, kernel))
+    return fn.with_samples(_Phi1Plan(fn.grid, kernel)(fn.samples))
 
 
 def psi_from_U(fn: ModeFunction, params: VortexParams) -> ModeFunction:
@@ -239,6 +249,6 @@ def psi_from_U(fn: ModeFunction, params: VortexParams) -> ModeFunction:
     k = fn.k
     if k < 1:
         raise ValueError("psi_from_U requires k >= 1 (no stream-function coupling at k = 0)")
-    kernel = KernelK1(k, params.q, params.m)
+    plan = _Phi1Plan(fn.grid, KernelK1(k, params.q, params.m))
     scale = -1.0 / (2.0 * params.m * k)
-    return fn.with_samples(scale * _phi1_samples(fn.samples, fn.grid, kernel), rep="psi")
+    return fn.with_samples(scale * plan(fn.samples), rep="psi")

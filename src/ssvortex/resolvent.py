@@ -40,8 +40,8 @@ from .modes import (
     LogGrid,
     ModeFunction,
     _fd4,
+    _Phi1Plan,
     _Recurrence,
-    apply_phi1,
     lq_norm,
     lq_norm_samples,
     psi_from_U,
@@ -152,7 +152,7 @@ def _exp_moments(Beff: complex, h: float):
 
 class _ScanPlan:
     """Backward K2 scan S_i = int_{t_i}^{t_max} e^{ic(e^{-alpha s} - e^{-alpha t_i})}
-    e^{B(t_i - s)} [e^{-alpha s} if exp_weight] g(s) ds on every grid node.
+    e^{B(t_i - s)} g(s) ds on every grid node.
 
     Everything that does not depend on g is built once: the per-panel weights
     (``wi`` for the panel's left sample, ``wj`` for its right one, and for
@@ -161,18 +161,14 @@ class _ScanPlan:
     (n,) or (n, batch)) forms the panel integrals P = wi g_i + wj g_{i+1}
     [+ wk g_{i+2}] and runs the recurrence S_i = P_i + D_i S_{i+1}.
 
-    ``order=2`` (quadratic panel interpolation) is supported for c == 0 only,
-    and ``exp_weight`` for c != 0 only.
+    ``order=2`` (quadratic panel interpolation) is supported for c == 0 only.
     """
 
-    def __init__(self, grid: LogGrid, alpha: float, B: complex, c: float,
-                 exp_weight: bool = False, order: int = 1):
+    def __init__(self, grid: LogGrid, alpha: float, B: complex, c: float, order: int = 1):
         h = grid.h
         npan = grid.n - 1
         self.wk = None
         if c == 0.0:
-            if exp_weight:
-                raise ValueError("the exp-weighted scan is implemented for c != 0 only")
             M0, M1, M2 = _exp_moments(B, h)
             self.wi = np.full(npan, M0 - M1 / h)
             self.wj = np.full(npan, M1 / h)
@@ -193,11 +189,9 @@ class _ScanPlan:
             L = wb - wa
             ebh = np.exp(-B * h)
             gb, ga, phase = _osc_weights(c * L)
-            # the smooth factor g / (alpha w) is interpolated linearly in w; the
-            # e^{-alpha s} weight cancels the 1/w
-            div_b, div_a = (alpha, alpha) if exp_weight else (alpha * wb, alpha * wa)
-            self.wi = L * gb / div_b
-            self.wj = L * ga * ebh / div_a
+            # the smooth factor g / (alpha w) is interpolated linearly in w
+            self.wi = L * gb / (alpha * wb)
+            self.wj = L * ga * ebh / (alpha * wa)
             D = phase * ebh
         self.recurrence = _Recurrence(D, B.real * h)
 
@@ -298,7 +292,7 @@ def contraction_bound(params: VortexParams, k: int) -> float:
     if k < 1:
         return 0.0
     p = params
-    return 2.0 * p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k * (p.m * k - 2.0 + 2.0 / p.q))
+    return 2.0 * p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k * KernelK1(k, p.q, p.m).A_minus)
 
 
 def solve_k0(G: ModeFunction, lam: complex, params: VortexParams,
@@ -336,14 +330,11 @@ def solve_mode(G: ModeFunction, lam: complex, k: int, params: VortexParams,
         raise ValueError("solve_mode requires k >= 1; use solve_k0 for the radial mode")
     p = params
     kernel = KernelK2(p, k, lam)
-    k1 = KernelK1(k, p.q, p.m)
     grid = G.grid
-    B = kernel.B
     c = kernel.phase_amplitude
     gamma = contraction_bound(p, k)
-
-    def phi1_arr(x):
-        return apply_phi1(G.with_samples(x), k1).samples
+    phi1 = _Phi1Plan(grid, KernelK1(k, p.q, p.m))
+    scan = _ScanPlan(grid, p.alpha, kernel.B, c)
 
     if c == 0.0:
         # beta = 0: the coupling term vanishes and the map has no Phi1 feedback
@@ -351,19 +342,19 @@ def solve_mode(G: ModeFunction, lam: complex, k: int, params: VortexParams,
             return np.zeros_like(x)
     elif map_kind == "full":
         coef = 1j * p.beta * p.alpha**2 * (2.0 - p.alpha) / 2.0
-        scan = _ScanPlan(grid, p.alpha, B, c, exp_weight=True)
+        decay = np.exp(-p.alpha * grid.nodes)
 
         def tmap(x):
-            return coef * scan(phi1_arr(x))
+            return coef * scan(decay * phi1(x))
     elif map_kind == "reduced":
         coef = p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k)
 
         def tmap(x):
-            return coef * phi1_arr(x)
+            return coef * phi1(x)
     else:
         raise ValueError("map_kind must be 'full' or 'reduced'")
 
-    U0 = -p.alpha * _ScanPlan(grid, p.alpha, B, c)(G.samples)
+    U0 = -p.alpha * scan(G.samples)
     method_used = "picard"
     history: list[float] = []
     U = U0.copy()
@@ -392,6 +383,8 @@ def solve_mode(G: ModeFunction, lam: complex, k: int, params: VortexParams,
             raise ConvergenceError(f"Krylov fallback failed (info={info})", history, gamma)
         method_used = "krylov"
 
+    # free the plans before psi and the residual allocate their temporaries
+    del tmap, phi1, scan
     U_fn = ModeFunction(k, "U", grid, U)
     psi = psi_from_U(U_fn, p)
     res, frac, tz = (math.nan, 1.0, math.nan)
@@ -530,8 +523,7 @@ def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, 
 
 
 def resolvent_bound_check(lambda_values, params: VortexParams, k_max: int,
-                          grid: LogGrid | None = None, batch: int = 20,
-                          seed: int = 0) -> dict:
+                          grid: LogGrid, batch: int, seed: int) -> dict:
     """Empirical resolvent norm ratios against the layered Young-inequality bound.
 
     For each (lambda, k <= k_max) and a batch of random right-hand sides, record
@@ -539,14 +531,13 @@ def resolvent_bound_check(lambda_values, params: VortexParams, k_max: int,
     the empirical constant M such that ratio <= M / (Re lambda - a0).
     """
     p = params
-    grid = grid or LogGrid(-25.0, 25.0, 8193)
     rng = np.random.default_rng(seed)
     rows = []
     M_emp = 0.0
     gam_max = contraction_bound(p, 1) if k_max >= 1 else 0.0
     for lam in lambda_values:
         lam = complex(lam)
-        reB = 2.0 / p.q + p.alpha * (lam.real - 1.0)
+        reB = KernelK2(p, 0, lam).B.real
         for k in range(0, k_max + 1):
             gam = contraction_bound(p, k)
             bound = (p.alpha / reB) / (1.0 - gam)

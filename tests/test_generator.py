@@ -217,6 +217,19 @@ def test_eig_scan_probe_judged_by_residual_tol(monkeypatch):
     assert not strict["passed"]
 
 
+def test_eig_scan_probes_every_flagged_cluster(monkeypatch):
+    # seventeen planted flags right of a0, 0.5 apart: each is its own cluster
+    # and gets its own probe
+    planted = P.a0 + 0.5 + 0.5j * np.arange(17)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: planted)
+    monkeypatch.setattr(generator, "PROBE_GRID", LogGrid(-15.0, 15.0, 2**11 + 1))
+    rep = eig_scan([1], P, LogGrid(-8.0, 8.0, 64))
+    mode = rep["modes"][0]
+    assert mode["n_flagged"] == 17
+    assert len(mode["probes"]) == 17
+    assert sorted(pr["lambda"].imag for pr in mode["probes"]) == sorted(planted.imag)
+
+
 def test_dedupe_flags():
     from ssvortex.generator import _dedupe_flags
     pts = np.array([1.0 + 0j, 1.05 + 0j, 3.0 + 1j, 3.05 + 1.01j, -2.0 + 0j])

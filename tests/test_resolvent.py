@@ -128,20 +128,18 @@ def test_scan_plan_reuse_is_bit_identical():
     B = KernelK2(P, 1, 0.25 + 0.7j).B
     rng = np.random.default_rng(7)
     x1, x2 = (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n) for _ in range(2))
-    for exp_weight in (False, True):
-        plan = _ScanPlan(g, P.alpha, B, 2.0, exp_weight=exp_weight)
-        a1, a2 = plan(x1), plan(x2)
-        np.testing.assert_array_equal(a1, _ScanPlan(g, P.alpha, B, 2.0, exp_weight=exp_weight)(x1))
-        np.testing.assert_array_equal(a2, _ScanPlan(g, P.alpha, B, 2.0, exp_weight=exp_weight)(x2))
+    plan = _ScanPlan(g, P.alpha, B, 2.0)
+    a1, a2 = plan(x1), plan(x2)
+    np.testing.assert_array_equal(a1, _ScanPlan(g, P.alpha, B, 2.0)(x1))
+    np.testing.assert_array_equal(a2, _ScanPlan(g, P.alpha, B, 2.0)(x2))
 
 
-@pytest.mark.parametrize("c, exp_weight, order", [
-    (2.0, False, 1), (2.0, True, 1), (0.0, False, 1), (0.0, False, 2)])
-def test_scan_plan_batched_matches_columns(c, exp_weight, order):
+@pytest.mark.parametrize("c, order", [(2.0, 1), (0.0, 1), (0.0, 2)])
+def test_scan_plan_batched_matches_columns(c, order):
     g = LogGrid(-10.0, 10.0, 501)
     rng = np.random.default_rng(8)
     X = rng.standard_normal((g.n, 4)) + 1j * rng.standard_normal((g.n, 4))
-    plan = _ScanPlan(g, P.alpha, KernelK2(P, 1, 0.5).B, c, exp_weight=exp_weight, order=order)
+    plan = _ScanPlan(g, P.alpha, KernelK2(P, 1, 0.5).B, c, order=order)
     batched = plan(X)
     for j in range(X.shape[1]):
         np.testing.assert_allclose(batched[:, j], plan(X[:, j]), rtol=1e-14, atol=0)
@@ -150,8 +148,6 @@ def test_scan_plan_batched_matches_columns(c, exp_weight, order):
 def test_scan_plan_rejects_unsupported_combinations():
     g = LogGrid(-10.0, 10.0, 501)
     B = KernelK2(P, 1, 0.5).B
-    with pytest.raises(ValueError, match="exp-weighted"):
-        _ScanPlan(g, P.alpha, B, 0.0, exp_weight=True)
     with pytest.raises(ValueError, match="quadratic"):
         _ScanPlan(g, P.alpha, B, 2.0, order=2)
 
@@ -244,11 +240,36 @@ def test_solve_mode_dense_matches_picard():
     kernel = KernelK2(P, 1, 0.5)
     B, c = kernel.B, kernel.phase_amplitude
     coef = 1j * P.beta * P.alpha**2 * (2.0 - P.alpha) / 2.0
-    T = coef * _ScanPlan(g, P.alpha, B, c, exp_weight=True)(phi1_matrix(g, KernelK1(1, P.q, P.m)))
-    U0 = -P.alpha * _ScanPlan(g, P.alpha, B, c)(G.samples)
+    scan = _ScanPlan(g, P.alpha, B, c)
+    w = np.exp(-P.alpha * g.nodes)
+    T = coef * scan(w[:, None] * phi1_matrix(g, KernelK1(1, P.q, P.m)))
+    U0 = -P.alpha * scan(G.samples)
     dense = np.linalg.solve(np.eye(g.n) - T, U0)
     assert a.method == "picard"
     np.testing.assert_allclose(dense, a.U.samples, atol=1e-9 * np.abs(a.U.samples).max())
+
+
+def test_solve_mode_builds_its_plans_once(monkeypatch):
+    # the K1 and K2 recurrences are built once per solve, not per Picard step
+    from ssvortex import modes
+    built = []
+
+    class CountingRecurrence(modes._Recurrence):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(modes, "_Recurrence", CountingRecurrence)
+    monkeypatch.setattr(resolvent, "_Recurrence", CountingRecurrence)
+    g = LogGrid(-15.0, 15.0, 1025)
+    counts, iterations = [], []
+    for lam in (-0.5, 5.0):
+        built.clear()
+        sol = solve_mode(gaussian(g), lam, 1, P, compute_residual=False)
+        counts.append(len(built))
+        iterations.append(sol.iterations)
+    assert iterations[0] != iterations[1]
+    assert counts[0] == counts[1]
 
 
 def test_solve_mode_reduced_map_leaves_ode_defect():
