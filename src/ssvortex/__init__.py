@@ -46,5 +46,15 @@ from .resolvent import (
 )
 from .suites import RunConfig, emit, run
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConvergenceError", "EvolutionTrace", "GeneratorMatrix", "Homo2Params",
+    "KernelK1", "KernelK2", "LogGrid", "ModeFunction", "ResolventSolution",
+    "RunConfig", "ShootingResult", "VortexParams", "apply_phi1", "apply_phi2",
+    "assemble_generator", "contraction_bound", "eig_scan", "emit", "evolve",
+    "growth_fit", "homo2_defect", "homo2_params", "hyp2f2_regularized", "k1_eval",
+    "k2_eval", "lq_norm", "ode_residual", "phi1_matrix", "psi_from_U", "q_frak",
+    "resolvent_bound_check", "run", "second_order_relation", "shoot_homogeneous",
+    "solve_k0", "solve_mode", "stable_dt", "verify_kernel_composition",
+    "verify_neat_identities",
+]
 __version__ = "0.1.0"

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import resolvent
 from .modes import KernelK1, LogGrid, ModeFunction, lq_norm_samples, phi1_matrix
 from .params import VortexParams
-from .resolvent import solve_k0, solve_mode
+from .resolvent import ode_residual, solve_k0, solve_mode
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,8 @@ def eig_scan(k_values, params: VortexParams, grid: LogGrid) -> dict:
 
     Any eigenvalue with Re > a0 + EPS_DISC is flagged; a flagged point is
     discarded ("does not survive") when the resolvent solve at that point meets
-    the solver's residual tolerance (``sol.residual_ok``), which identifies it
+    the solver's residual tolerance (``ode_residual`` against
+    ``resolvent.RESIDUAL_TOL``, read at call time), which identifies it
     as a truncation artifact rather than spectrum.  Conclusions are desk-scale
     evidence: the probe, not the discretized eigenvalue, is the arbiter.
     """
@@ -220,14 +222,12 @@ def eig_scan(k_values, params: VortexParams, grid: LogGrid) -> dict:
                                             "note": "left of a0, not probeable"})
                     continue
                 G = ModeFunction(k, "G", PROBE_GRID, gauss)
-                if k == 0:
-                    sol = solve_k0(G, z, p)
-                else:
-                    sol = solve_mode(G, z, k, p)
+                sol = solve_k0(G, z, p) if k == 0 else solve_mode(G, z, p)
+                res = ode_residual(sol.U, G, z, p)[0]
                 entry["probes"].append({
                     "lambda": z,
-                    "residual": sol.residual,
-                    "resolved": bool(sol.residual_ok),
+                    "residual": res,
+                    "resolved": bool(res <= resolvent.RESIDUAL_TOL),
                 })
         entry["survivors"] = [pr["lambda"] for pr in entry["probes"] if not pr["resolved"]]
         modes.append(entry)

@@ -29,7 +29,7 @@ the ``verify_*`` checks below quantify exactly that discrepancy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -223,28 +223,29 @@ def apply_phi2(fn: ModeFunction, kernel: KernelK2) -> ModeFunction:
 RESIDUAL_ZONE_THETA = 0.02
 
 
-def ode_residual(U: ModeFunction, psi: ModeFunction | None, G: ModeFunction,
-                 lam: complex, params: VortexParams, k: int):
-    """Relative L^q residual of the first-order mode ODE.
+def ode_residual(U: ModeFunction, G: ModeFunction, lam: complex, params: VortexParams):
+    """Relative L^q residual of the first-order mode ODE for mode k = U.k.
 
-    The derivative of U is taken after factoring out the known phase
-    e^{-i c e^{-alpha t}} (exact product rule), and the norm is restricted to
-    the sub-grid where h * max(phase rate, 1) <= RESIDUAL_ZONE_THETA; beyond it
-    no pointwise stencil can resolve the oscillation.  Returns (residual,
-    zone_fraction, zone_t_min).
+    For k >= 1, psi is rebuilt from U by ``psi_from_U``.  The derivative of U is
+    taken after factoring out the known phase e^{-i c e^{-alpha t}} (exact
+    product rule), and the norm is restricted to the sub-grid where
+    h * max(phase rate, 1) <= RESIDUAL_ZONE_THETA; beyond it no pointwise
+    stencil can resolve the oscillation.  Returns (residual, zone_fraction,
+    zone_t_min).
     """
     p = params
+    k = U.k
     lam = complex(lam)
     t = U.grid.nodes
     h = U.grid.h
-    c = p.m * k * p.beta
+    c = KernelK2(p, k, lam).phase_amplitude
     phase = np.exp(1j * c * np.exp(-p.alpha * t))
     W = phase * U.samples
     dW = _fd4(W, h)
     lhs = (1.0 / phase) * ((1.0 / p.alpha) * dW + (p.a0 - lam) * W)
-    if k >= 1 and psi is not None:
+    if k >= 1:
         lhs = lhs - 1j * p.m * k * p.alpha * (2.0 - p.alpha) * p.beta \
-            * np.exp(-p.alpha * t) * psi.samples
+            * np.exp(-p.alpha * t) * psi_from_U(U, p).samples
     r = lhs - G.samples
     rate = np.maximum(np.abs(c) * p.alpha * np.exp(-p.alpha * t), 1.0)
     zone = h * rate <= RESIDUAL_ZONE_THETA
@@ -268,7 +269,8 @@ def ode_residual(U: ModeFunction, psi: ModeFunction | None, G: ModeFunction,
 
 # Picard stops once the relative update falls below PICARD_TOL, or after
 # PICARD_MAX_ITER steps, when a Krylov solve to the same relative tolerance takes
-# over; a solve whose ODE residual exceeds RESIDUAL_TOL is not residual_ok
+# over; a solve is judged by its ODE residual (``ode_residual``) against
+# RESIDUAL_TOL
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 400
 RESIDUAL_TOL = 1e-6
@@ -277,14 +279,9 @@ RESIDUAL_TOL = 1e-6
 @dataclass
 class ResolventSolution:
     U: ModeFunction
-    psi: ModeFunction | None
     iterations: int
-    residual: float
-    contraction: float
-    method: str = "picard"
-    residual_ok: bool = True
-    residual_zone: tuple = (1.0, math.nan)
-    update_history: list = field(default_factory=list)
+    method: str
+    update_history: list
 
 
 def contraction_bound(params: VortexParams, k: int) -> float:
@@ -295,27 +292,18 @@ def contraction_bound(params: VortexParams, k: int) -> float:
     return 2.0 * p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k * KernelK1(k, p.q, p.m).A_minus)
 
 
-def solve_k0(G: ModeFunction, lam: complex, params: VortexParams,
-             compute_residual: bool = True) -> ResolventSolution:
+def solve_k0(G: ModeFunction, lam: complex, params: VortexParams) -> ResolventSolution:
     """Closed-form k = 0 resolvent: U = -alpha * (exponential kernel) * G."""
     kernel = KernelK2(params, 0, lam)
     plan = _ScanPlan(G.grid, params.alpha, kernel.B, 0.0, order=2)
     out = -params.alpha * plan(G.samples)
-    U = G.with_samples(out, rep="U")
-    res, frac, tz = (math.nan, 1.0, math.nan)
-    if compute_residual:
-        res, frac, tz = ode_residual(U, None, G, lam, params, 0)
-    return ResolventSolution(
-        U=U, psi=None, iterations=1,
-        residual=res, contraction=0.0, method="direct",
-        residual_ok=(not compute_residual) or res <= RESIDUAL_TOL,
-        residual_zone=(frac, tz),
-    )
+    return ResolventSolution(U=G.with_samples(out, rep="U"), iterations=1,
+                             method="direct", update_history=[])
 
 
-def solve_mode(G: ModeFunction, lam: complex, k: int, params: VortexParams,
-               map_kind: str = "full", compute_residual: bool = True) -> ResolventSolution:
-    """Solve the mode-k resolvent equation by Picard iteration of the kernel map.
+def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
+               map_kind: str = "full") -> ResolventSolution:
+    """Solve the mode-k resolvent equation (k = G.k) by Picard iteration of the kernel map.
 
     Starting from U0 = -alpha * Phi2(G), each step reconstructs psi from the
     current iterate and integrates the first-order ODE exactly, so the limit
@@ -324,8 +312,8 @@ def solve_mode(G: ModeFunction, lam: complex, k: int, params: VortexParams,
     system takes over; ``method`` of the result says which one finished.  With
     map_kind="reduced" the K1-shortcut map is iterated instead (its fixed point
     does not satisfy the ODE at moderate phase rates; see the module docstring).
-    With compute_residual=False the ODE residual is skipped and reported as NaN.
     """
+    k = G.k
     if k < 1:
         raise ValueError("solve_mode requires k >= 1; use solve_k0 for the radial mode")
     p = params
@@ -383,21 +371,8 @@ def solve_mode(G: ModeFunction, lam: complex, k: int, params: VortexParams,
             raise ConvergenceError(f"Krylov fallback failed (info={info})", history, gamma)
         method_used = "krylov"
 
-    # free the plans before psi and the residual allocate their temporaries
-    del tmap, phi1, scan
-    U_fn = ModeFunction(k, "U", grid, U)
-    psi = psi_from_U(U_fn, p)
-    res, frac, tz = (math.nan, 1.0, math.nan)
-    if compute_residual:
-        res, frac, tz = ode_residual(U_fn, psi, G, lam, p, k)
-    ratios = [b / a for a, b in zip(history[:-1], history[1:]) if a > 0]
-    contraction = float(np.median(ratios)) if ratios else 0.0
-    return ResolventSolution(
-        U=U_fn, psi=psi, iterations=iters,
-        residual=res, contraction=contraction, method=method_used,
-        residual_ok=(not compute_residual) or res <= RESIDUAL_TOL,
-        residual_zone=(frac, tz), update_history=history,
-    )
+    return ResolventSolution(U=G.with_samples(U, rep="U"), iterations=iters,
+                             method=method_used, update_history=history)
 
 
 # --------------------------------------------------------------------------
@@ -494,10 +469,10 @@ def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, 
     p = params
     if k < 1:
         raise ValueError("composition check requires k >= 1")
-    c = p.m * k * p.beta
+    kernel = KernelK2(p, k, lam)
+    c = kernel.phase_amplitude
     if c == 0.0:
         return {"skipped": True, "reason": "beta = 0", "rows": [], "max_error": math.nan}
-    kernel = KernelK2(p, k, lam)
     k1 = KernelK1(k, p.q, p.m)
     B = kernel.B
     mu1 = B + k1.A_plus
@@ -545,10 +520,7 @@ def resolvent_bound_check(lambda_values, params: VortexParams, k_max: int,
             for _ in range(batch):
                 raw = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
                 G = ModeFunction(k, "G", grid, raw)
-                if k == 0:
-                    sol = solve_k0(G, lam, p, compute_residual=False)
-                else:
-                    sol = solve_mode(G, lam, k, p, compute_residual=False)
+                sol = solve_k0(G, lam, p) if k == 0 else solve_mode(G, lam, p)
                 ratio = lq_norm(sol.U, p.q) / lq_norm(G, p.q)
                 worst = max(worst, ratio)
             M_emp = max(M_emp, worst * (lam.real - p.a0))

@@ -181,7 +181,7 @@ def _small_all_config(tmp_path, out_name):
 def test_iteration_budget_needs_picard_to_finish(monkeypatch):
     # a Picard run that breaks off early and is finished by Krylov reports a
     # small iteration count; it must not pass the certificate
-    def krylov_finished(G, lam, k, params, **options):
+    def krylov_finished(G, lam, params, **options):
         return SimpleNamespace(method="krylov", iterations=3)
 
     monkeypatch.setattr(suites, "solve_mode", krylov_finished)

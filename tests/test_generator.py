@@ -80,7 +80,7 @@ def test_generator_resolvent_consistency():
         gen = assemble_generator(k, p, g)
         for off in (0.3, 1.0, 1.5):
             lam = p.a0 + off + (0.5j if off == 1.0 else 0.0)
-            sol = solve_mode(G, lam, k, p)
+            sol = solve_mode(G, lam, p)
             rel = _masked_consistency(gen, sol, G, p, k, lam)
             assert rel < 1e-4, (p, k, lam, rel)
 
@@ -88,7 +88,7 @@ def test_generator_resolvent_consistency():
 def test_generator_resolvent_consistency_tight_example():
     g = LogGrid(-6.0, 10.0, 4097)
     G = ModeFunction(1, "G", g, np.exp(-g.nodes**2))
-    sol = solve_mode(G, 0.5, 1, P)
+    sol = solve_mode(G, 0.5, P)
     gen = assemble_generator(1, P, g)
     mism = gen.entries @ sol.U.samples - 0.5 * sol.U.samples - G.samples
     rel = lq_norm_samples(mism[2:-2], g.h, P.q) / lq_norm_samples(G.samples, g.h, P.q)

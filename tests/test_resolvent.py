@@ -175,24 +175,23 @@ def test_solve_k0_closed_form():
     s[np.isclose(g.nodes, 0.0)] = 0.5
     s[np.isclose(g.nodes, 1.0)] = 0.5
     G = ModeFunction(0, "G", g, s)
-    sol = solve_k0(G, 0.0, P, compute_residual=False)
+    sol = solve_k0(G, 0.0, P)
     sel = g.nodes < -0.5
     expect = -np.exp(0.5 * g.nodes[sel]) * (1 - np.exp(-0.5))
     np.testing.assert_allclose(sol.U.samples[sel].real, expect, atol=5e-6)
-    assert sol.psi is None
 
 
 def test_solve_k0_zero_rhs_and_residual():
     g = LogGrid(-25.0, 25.0, 2**15 + 1)
     z = ModeFunction(0, "G", g, np.zeros(g.n))
     assert np.all(solve_k0(z, 0.5, P).U.samples == 0)
-    sol = solve_k0(gaussian(g, k=0), -0.5, P)
-    assert sol.residual < 1e-7
+    G = gaussian(g, k=0)
+    assert ode_residual(solve_k0(G, -0.5, P).U, G, -0.5, P)[0] < 1e-7
     # Young bound ||U|| <= alpha ||G|| / Re B, here alpha/ReB = 1
     rng = np.random.default_rng(7)
     for _ in range(20):
         G = ModeFunction(0, "G", g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
-        sol = solve_k0(G, 0.0, P, compute_residual=False)
+        sol = solve_k0(G, 0.0, P)
         assert lq_norm(sol.U, 2.0) <= lq_norm(G, 2.0) * (1 + 1e-6)
     with pytest.raises(ValueError):
         solve_k0(z, -1.0, P)
@@ -206,29 +205,55 @@ def test_contraction_bound_value():
 def test_solve_mode_zero_rhs():
     g = LogGrid(-15.0, 15.0, 1025)
     z = ModeFunction(1, "G", g, np.zeros(g.n))
-    sol = solve_mode(z, 0.5, 1, P, compute_residual=False)
+    sol = solve_mode(z, 0.5, P)
     assert np.all(sol.U.samples == 0)
 
 
 def test_solve_mode_requires_k_positive_and_lambda_right_of_a0():
     g = LogGrid(-5.0, 5.0, 65)
-    G = gaussian(g)
     with pytest.raises(ValueError):
-        solve_mode(G, 0.5, 0, P)
+        solve_mode(gaussian(g, k=0), 0.5, P)
     with pytest.raises(ValueError):
-        solve_mode(G, -1.2, 1, P)
+        solve_mode(gaussian(g), -1.2, P)
 
 
 def test_solve_mode_residual_and_bound():
     g = LogGrid(-25.0, 25.0, 2**16 + 1)
     G = gaussian(g)
     gamma = contraction_bound(P, 1)
-    sol = solve_mode(G, -0.5, 1, P)
-    assert sol.residual < 1e-6
+    sol = solve_mode(G, -0.5, P)
+    assert ode_residual(sol.U, G, -0.5, P)[0] < 1e-6
     bound = (P.alpha / (2 / P.q + P.alpha * (-0.5 - 1))) / (1 - gamma)
     assert lq_norm(sol.U, P.q) <= bound * lq_norm(G, P.q)
     assert sol.method == "picard"
     assert sol.iterations <= int(np.ceil(np.log(PICARD_TOL) / np.log(gamma))) + 1
+
+
+# (alpha, beta, m, q, k, lambda - a0) beyond the default vortex: the critical
+# line q = 2/alpha, negative beta, a complex lambda, k = 16 and lambda close to a0
+BEYOND_DEFAULT = [
+    (0.8, 1.0, 2, 2.5, 1, 0.5),
+    (0.5, -1.0, 2, 4.0, 1, 1.0),
+    (2.0 / 3.0, -1.0, 3, 3.0, 2, 0.5 - 0.5j),
+    (0.5, 1.0, 2, 2.0, 16, 1.0),
+    (0.5, 1.0, 2, 2.0, 1, 1e-3),
+    (0.8, 1.0, 2, 2.5, 8, 1e-3),
+]
+
+
+@pytest.mark.parametrize("alpha,beta,m,q,k,offset", BEYOND_DEFAULT)
+def test_solve_mode_beyond_default_vortex(alpha, beta, m, q, k, offset):
+    # no reduced-map iteration budget here: these are full-map solves, and the
+    # (0.8, 1, 2, 2.5, 8, 1e-3) case takes one step more than that budget
+    p = VortexParams(alpha=alpha, beta=beta, m=m, q=q)
+    g = LogGrid(-25.0, 25.0, 2**16 + 1)
+    G = gaussian(g, k=k)
+    lam = p.a0 + offset
+    sol = solve_mode(G, lam, p)
+    assert sol.method == "picard"
+    assert ode_residual(sol.U, G, lam, p)[0] <= resolvent.RESIDUAL_TOL
+    bound = (p.alpha / KernelK2(p, k, lam).B.real) / (1.0 - contraction_bound(p, k))
+    assert lq_norm(sol.U, p.q) <= bound * lq_norm(G, p.q)
 
 
 def test_solve_mode_dense_matches_picard():
@@ -236,7 +261,7 @@ def test_solve_mode_dense_matches_picard():
     # linear system (I - T) U = U0 solved directly
     g = LogGrid(-18.0, 18.0, 2049)
     G = gaussian(g)
-    a = solve_mode(G, 0.5, 1, P, compute_residual=False)
+    a = solve_mode(G, 0.5, P)
     kernel = KernelK2(P, 1, 0.5)
     B, c = kernel.B, kernel.phase_amplitude
     coef = 1j * P.beta * P.alpha**2 * (2.0 - P.alpha) / 2.0
@@ -265,7 +290,7 @@ def test_solve_mode_builds_its_plans_once(monkeypatch):
     counts, iterations = [], []
     for lam in (-0.5, 5.0):
         built.clear()
-        sol = solve_mode(gaussian(g), lam, 1, P, compute_residual=False)
+        sol = solve_mode(gaussian(g), lam, P)
         counts.append(len(built))
         iterations.append(sol.iterations)
     assert iterations[0] != iterations[1]
@@ -277,17 +302,17 @@ def test_solve_mode_reduced_map_leaves_ode_defect():
     # the mode ODE: the defect is the dropped phase-correction term, O(0.1)
     g = LogGrid(-25.0, 25.0, 2**15 + 1)
     G = gaussian(g)
-    full = solve_mode(G, -0.5, 1, P)
-    red = solve_mode(G, -0.5, 1, P, map_kind="reduced")
-    assert full.residual < 1e-6
-    assert red.residual > 1e-2
+    full = solve_mode(G, -0.5, P)
+    red = solve_mode(G, -0.5, P, map_kind="reduced")
+    assert ode_residual(full.U, G, -0.5, P)[0] < 1e-6
+    assert ode_residual(red.U, G, -0.5, P)[0] > 1e-2
 
 
 def test_solve_mode_beta_zero_reduces_to_phi2():
     p0 = VortexParams(alpha=0.5, beta=0.0, m=2, q=2.0)
     g = LogGrid(-15.0, 15.0, 2049)
     G = gaussian(g)
-    sol = solve_mode(G, 0.5, 1, p0, compute_residual=False)
+    sol = solve_mode(G, 0.5, p0)
     expect = -p0.alpha * apply_phi2(G, KernelK2(p0, 1, 0.5)).samples
     np.testing.assert_allclose(sol.U.samples, expect, rtol=0, atol=1e-12)
 
@@ -406,7 +431,7 @@ def test_resolvent_ratio_decays_like_inverse_lambda():
     lams = np.array([10.0, 20.0, 40.0, 80.0])
     ratios = []
     for lam in lams:
-        sol = solve_mode(G, lam, 1, P, compute_residual=False)
+        sol = solve_mode(G, lam, P)
         ratios.append(lq_norm(sol.U, P.q) / lq_norm(G, P.q))
     slope = np.polyfit(np.log(lams), np.log(ratios), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.1)
@@ -415,8 +440,8 @@ def test_resolvent_ratio_decays_like_inverse_lambda():
 def test_ode_residual_zone_reporting():
     g = LogGrid(-25.0, 25.0, 2**14 + 1)
     G = gaussian(g)
-    sol = solve_mode(G, -0.5, 1, P)
-    frac, tmin = sol.residual_zone
+    sol = solve_mode(G, -0.5, P)
+    _, frac, tmin = ode_residual(sol.U, G, -0.5, P)
     assert 0.0 < frac <= 1.0
     assert tmin > g.t_min
 
@@ -430,7 +455,7 @@ def test_iteration_budget_exhaustion_raises_with_history(monkeypatch):
     g = LogGrid(-15.0, 15.0, 1025)
     G = gaussian(g)
     with pytest.raises(ConvergenceError) as exc:
-        solve_mode(G, -0.5, 1, P, compute_residual=False)
+        solve_mode(G, -0.5, P)
     assert len(exc.value.history) == 2
     assert exc.value.gamma == pytest.approx(contraction_bound(P, 1))
 
@@ -440,10 +465,10 @@ def test_auto_method_falls_back_to_krylov(monkeypatch):
     # finishes the same linear system
     g = LogGrid(-20.0, 20.0, 2**13 + 1)
     G = gaussian(g)
-    ref = solve_mode(G, -0.5, 1, P, compute_residual=False)
+    ref = solve_mode(G, -0.5, P)
     monkeypatch.setattr(resolvent, "PICARD_MAX_ITER", 2)
-    sol = solve_mode(G, -0.5, 1, P)
+    sol = solve_mode(G, -0.5, P)
     assert sol.method == "krylov"
     assert len(sol.update_history) == 2
-    assert sol.residual < 1e-5
+    assert ode_residual(sol.U, G, -0.5, P)[0] < 1e-5
     np.testing.assert_allclose(sol.U.samples, ref.U.samples, atol=1e-8 * np.abs(ref.U.samples).max())

@@ -44,19 +44,19 @@ def test_public_names():
         "KernelK1", "KernelK2", "LogGrid", "ModeFunction", "ResolventSolution",
         "RunConfig", "ShootingResult", "VortexParams", "apply_phi1", "apply_phi2",
         "assemble_generator", "contraction_bound", "eig_scan", "emit", "evolve",
-        "generator", "growth_fit", "homo2_defect", "homo2_params", "homogeneous",
-        "hyp2f2_regularized", "k1_eval", "k2_eval", "lq_norm", "modes",
-        "ode_residual", "params", "phi1_matrix", "psi_from_U", "q_frak", "resolvent",
+        "growth_fit", "homo2_defect", "homo2_params", "hyp2f2_regularized", "k1_eval",
+        "k2_eval", "lq_norm", "ode_residual", "phi1_matrix", "psi_from_U", "q_frak",
         "resolvent_bound_check", "run", "second_order_relation", "shoot_homogeneous",
-        "solve_k0", "solve_mode", "stable_dt", "suites", "verify_kernel_composition",
+        "solve_k0", "solve_mode", "stable_dt", "verify_kernel_composition",
         "verify_neat_identities",
     ]
 
 
 def test_solver_signatures():
     expected = {
-        "solve_mode": ["G", "lam", "k", "params", "map_kind", "compute_residual"],
-        "solve_k0": ["G", "lam", "params", "compute_residual"],
+        "solve_mode": ["G", "lam", "params", "map_kind"],
+        "solve_k0": ["G", "lam", "params"],
+        "ode_residual": ["U", "G", "lam", "params"],
         "eig_scan": ["k_values", "params", "grid"],
         "evolve": ["U0", "tau_end", "dt", "gen"],
         "shoot_homogeneous": ["params", "k", "lam"],
