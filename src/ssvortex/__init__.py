@@ -16,6 +16,7 @@ from .homogeneous import (
     homo2_params,
     hyp2f2_regularized,
     q_frak,
+    shoot_batch,
     shoot_homogeneous,
 )
 from .modes import (
@@ -53,8 +54,8 @@ __all__ = [
     "assemble_generator", "contraction_bound", "eig_scan", "emit", "evolve",
     "growth_fit", "homo2_defect", "homo2_params", "hyp2f2_regularized", "k1_eval",
     "k2_eval", "lq_norm", "ode_residual", "phi1_matrix", "psi_from_U", "q_frak",
-    "resolvent_bound_check", "run", "second_order_relation", "shoot_homogeneous",
-    "solve_k0", "solve_mode", "stable_dt", "verify_kernel_composition",
-    "verify_neat_identities",
+    "resolvent_bound_check", "run", "second_order_relation", "shoot_batch",
+    "shoot_homogeneous", "solve_k0", "solve_mode", "stable_dt",
+    "verify_kernel_composition", "verify_neat_identities",
 ]
 __version__ = "0.1.0"

@@ -16,6 +16,12 @@ is integrated as a wedge (cross-product) vector, the one-dimensional manifold
 admissible at t -> +inf as a plain vector, and the normalized connection
 determinant at t = 0 measures their transversality.  A mismatch above threshold
 certifies that no nontrivial integrable solution exists at that lambda.
+
+`shoot_batch` integrates many (k, lambda) points at once: the left wedges of
+all of them as one stacked system and their right vectors as a second, with
+one vectorized right-hand side each.  The batched points share the adaptive
+steps and scipy's RMS error norm, so a point's mismatch depends on its batch
+companions at about 1e-11 relative; `shoot_homogeneous` is a batch of one.
 """
 
 from __future__ import annotations
@@ -165,75 +171,114 @@ class ShootingResult:
     note: str = ""
 
 
-def _system_matrix(t: float, params: VortexParams, k: int, lam: complex) -> np.ndarray:
-    p = params
-    cw = 2.0 - 2.0 / p.q
-    e = math.exp(-p.alpha * t)
-    return np.array([
-        [0.0, 1.0, 0.0],
-        [-(cw * cw - (p.m * k) ** 2), -2.0 * cw, 1.0],
-        [1j * p.alpha**2 * p.m * k * (2.0 - p.alpha) * p.beta * e, 0.0,
-         p.alpha * (lam - p.a0) + 1j * p.alpha * p.m * k * p.beta * e],
-    ], dtype=complex)
-
-
 class _FlowFailed(RuntimeError):
     """Raised when one side of the shooting integration does not finish."""
 
 
-def _flow_to_zero(rhs, y0, t_start: float, side: str) -> np.ndarray:
-    """Integrate y' = rhs(t, y) from t_start to the matching point t = 0 in
-    SHOOT_CHUNKS chunks, renormalizing the state to unit length before the
-    first chunk and after each one."""
-    y = np.array(y0, dtype=complex)
-    y /= np.linalg.norm(y)
+def _system(params: VortexParams, ks: np.ndarray, lams: np.ndarray):
+    """The mode ODE of every task as y' = (M0 + e^{-alpha t} M1) y, with M0 and
+    M1 of shape (tasks, 3, 3)."""
+    p = params
+    cw = 2.0 - 2.0 / p.q
+    c = p.m * ks * p.beta  # phase amplitude of each task
+    M0 = np.zeros((len(ks), 3, 3), dtype=complex)
+    M1 = np.zeros_like(M0)
+    M0[:, 0, 1] = 1.0
+    M0[:, 1, 0] = -(cw * cw - (p.m * ks) ** 2)
+    M0[:, 1, 1] = -2.0 * cw
+    M0[:, 1, 2] = 1.0
+    M0[:, 2, 2] = p.alpha * (lams - p.a0)
+    M1[:, 2, 0] = 1j * p.alpha**2 * (2.0 - p.alpha) * c
+    M1[:, 2, 2] = 1j * p.alpha * c
+    return M0, M1
+
+
+def _wedge(M: np.ndarray) -> np.ndarray:
+    """Generator of the wedge (cross-product) flow: trace(M) I - M^T per task."""
+    return np.trace(M, axis1=1, axis2=2)[:, None, None] * np.eye(3) - M.transpose(0, 2, 1)
+
+
+def _flow_to_zero(A0, A1, alpha: float, y0, t_start: float, side: str) -> np.ndarray:
+    """Integrate every task's y' = (A0 + e^{-alpha t} A1) y from t_start to the
+    matching point t = 0 as one stacked system, in SHOOT_CHUNKS chunks,
+    renormalizing each task's block to unit length before the first chunk and
+    after each one.  Returns the blocks, shape (tasks, 3)."""
+
+    def rhs(t, y):
+        return ((A0 + math.exp(-alpha * t) * A1) @ y.reshape(-1, 3, 1)).ravel()
+
+    Y = np.array(y0, dtype=complex)
+    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
     edges = np.linspace(t_start, 0.0, SHOOT_CHUNKS + 1)
     for t0, t1 in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=SHOOT_RTOL, atol=1e-13)
+        sol = solve_ivp(rhs, (t0, t1), Y.ravel(), method="DOP853", rtol=SHOOT_RTOL, atol=1e-13)
         if not sol.success:
             raise _FlowFailed(f"{side} integration failed: {sol.message}")
-        y = sol.y[:, -1]
-        y /= np.linalg.norm(y)
-    return y
+        Y = sol.y[:, -1].reshape(-1, 3)
+        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+    return Y
 
 
-def shoot_homogeneous(params: VortexParams, k: int, lam: complex) -> ShootingResult:
-    """Two-sided shooting verdict on integrable homogeneous solutions at lambda.
+def _mismatches(params: VortexParams, kernels: list, lams: list) -> np.ndarray:
+    """Normalized connection determinants at t = 0 of a batch of k >= 1 tasks."""
+    p = params
+    M0, M1 = _system(p, np.array([k1.k for k1 in kernels], dtype=float),
+                     np.array(lams, dtype=complex))
+    # left 2-plane spanned by (1, A-, 0) and (0, 0, 1): wedge = (A-, -1, 0)
+    eta = _flow_to_zero(_wedge(M0), _wedge(M1), p.alpha,
+                        [[k1.A_minus, -1.0, 0.0] for k1 in kernels], -SHOOT_SPAN, "left")
+    yC = _flow_to_zero(M0, M1, p.alpha,
+                       [[1.0, -k1.A_plus, 0.0] for k1 in kernels], SHOOT_SPAN, "right")
+    return np.abs(np.sum(eta * yC, axis=1))
+
+
+def shoot_batch(params: VortexParams, tasks: list[tuple[int, complex]]) -> list[ShootingResult]:
+    """Two-sided shooting verdicts on integrable homogeneous solutions, one per
+    (k, lambda) in ``tasks``, in order.
 
     The left-admissible plane (decaying stream-function branch plus the decaying
     U branch) is integrated as its wedge vector with chunked renormalization;
     the right-admissible line (psi ~ e^{-(mk+2-2/q)t}) is integrated backward.
-    ``mismatch`` is the normalized connection determinant at t = 0.
+    ``mismatch`` is the normalized connection determinant at t = 0.  The left
+    wedges of every k >= 1 task form one stacked system and their right vectors
+    a second; if a batch of several tasks fails, each task is rerun alone, so
+    that only a task that fails by itself is inconclusive.
     """
     p = params
-    lam = complex(lam)
-    if not lam.real > p.a0:
-        raise ValueError(f"Re(lambda) must exceed a0 = {p.a0:.6g}")
-    if k == 0:
-        # the radial mode is first-order: its homogeneous solution grows like
-        # e^{Re(B) t} as t -> +inf, so no nonzero solution is integrable
-        return ShootingResult(lam=lam, k=0, mismatch=1.0, verdict=NO_INTEGRABLE,
+    tasks = [(k, complex(lam)) for k, lam in tasks]
+    for _, lam in tasks:
+        if not lam.real > p.a0:
+            raise ValueError(f"Re(lambda) must exceed a0 = {p.a0:.6g}")
+    # the radial mode is first-order: its homogeneous solution grows like
+    # e^{Re(B) t} as t -> +inf, so no nonzero solution is integrable
+    results = [ShootingResult(lam=lam, k=0, mismatch=1.0, verdict=NO_INTEGRABLE,
                               note="first-order radial mode, analytic verdict")
-    k1 = KernelK1(k, p.q, p.m)
-
-    def rhs_vec(t, y):
-        return _system_matrix(t, p, k, lam) @ y
-
-    def rhs_wedge(t, y):
-        M = _system_matrix(t, p, k, lam)
-        return np.trace(M) * y - M.T @ y
-
+               if k == 0 else None for k, lam in tasks]
+    todo = [i for i, (k, _) in enumerate(tasks) if k != 0]
+    if not todo:
+        return results
+    kernels = [KernelK1(tasks[i][0], p.q, p.m) for i in todo]
     try:
-        # left 2-plane spanned by (1, A-, 0) and (0, 0, 1): wedge = (A-, -1, 0)
-        eta = _flow_to_zero(rhs_wedge, [k1.A_minus, -1.0, 0.0], -SHOOT_SPAN, "left")
-        yC = _flow_to_zero(rhs_vec, [1.0, -k1.A_plus, 0.0], SHOOT_SPAN, "right")
-    except _FlowFailed as exc:
-        return ShootingResult(lam=lam, k=k, mismatch=0.0, verdict=INCONCLUSIVE, note=str(exc))
-    except (ValueError, FloatingPointError) as exc:
-        return ShootingResult(lam=lam, k=k, mismatch=0.0, verdict=INCONCLUSIVE,
-                              note=f"stiff integration failure: {exc}")
-    mism = abs(eta @ yC)
-    verdict = NO_INTEGRABLE if mism > MISMATCH_THRESHOLD else INCONCLUSIVE
-    note = "" if verdict == NO_INTEGRABLE else \
-        "connection determinant below threshold: possible eigenvalue or resolution limit"
-    return ShootingResult(lam=lam, k=k, mismatch=mism, verdict=verdict, note=note)
+        mism = _mismatches(p, kernels, [tasks[i][1] for i in todo])
+    except (_FlowFailed, ValueError, FloatingPointError) as exc:
+        if len(todo) > 1:
+            for i in todo:
+                results[i] = shoot_batch(p, [tasks[i]])[0]
+            return results
+        k, lam = tasks[todo[0]]
+        note = str(exc) if isinstance(exc, _FlowFailed) else f"stiff integration failure: {exc}"
+        results[todo[0]] = ShootingResult(lam=lam, k=k, mismatch=0.0, verdict=INCONCLUSIVE,
+                                          note=note)
+        return results
+    for i, mi in zip(todo, mism):
+        k, lam = tasks[i]
+        verdict = NO_INTEGRABLE if mi > MISMATCH_THRESHOLD else INCONCLUSIVE
+        note = "" if verdict == NO_INTEGRABLE else \
+            "connection determinant below threshold: possible eigenvalue or resolution limit"
+        results[i] = ShootingResult(lam=lam, k=k, mismatch=mi, verdict=verdict, note=note)
+    return results
+
+
+def shoot_homogeneous(params: VortexParams, k: int, lam: complex) -> ShootingResult:
+    """The shooting verdict at one (k, lambda): a batch of one task."""
+    return shoot_batch(params, [(k, lam)])[0]

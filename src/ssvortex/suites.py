@@ -18,7 +18,7 @@ import numpy as np
 
 from . import resolvent
 from .generator import SCAN_N_MAX, assemble_generator, eig_scan, evolve
-from .homogeneous import MISMATCH_THRESHOLD, NO_INTEGRABLE, shoot_homogeneous
+from .homogeneous import MISMATCH_THRESHOLD, NO_INTEGRABLE, shoot_batch
 from .modes import KernelK1, LogGrid, ModeFunction, apply_phi1, lq_norm
 from .params import VortexParams, _number
 from .resolvent import (
@@ -251,7 +251,7 @@ def _contraction_checks(cfg: RunConfig) -> tuple[list, list]:
                          "lambda_re": math.nan, "lambda_im": math.nan,
                          "value": g, "bound": 1.0, "passed": g < 1.0})
     # iteration budget certified on the map that gamma describes (the reduced,
-    # K1-shortcut map); the full kernel map's counts are recorded alongside
+    # K1-shortcut map)
     iter_ok = True
     grid = LogGrid(-20.0, 20.0, 2**14 + 1)
     gauss = np.exp(-grid.nodes**2).astype(complex)
@@ -270,11 +270,6 @@ def _contraction_checks(cfg: RunConfig) -> tuple[list, list]:
                 rows.append({"check": "picard_iterations", "k": k, "q": q, "alpha": alpha,
                              "lambda_re": p.a0 + off, "lambda_im": 0.0,
                              "value": sol.iterations, "bound": budget, "passed": ok})
-                full = solve_mode(G, p.a0 + off, p)
-                rows.append({"check": "picard_iterations_full_map", "k": k, "q": q,
-                             "alpha": alpha, "lambda_re": p.a0 + off, "lambda_im": 0.0,
-                             "value": full.iterations, "bound": budget,
-                             "passed": True})
     checks = [
         {"name": "contraction_factor_below_one", "worst_gamma": worst_gamma,
          "passed": gammas_ok},
@@ -399,12 +394,7 @@ def suite_shooting(cfg: RunConfig) -> tuple[dict, list, list]:
         for lr in lam_res:
             for li in lam_ims:
                 tasks.append((k, complex(lr, li)))
-
-    def one(task):
-        k, lam = task
-        return shoot_homogeneous(p, k, lam)
-
-    results = _map_tasks(one, tasks, cfg.workers)
+    results = shoot_batch(p, tasks)
     rows = [{"k": r.k, "re_lambda": r.lam.real, "im_lambda": r.lam.imag,
              "mismatch": r.mismatch, "verdict": r.verdict} for r in results]
     ok = all(r.verdict == NO_INTEGRABLE for r in results)

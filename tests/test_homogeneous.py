@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ssvortex import homogeneous
 from ssvortex.homogeneous import (
     INCONCLUSIVE,
     NO_INTEGRABLE,
@@ -11,9 +13,11 @@ from ssvortex.homogeneous import (
     homo2_params,
     hyp2f2_regularized,
     q_frak,
+    shoot_batch,
     shoot_homogeneous,
 )
 from ssvortex.params import VortexParams
+from ssvortex.suites import RunConfig
 
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)  # a0 = -1
 
@@ -81,6 +85,9 @@ def test_shoot_k0_analytic():
 def test_shoot_rejects_lambda_left_of_a0():
     with pytest.raises(ValueError):
         shoot_homogeneous(P, 1, -1.5)
+    # one bad point rejects the whole batch before anything is integrated
+    with pytest.raises(ValueError):
+        shoot_batch(P, [(1, complex(P.a0 + 1.0)), (2, complex(P.a0 - 0.5))])
 
 
 def test_shoot_k1_no_integrable_solution():
@@ -93,3 +100,55 @@ def test_shoot_complex_lambda_grid_sample():
     for lam in (-0.2 + 1.0j, 1.0 - 2.0j):
         r = shoot_homogeneous(P, 2, lam)
         assert r.verdict == NO_INTEGRABLE
+
+
+def _grid(p, ks, offsets, imags):
+    return [(k, complex(p.a0 + off, im)) for k in ks for off in offsets for im in imags]
+
+
+# the default shooting grid, and a negative-beta vortex with m = 3 at q > 2/alpha
+# down to Re(lambda) - a0 = 0.05 (k <= 2 there: its single-task solves are slow)
+_DEFAULT = RunConfig()
+_P_NEG = VortexParams(alpha=0.5, beta=-1.0, m=3, q=4.0)
+AGREEMENT_CASES = {
+    "default": (P, _grid(P, _DEFAULT.shoot_k, _DEFAULT.shoot_offsets, _DEFAULT.shoot_imags)),
+    "beta_neg_m3_q4": (_P_NEG, _grid(_P_NEG, (1, 2), (0.05, 1.0, 4.0), (-1.0, 0.0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_shoot_batch_matches_single_task(case):
+    p, tasks = AGREEMENT_CASES[case]
+    batched = shoot_batch(p, tasks)
+    assert [(r.k, r.lam) for r in batched] == tasks
+    for r, (k, lam) in zip(batched, tasks):
+        single = shoot_homogeneous(p, k, lam)
+        assert r.verdict == single.verdict == NO_INTEGRABLE
+        assert r.mismatch == pytest.approx(single.mismatch, rel=1e-8, abs=0.0)
+
+
+def test_shoot_batch_failure_stays_with_its_task(monkeypatch):
+    # the planted task's right-hand side is the only one whose real part is
+    # above 100: Re(lambda) - a0 = 1000 enters it as alpha * (lambda - a0)
+    planted = complex(P.a0 + 1000.0, 0.5)
+    tasks = [(1, complex(P.a0 + 0.8, -1.0)), (2, planted), (0, complex(P.a0 + 1.0)),
+             (2, complex(P.a0 + 4.0, 1.0))]
+    real = homogeneous.solve_ivp
+    batch_sizes = []
+
+    def flaky(fun, t_span, y0, **kwargs):
+        batch_sizes.append(len(y0) // 3)
+        if np.abs(fun(t_span[0], np.ones_like(y0)).real).max() > 100.0:
+            return SimpleNamespace(success=False, message="planted failure")
+        return real(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(homogeneous, "solve_ivp", flaky)
+    results = shoot_batch(P, tasks)
+    assert batch_sizes[0] == 3 and max(batch_sizes[1:]) == 1
+    assert [r.verdict for r in results] == [NO_INTEGRABLE, INCONCLUSIVE, NO_INTEGRABLE,
+                                            NO_INTEGRABLE]
+    assert results[1].note == "left integration failed: planted failure"
+    monkeypatch.undo()
+    for r, (k, lam) in zip(results, tasks):
+        if r.verdict == NO_INTEGRABLE:
+            assert r.mismatch == shoot_homogeneous(P, k, lam).mismatch
