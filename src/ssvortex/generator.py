@@ -1,4 +1,4 @@
-"""Dense per-mode generator matrices, semigroup time stepping, and eigenvalue scans.
+"""Per-mode generator operators, semigroup time stepping, and eigenvalue scans.
 
 The mode-k generator acting on U-samples is
 
@@ -11,68 +11,106 @@ so the upwind side is the right neighbourhood and the inflow boundary is the
 right edge (held at zero through the stencil closure).  The resolvent solves in
 ``resolvent`` satisfy (L_k - lambda) U = G on the same grid, which pins the sign
 and normalization conventions used here.
+
+``GeneratorMatrix.apply`` evaluates L_k U in O(n): a banded drift stencil, a
+diagonal, and the coupling through the K1 recurrences of ``modes._Phi1Plan``.
+Time stepping runs on it.  The dense matrix of the same operator,
+``GeneratorMatrix.entries``, is built only when read: by the eigenvalue scan,
+and by the tests as the oracle of ``apply``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import resolvent
-from .modes import KernelK1, LogGrid, ModeFunction, lq_norm_samples, phi1_matrix
+from .modes import KernelK1, LogGrid, ModeFunction, _Phi1Plan, lq_norm_samples, phi1_matrix
 from .params import VortexParams
 from .resolvent import ode_residual, solve_k0, solve_mode
 
+# Third-order upwind-biased h*d/dt for leftward transport, as (offset,
+# coefficient) pairs.  Interior rows 1..n-3 use DRIFT_INTERIOR; rows 0, n-2 and
+# n-1 (indexed from the end when negative) use DRIFT_EDGES: the left edge is
+# one-sided into the interior (outflow), the right edge closes against a zero
+# ghost value U_n = 0 (inflow).
+DRIFT_INTERIOR = ((-1, -2.0 / 6.0), (0, -3.0 / 6.0), (1, 6.0 / 6.0), (2, -1.0 / 6.0))
+DRIFT_EDGES = (
+    (0, ((0, -11.0 / 6.0), (1, 3.0), (2, -1.5), (3, 1.0 / 3.0))),
+    (-2, ((-1, -0.5), (1, 0.5))),
+    (-1, ((-1, -0.5),)),  # centered with ghost U_n = 0
+)
 
-@dataclass(frozen=True)
+
+def _drift_matrix(n: int, h: float) -> np.ndarray:
+    """Dense d/dt of the drift stencil."""
+    D = np.zeros((n, n))
+    rows = np.arange(1, n - 2)
+    for off, c in DRIFT_INTERIOR:
+        D[rows, rows + off] = c
+    for row, stencil in DRIFT_EDGES:
+        for off, c in stencil:
+            D[row % n, row % n + off] = c
+    return D / h
+
+
+@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Dense complex discretization of the mode-k generator on a LogGrid."""
+    """The mode-k generator on a LogGrid as an O(n) operator.
+
+    ``apply(U)`` is ``drift_scale`` times the drift stencil, plus ``diag * U``,
+    plus ``coup * plan(U)`` (the K1 coupling; ``plan`` is None when k = 0 or
+    beta = 0).  ``entries`` is the dense matrix of the same operator, built on
+    first read.
+    """
 
     k: int
     grid: LogGrid
     params: VortexParams
-    entries: np.ndarray
+    drift_scale: float       # 1/(alpha h)
+    diag: np.ndarray         # a0 - i*m*k*beta*e^{-alpha t}
+    coup: np.ndarray | None  # i*alpha*(2-alpha)*beta/2 * e^{-alpha t}
+    plan: _Phi1Plan | None
 
+    def apply(self, U: np.ndarray) -> np.ndarray:
+        """L_k U for samples U on the grid."""
+        n = U.shape[0]
+        DU = np.empty_like(U)
+        DU[1:-2] = sum(c * U[1 + off:n - 2 + off] for off, c in DRIFT_INTERIOR)
+        for row, stencil in DRIFT_EDGES:
+            DU[row] = sum(c * U[row % n + off] for off, c in stencil)
+        out = self.drift_scale * DU + self.diag * U
+        if self.plan is not None:
+            out += self.coup * self.plan(U)
+        return out
 
-def _drift_matrix(n: int, h: float) -> np.ndarray:
-    """Third-order upwind-biased d/dt for leftward transport.
-
-    Interior rows use the stencil (-2, -3, 6, -1)/(6h) on offsets (-1, 0, 1, 2);
-    the right edge closes against a zero ghost value (inflow), the left edge is
-    one-sided into the interior (outflow).
-    """
-    D = np.zeros((n, n))
-    for i in range(1, n - 2):
-        D[i, i - 1] = -2.0 / 6.0
-        D[i, i] = -3.0 / 6.0
-        D[i, i + 1] = 6.0 / 6.0
-        D[i, i + 2] = -1.0 / 6.0
-    D[0, 0] = -11.0 / 6.0
-    D[0, 1] = 3.0
-    D[0, 2] = -1.5
-    D[0, 3] = 1.0 / 3.0
-    D[n - 2, n - 3] = -0.5
-    D[n - 2, n - 1] = 0.5
-    D[n - 1, n - 2] = -0.5  # centered with ghost U_n = 0
-    return D / h
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Dense complex matrix of the operator (n x n)."""
+        p = self.params
+        L = (1.0 / p.alpha) * _drift_matrix(self.grid.n, self.grid.h).astype(complex)
+        idx = np.arange(self.grid.n)
+        L[idx, idx] += self.diag
+        if self.plan is not None:
+            L += self.coup[:, None] * phi1_matrix(self.grid, KernelK1(self.k, p.q, p.m))
+        return L
 
 
 def assemble_generator(k: int, params: VortexParams, grid: LogGrid) -> GeneratorMatrix:
-    """Build the dense mode-k generator matrix."""
+    """Build the mode-k generator operator; O(n)."""
     p = params
-    n = grid.n
-    t = grid.nodes
-    L = (1.0 / p.alpha) * _drift_matrix(n, grid.h).astype(complex)
-    idx = np.arange(n)
-    L[idx, idx] += p.a0
+    diag = np.full(grid.n, p.a0, dtype=complex)
+    coup = plan = None
     if k > 0 and p.beta != 0.0:
-        decay = np.exp(-p.alpha * t)
-        L[idx, idx] += -1j * p.m * k * p.beta * decay
-        pm = phi1_matrix(grid, KernelK1(k, p.q, p.m))
-        L += (1j * p.alpha * (2.0 - p.alpha) * p.beta / 2.0) * decay[:, None] * pm
-    return GeneratorMatrix(k=k, grid=grid, params=p, entries=L)
+        decay = np.exp(-p.alpha * grid.nodes)
+        diag = p.a0 + -1j * p.m * k * p.beta * decay
+        coup = (1j * p.alpha * (2.0 - p.alpha) * p.beta / 2.0) * decay
+        plan = _Phi1Plan(grid, KernelK1(k, p.q, p.m))
+    return GeneratorMatrix(k=k, grid=grid, params=p, drift_scale=1.0 / (p.alpha * grid.h),
+                           diag=diag, coup=coup, plan=plan)
 
 
 def spectral_radius_estimate(gen: GeneratorMatrix) -> float:
@@ -143,17 +181,17 @@ def evolve(U0, tau_end: float, dt: float | None, gen: GeneratorMatrix) -> Evolut
         raise ValueError("initial data does not match the generator grid")
     q = gen.params.q
     h = gen.grid.h
-    L = gen.entries
+    L = gen.apply
     steps = max(1, int(math.ceil(tau_end / dt)))
     dt = tau_end / steps
     every = max(1, steps // TRACE_SAMPLES)
     times = [0.0]
     norms = [lq_norm_samples(U, h, q)]
     for s in range(1, steps + 1):
-        k1 = L @ U
-        k2 = L @ (U + 0.5 * dt * k1)
-        k3 = L @ (U + 0.5 * dt * k2)
-        k4 = L @ (U + dt * k3)
+        k1 = L(U)
+        k2 = L(U + 0.5 * dt * k1)
+        k3 = L(U + 0.5 * dt * k2)
+        k4 = L(U + dt * k3)
         U = U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if s % every == 0 or s == steps:
             times.append(s * dt)

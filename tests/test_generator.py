@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,6 +17,11 @@ from ssvortex.params import VortexParams
 from ssvortex.resolvent import solve_mode
 
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)  # a0 = -1
+# (alpha, beta, m, q, k) beyond the default vortex, up to k = 8
+OPERATOR_CASES = [
+    (0.5, 1.0, 2, 2.0, 0), (0.5, 1.0, 2, 2.0, 1), (0.5, 1.0, 2, 2.0, 8),
+    (0.5, -1.0, 2, 4.0, 1),    # critical line q = 2/alpha, negative beta
+    (0.8, 1.0, 3, 2.5, 1), (0.8, 1.0, 3, 2.5, 8)]
 
 
 def test_k0_matrix_is_drift_plus_constant():
@@ -126,10 +133,7 @@ def test_evolve_rejects_unstable_dt():
         evolve(np.ones(g.n), 1.0, 10.0 * stable_dt(gen), gen)
 
 
-@pytest.mark.parametrize("alpha, beta, m, q, k", [
-    (0.5, 1.0, 2, 2.0, 0), (0.5, 1.0, 2, 2.0, 1), (0.5, 1.0, 2, 2.0, 8),
-    (0.5, -1.0, 2, 4.0, 1),    # critical line q = 2/alpha, negative beta
-    (0.8, 1.0, 3, 2.5, 1), (0.8, 1.0, 3, 2.5, 8)])
+@pytest.mark.parametrize("alpha, beta, m, q, k", OPERATOR_CASES)
 def test_stable_dt_inside_rk4_region(alpha, beta, m, q, k):
     # the step limit comes from a cheap spectral-radius estimate; every
     # eigenvalue of the generator times that step must lie in RK4's stability
@@ -139,6 +143,41 @@ def test_stable_dt_inside_rk4_region(alpha, beta, m, q, k):
                              LogGrid(-8.0, 10.0, 512))
     z = stable_dt(gen) * np.linalg.eigvals(gen.entries)
     assert np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24).max() <= 1.0
+
+
+@pytest.mark.parametrize("alpha, beta, m, q, k",
+                         OPERATOR_CASES + [(0.5, 0.0, 2, 2.0, 3)])  # beta = 0: no coupling
+def test_generator_apply_matches_dense(alpha, beta, m, q, k):
+    # the O(n) operator against its dense matrix, the oracle
+    gen = assemble_generator(k, VortexParams(alpha=alpha, beta=beta, m=m, q=q),
+                             LogGrid(-8.0, 10.0, 512))
+    rng = np.random.default_rng(k)
+    for _ in range(3):
+        U = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+        dense = gen.entries @ U
+        assert np.abs(gen.apply(U) - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_evolve_matches_dense_rk4(k):
+    # classical RK4 written out on the dense matrix, at evolve's own step
+    g = LogGrid(-8.0, 10.0, 256)
+    gen = assemble_generator(k, P, g)
+    U = np.exp(-(g.nodes - 6.0) ** 2).astype(complex)
+    tr = evolve(U, 5.0, None, gen)
+    assert tr.steps == math.ceil(5.0 / stable_dt(gen))
+    L, dt = gen.entries, 5.0 / tr.steps
+    norms = [lq_norm_samples(U, g.h, P.q)]
+    for _ in range(tr.steps):
+        k1 = L @ U
+        k2 = L @ (U + 0.5 * dt * k1)
+        k3 = L @ (U + 0.5 * dt * k2)
+        k4 = L @ (U + dt * k3)
+        U = U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        norms.append(lq_norm_samples(U, g.h, P.q))
+    sampled = np.asarray(norms)[np.rint(tr.times / dt).astype(int)]
+    np.testing.assert_allclose(tr.norms, sampled, rtol=1e-12, atol=0)
+    assert tr.fitted_rate == pytest.approx(growth_fit(tr.times, sampled), rel=1e-12)
 
 
 def test_evolve_k1_rate_below_threshold():
