@@ -14,7 +14,8 @@ the weighted ones.  The second-order relation
 is inverted by convolution with the two-sided exponential kernel K1, realizing
 the mode-k inverse Laplacian with the unique integrable tail constants.  Being a
 two-sided exponential, K1's trapezoid convolution is exactly one forward and
-one backward first-order recurrence, evaluated in O(n) by ``_Recurrence``.
+one backward first-order recurrence, each with the trapezoid weights folded
+in, evaluated in O(n) by ``_Recurrence`` in about three in-place passes.
 ``_Phi1Plan`` builds both recurrences once per (grid, kernel); the K2 scans of
 ``resolvent`` run on the same ``_Recurrence``.
 """
@@ -93,11 +94,15 @@ def _trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-def lq_norm_samples(samples: np.ndarray, h: float, q: float) -> float:
+def lq_norm_samples(samples: np.ndarray, h: float, q: float) -> float | np.ndarray:
+    """Composite-trapezoid L^q(dt) norm of samples of shape (n,) (a float) or of
+    each column of an (n, batch) block (an array)."""
     if q < 1.0:
         raise ValueError("q must be >= 1")
-    w = _trapezoid_weights(samples.shape[0])
-    return float((h * np.sum(w * np.abs(samples) ** q)) ** (1.0 / q))
+    a = np.abs(samples)
+    a **= q
+    norm = (h * (a.sum(axis=0) - 0.5 * (a[0] + a[-1]))) ** (1.0 / q)
+    return float(norm) if a.ndim == 1 else norm
 
 
 def lq_norm(fn: ModeFunction, q: float) -> float:
@@ -181,61 +186,85 @@ def phi1_matrix(grid: LogGrid, kernel: KernelK1) -> np.ndarray:
     return grid.h * K * _trapezoid_weights(grid.n)[None, :]
 
 
-class _Recurrence:
-    """Solve S_i = P_i + D_i * S_{i+1} (i < npan, S_npan = 0) for a fixed D and
-    any number of right-hand sides P (shape (npan,) or (npan, batch)).
+# largest decay per panel of a recurrence: beyond it |D| of one panel leaves
+# the normal doubles
+MAX_PANEL_DECAY = 700.0
 
-    The panels are split into blocks short enough that the cumulative product
-    of |D| over one block stays a normal float (decay_per_panel = -log|D|);
-    within a block the recurrence is a cumulative sum of P over the cumulative
-    product of D, and the block's lowest value seeds the block below.  The
-    cumulative products and their reciprocals depend on D only and are built
-    once.
+
+class _Recurrence:
+    """Solve S_i = w_i P_i + D_i S_{i+1} (i < npan, S_npan = 0) for a fixed D and
+    weight w (1 if None) and any number of right-hand sides P (shape (npan,) or
+    (npan, batch)).
+
+    The panels are split into blocks over which the cumulative product cp of D
+    falls by at most e^{300} (decay_per_panel = -log|D|), or into single panels
+    when one panel decays faster.  Within a block S is cp times the cumulative
+    sum of w P / cp, seeded by the value S_hi just above the block.  cp is
+    scaled by a power of two (exactly) so that neither it nor w / cp leaves
+    the doubles.  The factors w / cp and cp depend on D and w only and are
+    built once, in reversed order, so that a call makes three passes per
+    block (multiply, cumulative sum, multiply) in place on its output.
     """
 
-    def __init__(self, D: np.ndarray, decay_per_panel: float):
+    def __init__(self, D: np.ndarray, decay_per_panel: float, weight=None):
+        if decay_per_panel > MAX_PANEL_DECAY:
+            raise ValueError(
+                f"decay of {decay_per_panel:.4g} per grid panel exceeds {MAX_PANEL_DECAY:g}:"
+                " the grid is too coarse for this kernel; use a finer grid")
         npan = D.shape[0]
-        seg = npan if decay_per_panel <= 0 else max(8, int(300.0 / decay_per_panel))
+        seg = npan if decay_per_panel <= 0 else max(1, int(300.0 / decay_per_panel))
         self.npan = npan
         self.blocks = []
         for hi in range(npan, 0, -seg):
             lo = max(0, hi - seg)
-            cp = np.cumprod(D[lo:hi][::-1])[::-1]
-            self.blocks.append((lo, hi, cp, 1.0 / cp))
+            rcp = np.cumprod(D[lo:hi][::-1])
+            balance = 2.0 ** (-math.frexp(abs(rcp[-1]))[1] // 2)
+            rcp *= balance
+            rinv = (1.0 if weight is None else weight[lo:hi][::-1]) / rcp
+            self.blocks.append((lo, hi, rinv, rcp, 1.0 / balance))
 
     def __call__(self, P: np.ndarray) -> np.ndarray:
-        S = np.zeros((self.npan + 1,) + P.shape[1:], dtype=complex)
-        for lo, hi, cp, inv in self.blocks:
+        S = np.empty((self.npan + 1,) + P.shape[1:], dtype=complex)
+        S[self.npan] = 0.0
+        for lo, hi, rinv, rcp, seed in self.blocks:
             if P.ndim == 2:
-                cp, inv = cp[:, None], inv[:, None]
-            T = np.cumsum((P[lo:hi] * inv)[::-1], axis=0)[::-1]
-            T += S[hi]
-            T *= cp
-            S[lo:hi] = T
+                rinv, rcp = rinv[:, None], rcp[:, None]
+            T = S[lo:hi][::-1]
+            np.multiply(P[lo:hi][::-1], rinv, out=T)
+            np.cumsum(T, axis=0, out=T)
+            if hi < self.npan:
+                T += seed * S[hi]
+            T *= rcp
         return S
 
 
 class _Phi1Plan:
     """Trapezoid K1 convolution sum_j y_j K1(t_i - t_j), y = h w x (w the
     trapezoid weights), as y_i plus a backward recurrence over j > i (decay
-    e^{-A- h}) plus a forward one over j < i (decay e^{-A+ h}).  The weights and
-    both recurrences depend on the grid and the kernel only and are built once."""
+    e^{-A- h}) plus a forward one over j < i (decay e^{-A+ h}), each with the
+    weights h w folded in.  Both recurrences depend on the grid and the kernel
+    only and are built once.  Samples may be (n,) or an (n, batch) block."""
 
     def __init__(self, grid: LogGrid, kernel: KernelK1):
         n, h = grid.n, grid.h
         self.scale = h * _trapezoid_weights(n)
 
-        def later(A):  # ys -> sum_{j > i} e^{-A h (j - i)} ys_j
+        def later(A, scale):  # x[1:] -> sum_{j > i} e^{-A h (j - i)} scale_j x_j
             d = math.exp(-A * h)
-            recurrence = _Recurrence(np.full(n - 1, d), A * h)
-            return lambda ys: recurrence(d * ys[1:])
+            return _Recurrence(np.full(n - 1, d), A * h, d * scale)
 
-        self.backward = later(kernel.A_minus)
-        self.forward = later(kernel.A_plus)
+        self.backward = later(kernel.A_minus, self.scale[1:])
+        self.forward = later(kernel.A_plus, self.scale[:-1][::-1])
 
     def __call__(self, samples: np.ndarray) -> np.ndarray:
-        y = samples * self.scale
-        return y + self.backward(y) + self.forward(y[::-1])[::-1]
+        x = np.asarray(samples)
+        out = self.backward(x[1:])
+        earlier = self.forward(x[::-1][1:])[::-1]
+        out += earlier
+        # the forward result's buffer takes the diagonal term y = h w x
+        np.multiply(self.scale if x.ndim == 1 else self.scale[:, None], x, out=earlier)
+        out += earlier
+        return out
 
 
 def apply_phi1(fn: ModeFunction, kernel: KernelK1) -> ModeFunction:

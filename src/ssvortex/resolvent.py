@@ -198,7 +198,8 @@ class _ScanPlan:
     def __call__(self, samples) -> np.ndarray:
         g = np.asarray(samples, dtype=complex)
         col = (slice(None), None) if g.ndim == 2 else slice(None)
-        P = self.wi[col] * g[:-1] + self.wj[col] * g[1:]
+        P = self.wi[col] * g[:-1]
+        P += self.wj[col] * g[1:]
         if self.wk is not None:
             P[:-1] += self.wk[col] * g[2:]
         return self.recurrence(P)
@@ -333,12 +334,18 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
         decay = np.exp(-p.alpha * grid.nodes)
 
         def tmap(x):
-            return coef * scan(decay * phi1(x))
+            y = phi1(x)
+            y *= decay
+            y = scan(y)
+            y *= coef
+            return y
     elif map_kind == "reduced":
         coef = p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k)
 
         def tmap(x):
-            return coef * phi1(x)
+            y = phi1(x)
+            y *= coef
+            return y
     else:
         raise ValueError("map_kind must be 'full' or 'reduced'")
 
@@ -350,7 +357,8 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
     converged = False
     growing = 0
     for _ in range(PICARD_MAX_ITER):
-        Unew = U0 + tmap(U)
+        Unew = tmap(U)
+        Unew += U0
         iters += 1
         upd = lq_norm_samples(Unew - U, grid.h, p.q) / max(lq_norm_samples(Unew, grid.h, p.q), 1e-300)
         history.append(upd)

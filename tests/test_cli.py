@@ -11,8 +11,17 @@ import pytest
 import ssvortex
 from ssvortex import suites
 from ssvortex.cli import ConfigError, build_config, main, parse_config_file
+from ssvortex.modes import KernelK1, LogGrid, ModeFunction, apply_phi1, lq_norm
 from ssvortex.params import VortexParams
-from ssvortex.suites import RunConfig, _contraction_checks, _residual_checks, emit, run
+from ssvortex.resolvent import KernelK2, apply_phi2
+from ssvortex.suites import (
+    RunConfig,
+    _contraction_checks,
+    _residual_checks,
+    _young_checks,
+    emit,
+    run,
+)
 
 
 def write(path, text):
@@ -190,6 +199,30 @@ def test_iteration_budget_needs_picard_to_finish(monkeypatch):
     assert verdict["contraction_factor_below_one"]
     assert not verdict["picard_iteration_budget"]
     assert not any(r["passed"] for r in rows if r["check"] == "picard_iterations")
+
+
+def test_young_checks_match_one_draw_at_a_time():
+    # the batched lattice draws the same random stream as one draw per call:
+    # per draw, the real part and then the imaginary part
+    cfg = RunConfig(young_batch=3, seed=5)
+    _, rows = _young_checks(cfg)
+    rng = np.random.default_rng(cfg.seed + 1)
+    grid = LogGrid(-suites.YOUNG_T, suites.YOUNG_T, suites.YOUNG_N)
+    want = []
+    for q, alpha in suites.YOUNG_LATTICE:
+        p = VortexParams(alpha=alpha, beta=cfg.params.beta, m=2, q=q)
+        kernels = [(k, apply_phi1, KernelK1(k, q, 2)) for k in suites.LATTICE_K]
+        kernels += [(1, apply_phi2, KernelK2(p, 1, p.a0 + off))
+                    for off in suites.LAMBDA_OFFSETS_YOUNG]
+        for k, apply, kernel in kernels:
+            ratios = []
+            for _ in range(cfg.young_batch):
+                x = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+                fn = ModeFunction(k, "U", grid, x)
+                ratios.append(lq_norm(apply(fn, kernel), q) / lq_norm(fn, q))
+            want.append(max(ratios))
+    assert len(rows) == len(want)
+    np.testing.assert_allclose([r["value"] for r in rows], want, rtol=1e-12, atol=0)
 
 
 def test_residual_check_reports_min_zone_fraction(tmp_path):

@@ -5,9 +5,11 @@ from ssvortex.modes import (
     KernelK1,
     LogGrid,
     ModeFunction,
+    _Phi1Plan,
     apply_phi1,
     k1_eval,
     lq_norm,
+    lq_norm_samples,
     phi1_matrix,
     psi_from_U,
     second_order_relation,
@@ -61,6 +63,23 @@ def test_lq_norm_values():
     assert abs(lq_norm(ind, 2.0) - 1.0) < 2 * g.h
     gauss = ModeFunction(0, "U", g, np.exp(-g.nodes**2))
     assert lq_norm(gauss, 2.0) == pytest.approx((np.pi / 2.0) ** 0.25, rel=1e-10)
+
+
+def test_lq_norm_samples_of_a_block_is_per_column():
+    g = LogGrid(-10.0, 10.0, 501)
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((g.n, 3)) + 1j * rng.standard_normal((g.n, 3))
+    for q in (1.0, 2.0, 3.5):
+        norms = lq_norm_samples(X, g.h, q)
+        assert norms.shape == (3,)
+        for j in range(3):
+            one = lq_norm_samples(X[:, j], g.h, q)
+            assert type(one) is float
+            w = np.ones(g.n)
+            w[[0, -1]] = 0.5
+            assert one == pytest.approx((g.h * np.sum(w * np.abs(X[:, j]) ** q)) ** (1 / q),
+                                        rel=1e-14)
+            assert norms[j] == pytest.approx(one, rel=1e-15)
 
 
 def test_second_order_relation_zero_and_root():
@@ -125,6 +144,60 @@ def test_phi1_recurrence_matches_matrix(grid, k, q):
     ker = KernelK1(k, q, 2)
     out = apply_phi1(fn, ker).samples
     np.testing.assert_allclose(out, phi1_matrix(grid, ker) @ fn.samples, rtol=1e-11, atol=0)
+
+
+def test_phi1_coarse_grid_single_panel_blocks():
+    # A+ h = 90.7 per panel: a block of 8 panels would underflow its cumulative
+    # product, so blocks shrink to 3 panels; against the dense matrix and a
+    # sequential loop over the two recurrences
+    g = LogGrid(-40.0, 40.0, 16)
+    ker = KernelK1(8, 2.0, 2)
+    assert len(_Phi1Plan(g, ker).forward.blocks) == 5
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    out = apply_phi1(ModeFunction(8, "U", g, x), ker).samples
+    np.testing.assert_allclose(out, phi1_matrix(g, ker) @ x, rtol=1e-13, atol=0)
+    y = g.h * x
+    y[[0, -1]] *= 0.5
+    dm, dp = np.exp(-ker.A_minus * g.h), np.exp(-ker.A_plus * g.h)
+    back, fwd = np.zeros(g.n, dtype=complex), np.zeros(g.n, dtype=complex)
+    for i in range(g.n - 2, -1, -1):
+        back[i] = dm * (y[i + 1] + back[i + 1])
+    for i in range(1, g.n):
+        fwd[i] = dp * (y[i - 1] + fwd[i - 1])
+    np.testing.assert_allclose(out, y + back + fwd, rtol=1e-13, atol=0)
+
+
+def test_phi1_rejects_a_grid_too_coarse_for_the_kernel():
+    # A+ h = 709 per panel: e^{-A+ h} of one panel is no longer a normal double
+    g = LogGrid(-40.0, 40.0, 16)
+    with pytest.raises(ValueError, match="too coarse"):
+        apply_phi1(ModeFunction(66, "U", g, np.ones(g.n)), KernelK1(66, 2.0, 2))
+
+
+def test_phi1_plan_batched_matches_columns():
+    # k = 8 on the Young grid: A+ h = 0.33 per panel, several blocks
+    g = LogGrid(-40.0, 40.0, 4097)
+    plan = _Phi1Plan(g, KernelK1(8, 2.0, 2))
+    assert len(plan.forward.blocks) > 1
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((g.n, 4)) + 1j * rng.standard_normal((g.n, 4))
+    batched = plan(X)
+    for j in range(X.shape[1]):
+        np.testing.assert_allclose(batched[:, j], plan(X[:, j]), rtol=1e-14, atol=0)
+
+
+def test_phi1_plan_reuse_leaves_earlier_results():
+    g = LogGrid(-40.0, 40.0, 4097)
+    ker = KernelK1(8, 2.0, 2)
+    plan = _Phi1Plan(g, ker)
+    rng = np.random.default_rng(14)
+    x1, x2 = (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n) for _ in range(2))
+    a1 = plan(x1)
+    kept = a1.copy()
+    a2 = plan(x2)
+    np.testing.assert_array_equal(a1, kept)
+    np.testing.assert_array_equal(a2, _Phi1Plan(g, ker)(x2))
 
 
 def test_phi1_young_bound_randomized():

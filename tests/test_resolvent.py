@@ -152,6 +152,51 @@ def test_scan_plan_rejects_unsupported_combinations():
         _ScanPlan(g, P.alpha, B, 2.0, order=2)
 
 
+@pytest.mark.parametrize("offset, magnitude", [
+    # Re(B) h = 317 per panel: every block is a single panel
+    (2000.0, 1.0),
+    # 682 per panel, just under the cap, on samples of size 1e100: the
+    # balanced block factors stay far from overflow
+    (4300.0, 1e100),
+])
+def test_scan_plan_far_right_matches_sequential_recurrence(offset, magnitude):
+    g = LogGrid(-10.0, 10.0, 64)
+    lam = P.a0 + offset
+    x = magnitude * np.random.default_rng(10).standard_normal(g.n) + 0j
+
+    def sequential(Pn, D):
+        want = np.zeros(g.n, dtype=complex)
+        for i in range(g.n - 2, -1, -1):
+            want[i] = Pn[i] + D[i] * want[i + 1]
+        return want
+
+    kernel = KernelK2(P, 1, lam)
+    B, c = kernel.B, kernel.phase_amplitude
+    plan = _ScanPlan(g, P.alpha, B, c)
+    assert len(plan.recurrence.blocks) == g.n - 1
+    w = np.exp(-P.alpha * g.nodes)
+    D = np.exp(-1j * c * (w[:-1] - w[1:]) - B * g.h)
+    out = apply_phi2(ModeFunction(1, "G", g, x), kernel).samples
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(out, sequential(plan.wi * x[:-1] + plan.wj * x[1:], D),
+                               rtol=1e-13, atol=0)
+
+    # solve_k0's quadratic panels on the same recurrence
+    k0 = _ScanPlan(g, P.alpha, B, 0.0, order=2)  # B does not depend on k
+    Pn = k0.wi * x[:-1] + k0.wj * x[1:]
+    Pn[:-1] += k0.wk * x[2:]
+    U = solve_k0(ModeFunction(0, "G", g, x), lam, P).U.samples
+    want = -P.alpha * sequential(Pn, np.full(g.n - 1, np.exp(-B * g.h)))
+    np.testing.assert_allclose(U, want, rtol=1e-13, atol=0)
+
+
+def test_scan_plan_rejects_a_grid_too_coarse_for_lambda():
+    # Re(B) h = 714 per panel: e^{-B h} of one panel is no longer a normal double
+    g = LogGrid(-10.0, 10.0, 64)
+    with pytest.raises(ValueError, match="too coarse"):
+        solve_k0(ModeFunction(0, "G", g, np.ones(g.n)), P.a0 + 4500.0, P)
+
+
 def test_scan_plan_multiple_blocks_match_sequential_recurrence():
     # Re(B) * h = 3.05 per panel: blocks of 98 panels, three of them here
     g = LogGrid(-10.0, 10.0, 201)
