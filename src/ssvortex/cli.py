@@ -104,10 +104,7 @@ def main(argv=None) -> int:
 
     try:
         file_values = parse_config_file(args.config) if args.config else {}
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

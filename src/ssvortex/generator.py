@@ -30,7 +30,7 @@ import numpy as np
 from . import resolvent
 from .modes import KernelK1, LogGrid, ModeFunction, _Phi1Plan, lq_norm_samples, phi1_matrix
 from .params import VortexParams
-from .resolvent import ode_residual, solve_k0, solve_mode
+from .resolvent import ode_residual, solve_mode
 
 # Third-order upwind-biased h*d/dt for leftward transport, as (offset,
 # coefficient) pairs.  Interior rows 1..n-3 use DRIFT_INTERIOR; rows 0, n-2 and
@@ -113,8 +113,15 @@ def assemble_generator(k: int, params: VortexParams, grid: LogGrid) -> Generator
                            diag=diag, coup=coup, plan=plan)
 
 
-def spectral_radius_estimate(gen: GeneratorMatrix) -> float:
-    """Cheap upper estimate used for the explicit step-size limit."""
+# RK4's stability interval on the real axis is about [-2.79, 0]
+STABLE_DT_SAFETY = 2.5
+# a trace records about this many norm samples after the initial one
+TRACE_SAMPLES = 64
+
+
+def stable_dt(gen: GeneratorMatrix) -> float:
+    """Explicit step-size limit: STABLE_DT_SAFETY over a cheap upper estimate
+    of the generator's spectral radius."""
     p = gen.params
     h = gen.grid.h
     est = 1.8 / (p.alpha * h) + abs(p.a0)
@@ -124,17 +131,7 @@ def spectral_radius_estimate(gen: GeneratorMatrix) -> float:
         est += p.m * gen.k * abs(p.beta) * e_max
         est += 0.5 * p.alpha * (2.0 - p.alpha) * abs(p.beta) * e_max \
             * (1.0 / k1.A_plus + 1.0 / k1.A_minus)
-    return est
-
-
-# RK4's stability interval on the real axis is about [-2.79, 0]
-STABLE_DT_SAFETY = 2.5
-# a trace records about this many norm samples after the initial one
-TRACE_SAMPLES = 64
-
-
-def stable_dt(gen: GeneratorMatrix) -> float:
-    return STABLE_DT_SAFETY / spectral_radius_estimate(gen)
+    return STABLE_DT_SAFETY / est
 
 
 @dataclass
@@ -165,17 +162,10 @@ def growth_fit(times, norms) -> float:
     return float(slope)
 
 
-def evolve(U0, tau_end: float, dt: float | None, gen: GeneratorMatrix) -> EvolutionTrace:
-    """March dU/dtau = L U with the classical 4-stage explicit integrator.
-
-    ``dt=None`` picks the largest stable step; an explicit dt beyond the
-    stability limit is rejected with a suggested value.
-    """
-    limit = stable_dt(gen)
-    if dt is None:
-        dt = limit
-    elif dt > limit * (1.0 + 1e-12):
-        raise ValueError(f"dt = {dt:.3g} exceeds the stability limit; use dt <= {limit:.3g}")
+def evolve(U0, tau_end: float, *, gen: GeneratorMatrix) -> EvolutionTrace:
+    """March dU/dtau = L U with the classical 4-stage explicit integrator, in
+    the fewest equal steps that reach tau_end without exceeding ``stable_dt``."""
+    dt = stable_dt(gen)
     U = np.array(U0, dtype=complex)
     if U.shape != (gen.grid.n,):
         raise ValueError("initial data does not match the generator grid")
@@ -259,8 +249,8 @@ def eig_scan(k_values, params: VortexParams, grid: LogGrid) -> dict:
                                             "resolved": False,
                                             "note": "left of a0, not probeable"})
                     continue
-                G = ModeFunction(k, "G", PROBE_GRID, gauss)
-                sol = solve_k0(G, z, p) if k == 0 else solve_mode(G, z, p)
+                G = ModeFunction(k, PROBE_GRID, gauss)
+                sol = solve_mode(G, z, p)
                 res = ode_residual(sol.U, G, z, p)[0]
                 entry["probes"].append({
                     "lambda": z,

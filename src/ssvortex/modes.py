@@ -28,9 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import VortexParams
-
-REPS = ("psi", "U", "G")
+from .params import VortexParams, _number
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,8 @@ class LogGrid:
     def __post_init__(self):
         if not self.t_min < self.t_max:
             raise ValueError("t_min must be < t_max")
-        if int(self.n) != self.n or self.n < 16:
+        object.__setattr__(self, "n", _number("n", self.n, integer=True))
+        if self.n < 16:
             raise ValueError("grid needs an integer n >= 16")
 
     @property
@@ -62,18 +61,14 @@ class LogGrid:
 class ModeFunction:
     """Complex samples of one azimuthal mode on a LogGrid.
 
-    ``k`` is the mode index (angular factor exp(i*m*k*theta)); ``rep`` names the
-    weighting convention of the samples.
+    ``k`` is the mode index (angular factor exp(i*m*k*theta)).
     """
 
     k: int
-    rep: str
     grid: LogGrid
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.rep not in REPS:
-            raise ValueError(f"rep must be one of {REPS}")
         if int(self.k) != self.k or self.k < 0:
             raise ValueError("k must be a nonnegative integer")
         s = np.array(self.samples, dtype=complex)
@@ -84,8 +79,8 @@ class ModeFunction:
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
-    def with_samples(self, samples, rep=None) -> "ModeFunction":
-        return ModeFunction(self.k, rep or self.rep, self.grid, samples)
+    def with_samples(self, samples) -> "ModeFunction":
+        return ModeFunction(self.k, self.grid, samples)
 
 
 def _trapezoid_weights(n: int) -> np.ndarray:
@@ -129,8 +124,6 @@ def second_order_relation(psi: ModeFunction, params: VortexParams) -> ModeFuncti
     Interior points use 4th-order centered stencils; the two points at each end
     fall back to 2nd order and should be excluded from residual metrics.
     """
-    if psi.rep != "psi":
-        raise ValueError("input must be in the psi representation")
     q, m = params.q, params.m
     h = psi.grid.h
     y = psi.samples
@@ -145,7 +138,7 @@ def second_order_relation(psi: ModeFunction, params: VortexParams) -> ModeFuncti
     d2[-2] = (y[-3] - 2 * y[-2] + y[-1]) / (h * h)
     c1 = 4.0 - 4.0 / q
     c0 = (2.0 - 2.0 / q) ** 2 - float(m * psi.k) ** 2
-    return psi.with_samples(d2 + c1 * d1 + c0 * y, rep="U")
+    return psi.with_samples(d2 + c1 * d1 + c0 * y)
 
 
 @dataclass(frozen=True)
@@ -280,4 +273,4 @@ def psi_from_U(fn: ModeFunction, params: VortexParams) -> ModeFunction:
         raise ValueError("psi_from_U requires k >= 1 (no stream-function coupling at k = 0)")
     plan = _Phi1Plan(fn.grid, KernelK1(k, params.q, params.m))
     scale = -1.0 / (2.0 * params.m * k)
-    return fn.with_samples(scale * plan(fn.samples), rep="psi")
+    return fn.with_samples(scale * plan(fn.samples))

@@ -44,9 +44,10 @@ class VortexParams:
     q: float = 2.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "m", "q"):
+            object.__setattr__(self, name, _number(name, getattr(self, name), name == "m"))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        object.__setattr__(self, "m", _number("m", self.m, integer=True))
         if self.m < 2:
             raise ValueError(f"m must be an integer >= 2, got {self.m}")
         if not 2.0 <= self.q <= 2.0 / self.alpha:

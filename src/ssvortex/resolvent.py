@@ -298,15 +298,16 @@ def solve_k0(G: ModeFunction, lam: complex, params: VortexParams) -> ResolventSo
     kernel = KernelK2(params, 0, lam)
     plan = _ScanPlan(G.grid, params.alpha, kernel.B, 0.0, order=2)
     out = -params.alpha * plan(G.samples)
-    return ResolventSolution(U=G.with_samples(out, rep="U"), iterations=1,
+    return ResolventSolution(U=G.with_samples(out), iterations=1,
                              method="direct", update_history=[])
 
 
 def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
                map_kind: str = "full") -> ResolventSolution:
-    """Solve the mode-k resolvent equation (k = G.k) by Picard iteration of the kernel map.
+    """Solve the mode-k resolvent equation, k = G.k.
 
-    Starting from U0 = -alpha * Phi2(G), each step reconstructs psi from the
+    The radial mode k = 0 has the closed form of ``solve_k0``.  For k >= 1,
+    starting from U0 = -alpha * Phi2(G), each step reconstructs psi from the
     current iterate and integrates the first-order ODE exactly, so the limit
     satisfies the ODE to quadrature accuracy.  If Picard has not converged
     within PICARD_MAX_ITER steps, or diverges, a Krylov solve of the same linear
@@ -314,9 +315,11 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
     map_kind="reduced" the K1-shortcut map is iterated instead (its fixed point
     does not satisfy the ODE at moderate phase rates; see the module docstring).
     """
+    if map_kind not in ("full", "reduced"):
+        raise ValueError("map_kind must be 'full' or 'reduced'")
     k = G.k
-    if k < 1:
-        raise ValueError("solve_mode requires k >= 1; use solve_k0 for the radial mode")
+    if k == 0:
+        return solve_k0(G, lam, params)
     p = params
     kernel = KernelK2(p, k, lam)
     grid = G.grid
@@ -339,15 +342,13 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
             y = scan(y)
             y *= coef
             return y
-    elif map_kind == "reduced":
+    else:
         coef = p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k)
 
         def tmap(x):
             y = phi1(x)
             y *= coef
             return y
-    else:
-        raise ValueError("map_kind must be 'full' or 'reduced'")
 
     U0 = -p.alpha * scan(G.samples)
     method_used = "picard"
@@ -379,7 +380,7 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
             raise ConvergenceError(f"Krylov fallback failed (info={info})", history, gamma)
         method_used = "krylov"
 
-    return ResolventSolution(U=G.with_samples(U, rep="U"), iterations=iters,
+    return ResolventSolution(U=G.with_samples(U), iterations=iters,
                              method=method_used, update_history=history)
 
 
@@ -395,22 +396,15 @@ def _wquad(nu: complex, c: float, w_lo: float, w_hi: float) -> complex:
     absolute floor would let quad accept an O(1) relative error there without a
     warning.  The subdivision budget grows with the phase span c*(w_hi - w_lo).
     """
-    def f(w):
-        return np.exp(1j * c * w) * w**nu
     limit = 300 + int(abs(c) * (w_hi - w_lo))
-    re = quad(lambda w: f(w).real, w_lo, w_hi, epsabs=0.0, limit=limit)[0]
-    im = quad(lambda w: f(w).imag, w_lo, w_hi, epsabs=0.0, limit=limit)[0]
-    return re + 1j * im
+    return quad(lambda w: np.exp(1j * c * w) * w**nu, w_lo, w_hi, epsabs=0.0, limit=limit,
+                complex_func=True)[0]
 
 
-def _tail_integral(t: float, mu: complex, alpha: float, c: float) -> complex:
-    """int_t^inf exp(i c e^{-alpha s} - alpha s - mu s) ds, exactly, via w = e^{-alpha s}."""
-    return _wquad(mu / alpha, c, 0.0, math.exp(-alpha * t)) / alpha
-
-
-def _interval_integral(t: float, r: float, mu: complex, alpha: float, c: float) -> complex:
-    wt, wr = math.exp(-alpha * t), math.exp(-alpha * r)
-    return _wquad(mu / alpha, c, wr, wt) / alpha
+def _span_integral(t: float, r: float, mu: complex, alpha: float, c: float) -> complex:
+    """int_t^r exp(i c e^{-alpha s} - alpha s - mu s) ds, exactly, via w = e^{-alpha s};
+    r = inf gives the half line."""
+    return _wquad(mu / alpha, c, math.exp(-alpha * r), math.exp(-alpha * t)) / alpha
 
 
 def verify_neat_identities(t_samples, mu_samples, params: VortexParams, k: int) -> dict:
@@ -432,34 +426,30 @@ def verify_neat_identities(t_samples, mu_samples, params: VortexParams, k: int) 
     pref = 1.0 / (1j * c * p.alpha)
 
     def closed(x, mu):
+        # the boundary term at s = inf vanishes for Re mu > 0
+        if x == math.inf:
+            return 0.0
         return pref * np.exp(1j * c * math.exp(-p.alpha * x)) * np.exp(-mu * x)
 
-    rows = []
-    err_half = 0.0
-    for t in t_samples:
-        for mu in mu_samples:
-            if not np.real(mu) > 0:
-                continue
-            lhs = _tail_integral(t, mu, p.alpha, c)
-            rhs = closed(t, mu)
-            err = abs(lhs - rhs)
-            err_half = max(err_half, err)
-            rows.append({"identity": "half_line", "t": float(t), "r": math.nan,
-                         "mu": complex(mu), "lhs": lhs, "rhs": rhs, "abs_error": err})
-    err_fin = 0.0
     ts = sorted(t_samples)
-    for i, t in enumerate(ts):
-        for r in ts[i + 1:]:
-            for mu in mu_samples:
-                lhs = _interval_integral(t, r, mu, p.alpha, c)
-                rhs = closed(t, mu) - closed(r, mu)
-                err = abs(lhs - rhs)
-                err_fin = max(err_fin, err)
-                rows.append({"identity": "finite_interval", "t": float(t), "r": float(r),
-                             "mu": complex(mu), "lhs": lhs, "rhs": rhs, "abs_error": err})
+    spans = [("half_line", t, math.inf) for t in t_samples]
+    spans += [("finite_interval", t, r) for i, t in enumerate(ts) for r in ts[i + 1:]]
+    rows = []
+    err = {"half_line": 0.0, "finite_interval": 0.0}
+    for identity, t, r in spans:
+        for mu in mu_samples:
+            if r == math.inf and not np.real(mu) > 0:
+                continue
+            lhs = _span_integral(t, r, mu, p.alpha, c)
+            rhs = closed(t, mu) - closed(r, mu)
+            e = abs(lhs - rhs)
+            err[identity] = max(err[identity], e)
+            rows.append({"identity": identity, "t": float(t),
+                         "r": math.nan if r == math.inf else float(r),
+                         "mu": complex(mu), "lhs": lhs, "rhs": rhs, "abs_error": e})
     return {"skipped": False, "rows": rows,
-            "max_error_half_line": err_half, "max_error_finite": err_fin,
-            "max_error": max(err_half, err_fin)}
+            "max_error_half_line": err["half_line"], "max_error_finite": err["finite_interval"],
+            "max_error": max(err["half_line"], err["finite_interval"])}
 
 
 def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, lam: complex) -> dict:
@@ -491,11 +481,11 @@ def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, 
         phase_t = np.exp(-1j * c * math.exp(-p.alpha * t))
         for r in r_values:
             f1 = phase_t * np.exp(B * t + k1.A_plus * r)
-            lhs = f1 * _tail_integral(max(t, r), mu1, p.alpha, c)
+            lhs = f1 * _span_integral(max(t, r), math.inf, mu1, p.alpha, c)
             f2 = 0.0j
             if t < r:
                 f2 = phase_t * np.exp(B * t - k1.A_minus * r)
-                lhs = lhs + f2 * _interval_integral(t, r, mu2, p.alpha, c)
+                lhs = lhs + f2 * _span_integral(t, r, mu2, p.alpha, c)
             lhs = 1j * c * p.alpha * lhs
             rhs = float(np.exp(-k1.A_plus * (t - r)) if t >= r else np.exp(k1.A_minus * (t - r)))
             err = abs(lhs - rhs)
@@ -527,8 +517,8 @@ def resolvent_bound_check(lambda_values, params: VortexParams, k_max: int,
             worst = 0.0
             for _ in range(batch):
                 raw = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-                G = ModeFunction(k, "G", grid, raw)
-                sol = solve_k0(G, lam, p) if k == 0 else solve_mode(G, lam, p)
+                G = ModeFunction(k, grid, raw)
+                sol = solve_mode(G, lam, p)
                 ratio = lq_norm(sol.U, p.q) / lq_norm(G, p.q)
                 worst = max(worst, ratio)
             M_emp = max(M_emp, worst * (lam.real - p.a0))

@@ -27,7 +27,6 @@ from .resolvent import (
     contraction_bound,
     ode_residual,
     resolvent_bound_check,
-    solve_k0,
     solve_mode,
     verify_kernel_composition,
     verify_neat_identities,
@@ -262,7 +261,7 @@ def _contraction_checks(cfg: RunConfig) -> tuple[list, list]:
             g = contraction_bound(p, k)
             budget = int(math.ceil(math.log(resolvent.PICARD_TOL) / math.log(g))) + 1
             for off in LAMBDA_OFFSETS_YOUNG:
-                G = ModeFunction(k, "G", grid, gauss)
+                G = ModeFunction(k, grid, gauss)
                 sol = solve_mode(G, p.a0 + off, p, map_kind="reduced")
                 # a Picard run that broke off and was finished by Krylov
                 # certifies nothing, however few steps it took
@@ -289,8 +288,8 @@ def _residual_checks(cfg: RunConfig) -> tuple[list, list]:
     min_zone = 1.0
     for lam in cfg.probe_lambdas():
         for k in (0, 1, 2):
-            G = ModeFunction(k, "G", grid, gauss)
-            sol = solve_k0(G, lam, p) if k == 0 else solve_mode(G, lam, p)
+            G = ModeFunction(k, grid, gauss)
+            sol = solve_mode(G, lam, p)
             res, frac, _ = ode_residual(sol.U, G, lam, p)
             worst = max(worst, res)
             min_zone = min(min_zone, frac)
@@ -340,7 +339,7 @@ def suite_semigroup(cfg: RunConfig) -> tuple[dict, list, list]:
 
     def one(k):
         gen = assemble_generator(k, p, grid)
-        return k, evolve(U0, cfg.tau_end, None, gen)
+        return k, evolve(U0, cfg.tau_end, gen=gen)
 
     results = _map_tasks(one, list(range(cfg.k_max + 1)), cfg.workers)
     rows = []

@@ -81,9 +81,10 @@ def test_cli_exit_2_on_empty_sample_set(tmp_path, capsys, line):
 @pytest.mark.parametrize("line", [
     "m = 2.5", "k_max = 1.5", "young_batch = 1.5", "seed = 1+1j", "tau_end = 1+1j",
     "shoot_k = 1, 2.5", "shoot_imags = 1+1j", "scan_n = 8192", "fine_n = 8", "lambdas = -0.5+0j", "out_dir = x",
-    "seed = -5", "scan_t = 0", "tau_end = -1", "shoot_offsets = -0.5"])
+    "seed = -5", "scan_t = 0", "tau_end = -1", "shoot_offsets = -0.5",
+    "beta = nan", "beta = inf", "beta = 1+1j"])
 def test_cli_exit_2_on_invalid_value(tmp_path, capsys, line):
-    # a non-integral integer, a complex real, a grid the dense eigensolve or
+    # a non-integral integer, a complex or non-finite real, a grid the dense eigensolve or
     # the log grid refuses, a key that is not a run input, a negative seed, an
     # empty scan span or evolution time, and a shooting point not right of a0
     # are all rejected before any suite runs
@@ -93,10 +94,12 @@ def test_cli_exit_2_on_invalid_value(tmp_path, capsys, line):
 
 
 def test_build_config_normalizes_types():
-    # integral floats are ints, scalars of tuple keys are 1-tuples
+    # integral floats are ints, ints of real fields are floats, scalars of tuple
+    # keys are 1-tuples
     cfg = build_config({"m": 3.0, "k_max": 2.0, "shoot_k": 1, "lambda_offsets": 0.5 + 1j,
-                        "suites": "shooting"}, {}, None)
+                        "suites": "shooting", "beta": 2}, {}, None)
     assert cfg.params.m == 3 and isinstance(cfg.params.m, int)
+    assert cfg.params.beta == 2.0 and isinstance(cfg.params.beta, float)
     assert cfg.k_max == 2 and isinstance(cfg.k_max, int)
     assert cfg.shoot_k == (1,)
     assert cfg.suites == ("shooting",)
@@ -218,7 +221,7 @@ def test_young_checks_match_one_draw_at_a_time():
             ratios = []
             for _ in range(cfg.young_batch):
                 x = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-                fn = ModeFunction(k, "U", grid, x)
+                fn = ModeFunction(k, grid, x)
                 ratios.append(lq_norm(apply(fn, kernel), q) / lq_norm(fn, q))
             want.append(max(ratios))
     assert len(rows) == len(want)

@@ -19,8 +19,8 @@ from ssvortex.params import VortexParams
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)
 
 
-def gaussian_mode(grid, k=1, rep="U", width=1.0, center=0.0):
-    return ModeFunction(k, rep, grid, np.exp(-((grid.nodes - center) / width) ** 2))
+def gaussian_mode(grid, k=1, width=1.0, center=0.0):
+    return ModeFunction(k, grid, np.exp(-((grid.nodes - center) / width) ** 2))
 
 
 def test_grid_validation():
@@ -28,6 +28,11 @@ def test_grid_validation():
         LogGrid(1.0, 0.0, 64)
     with pytest.raises(ValueError):
         LogGrid(-1.0, 1.0, 8)
+    with pytest.raises(ValueError):
+        LogGrid(-1.0, 1.0, 16.5)
+    # an integral float is normalized to an int
+    g16 = LogGrid(-1, 1, 16.0)
+    assert type(g16.n) is int and g16.n == 16 and g16.nodes.size == 16
     g = LogGrid(-1.0, 1.0, 21)
     assert g.h == pytest.approx(0.1)
     assert g.nodes[0] == -1.0 and g.nodes[-1] == 1.0
@@ -36,11 +41,9 @@ def test_grid_validation():
 def test_mode_function_validation():
     g = LogGrid(-1.0, 1.0, 21)
     with pytest.raises(ValueError):
-        ModeFunction(1, "nope", g, np.zeros(21))
+        ModeFunction(1, g, np.zeros(20))
     with pytest.raises(ValueError):
-        ModeFunction(1, "U", g, np.zeros(20))
-    with pytest.raises(ValueError):
-        ModeFunction(1, "U", g, np.full(21, np.nan))
+        ModeFunction(1, g, np.full(21, np.nan))
 
 
 def test_weighted_norm_matches_radial_norm():
@@ -49,7 +52,7 @@ def test_weighted_norm_matches_radial_norm():
     t = g.nodes
     q = 2.0
     u = np.exp(-t**2)   # u(e^t)
-    U = ModeFunction(1, "U", g, u * np.exp(2.0 * t / q))
+    U = ModeFunction(1, g, u * np.exp(2.0 * t / q))
     # radial-side integral of |u|^q r dr = |u(e^t)|^q e^{2t} dt by quadrature
     radial = np.sqrt(np.trapezoid(np.abs(u) ** 2 * np.exp(2 * t), t))
     assert lq_norm(U, q) == pytest.approx(radial, abs=1e-8)
@@ -57,11 +60,11 @@ def test_weighted_norm_matches_radial_norm():
 
 def test_lq_norm_values():
     g = LogGrid(-10.0, 10.0, 5001)
-    zero = ModeFunction(0, "U", g, np.zeros(g.n))
+    zero = ModeFunction(0, g, np.zeros(g.n))
     assert lq_norm(zero, 2.0) == 0.0
-    ind = ModeFunction(0, "U", g, ((g.nodes >= 0) & (g.nodes <= 1)).astype(complex))
+    ind = ModeFunction(0, g, ((g.nodes >= 0) & (g.nodes <= 1)).astype(complex))
     assert abs(lq_norm(ind, 2.0) - 1.0) < 2 * g.h
-    gauss = ModeFunction(0, "U", g, np.exp(-g.nodes**2))
+    gauss = ModeFunction(0, g, np.exp(-g.nodes**2))
     assert lq_norm(gauss, 2.0) == pytest.approx((np.pi / 2.0) ** 0.25, rel=1e-10)
 
 
@@ -84,10 +87,10 @@ def test_lq_norm_samples_of_a_block_is_per_column():
 
 def test_second_order_relation_zero_and_root():
     g = LogGrid(-2.0, 2.0, 201)
-    zero = ModeFunction(1, "psi", g, np.zeros(g.n))
+    zero = ModeFunction(1, g, np.zeros(g.n))
     assert np.all(second_order_relation(zero, P).samples == 0)
     # m=2, q=2, k=1: U = psi'' + 2 psi' - 3 psi and e^t is a characteristic root
-    et = ModeFunction(1, "psi", g, np.exp(g.nodes))
+    et = ModeFunction(1, g, np.exp(g.nodes))
     out = second_order_relation(et, P)
     assert np.max(np.abs(out.samples[2:-2])) < 1e-7
 
@@ -95,7 +98,7 @@ def test_second_order_relation_zero_and_root():
 def test_second_order_relation_sin_oracle():
     g = LogGrid(-3.0, 3.0, 601)
     t = g.nodes
-    psi = ModeFunction(1, "psi", g, np.sin(t))
+    psi = ModeFunction(1, g, np.sin(t))
     out = second_order_relation(psi, P)
     expect = 2 * np.cos(t) - 4 * np.sin(t)
     np.testing.assert_allclose(out.samples[2:-2], expect[2:-2], atol=1e-6)
@@ -124,7 +127,7 @@ def test_phi1_indicator_closed_form():
     s = ((g.nodes > 0) & (g.nodes < 1)).astype(complex)
     s[np.isclose(g.nodes, 0.0)] = 0.5  # half-value convention at the jumps
     s[np.isclose(g.nodes, 1.0)] = 0.5
-    ind = ModeFunction(1, "U", g, s)
+    ind = ModeFunction(1, g, s)
     ker = KernelK1(1, 2.0, 2)
     out = apply_phi1(ind, ker)
     sel = g.nodes > 1.5
@@ -140,7 +143,7 @@ def test_phi1_indicator_closed_form():
 ])
 def test_phi1_recurrence_matches_matrix(grid, k, q):
     rng = np.random.default_rng(3)
-    fn = ModeFunction(k, "U", grid, rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n))
+    fn = ModeFunction(k, grid, rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n))
     ker = KernelK1(k, q, 2)
     out = apply_phi1(fn, ker).samples
     np.testing.assert_allclose(out, phi1_matrix(grid, ker) @ fn.samples, rtol=1e-11, atol=0)
@@ -155,7 +158,7 @@ def test_phi1_coarse_grid_single_panel_blocks():
     assert len(_Phi1Plan(g, ker).forward.blocks) == 5
     rng = np.random.default_rng(12)
     x = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-    out = apply_phi1(ModeFunction(8, "U", g, x), ker).samples
+    out = apply_phi1(ModeFunction(8, g, x), ker).samples
     np.testing.assert_allclose(out, phi1_matrix(g, ker) @ x, rtol=1e-13, atol=0)
     y = g.h * x
     y[[0, -1]] *= 0.5
@@ -172,7 +175,7 @@ def test_phi1_rejects_a_grid_too_coarse_for_the_kernel():
     # A+ h = 709 per panel: e^{-A+ h} of one panel is no longer a normal double
     g = LogGrid(-40.0, 40.0, 16)
     with pytest.raises(ValueError, match="too coarse"):
-        apply_phi1(ModeFunction(66, "U", g, np.ones(g.n)), KernelK1(66, 2.0, 2))
+        apply_phi1(ModeFunction(66, g, np.ones(g.n)), KernelK1(66, 2.0, 2))
 
 
 def test_phi1_plan_batched_matches_columns():
@@ -207,14 +210,14 @@ def test_phi1_young_bound_randomized():
         ker = KernelK1(k, q, m)
         bound = 2.0 / ker.A_minus
         for _ in range(100):
-            fn = ModeFunction(k, "U", g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+            fn = ModeFunction(k, g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
             ratio = lq_norm(apply_phi1(fn, ker), q) / lq_norm(fn, q)
             assert ratio <= bound * (1 + 1e-6)
 
 
 def test_phi1_zero():
     g = LogGrid(-5.0, 5.0, 65)
-    z = ModeFunction(1, "U", g, np.zeros(g.n))
+    z = ModeFunction(1, g, np.zeros(g.n))
     assert np.all(apply_phi1(z, KernelK1(1, 2.0, 2)).samples == 0)
 
 
@@ -230,10 +233,10 @@ def test_psi_from_u_inverts_second_order_relation():
 
 def test_psi_from_u_trivial_and_errors():
     g = LogGrid(-5.0, 5.0, 65)
-    z = ModeFunction(1, "U", g, np.zeros(g.n))
+    z = ModeFunction(1, g, np.zeros(g.n))
     assert np.all(psi_from_U(z, P).samples == 0)
     with pytest.raises(ValueError):
-        psi_from_U(ModeFunction(0, "U", g, np.zeros(g.n)), P)
+        psi_from_U(ModeFunction(0, g, np.zeros(g.n)), P)
 
 
 def test_psi_tail_slopes():

@@ -33,8 +33,8 @@ def cquad(f, a, b, **kw):
     return re + 1j * im
 
 
-def gaussian(grid, k=1, rep="G"):
-    return ModeFunction(k, rep, grid, np.exp(-grid.nodes**2))
+def gaussian(grid, k=1):
+    return ModeFunction(k, grid, np.exp(-grid.nodes**2))
 
 
 def test_kernel_k2_domain():
@@ -62,7 +62,7 @@ def test_phi2_closed_form_beta_zero():
     s = ((g.nodes > 0) & (g.nodes < 1)).astype(complex)
     s[np.isclose(g.nodes, 0.0)] = 0.5
     s[np.isclose(g.nodes, 1.0)] = 0.5
-    G = ModeFunction(1, "G", g, s)
+    G = ModeFunction(1, g, s)
     out = apply_phi2(G, KernelK2(p0, 1, 0.0))  # B = 0.5
     sel = g.nodes < -0.5
     expect = np.exp(0.5 * g.nodes[sel]) * (1 - np.exp(-0.5)) / 0.5
@@ -71,7 +71,7 @@ def test_phi2_closed_form_beta_zero():
 
 def test_phi2_zero_and_oracle():
     g = LogGrid(-10.0, 10.0, 8001)
-    z = ModeFunction(1, "G", g, np.zeros(g.n))
+    z = ModeFunction(1, g, np.zeros(g.n))
     ker = KernelK2(P, 1, 0.5)
     assert np.all(apply_phi2(z, ker).samples == 0)
     # independent oscillatory quadrature oracle at a few nodes
@@ -92,7 +92,7 @@ def test_phi2_young_bound_randomized():
     ker = KernelK2(P, 1, 0.0)  # Re B = 0.5, bound = 2
     rng = np.random.default_rng(5)
     for _ in range(200):
-        fn = ModeFunction(1, "G", g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+        fn = ModeFunction(1, g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
         ratio = lq_norm(apply_phi2(fn, ker), 2.0) / lq_norm(fn, 2.0)
         assert ratio <= 2.0 * (1 + 1e-6)
 
@@ -100,7 +100,7 @@ def test_phi2_young_bound_randomized():
 def test_phi2_pointwise_majorant():
     g = LogGrid(-15.0, 15.0, 2001)
     rng = np.random.default_rng(6)
-    fn = ModeFunction(1, "G", g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+    fn = ModeFunction(1, g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
     ker = KernelK2(P, 1, 0.25 + 0.7j)
     lhs = np.abs(apply_phi2(fn, ker).samples)
     rhs = _ScanPlan(g, P.alpha, complex(ker.B.real), 0.0)(np.abs(fn.samples)).real
@@ -176,7 +176,7 @@ def test_scan_plan_far_right_matches_sequential_recurrence(offset, magnitude):
     assert len(plan.recurrence.blocks) == g.n - 1
     w = np.exp(-P.alpha * g.nodes)
     D = np.exp(-1j * c * (w[:-1] - w[1:]) - B * g.h)
-    out = apply_phi2(ModeFunction(1, "G", g, x), kernel).samples
+    out = apply_phi2(ModeFunction(1, g, x), kernel).samples
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out, sequential(plan.wi * x[:-1] + plan.wj * x[1:], D),
                                rtol=1e-13, atol=0)
@@ -185,7 +185,7 @@ def test_scan_plan_far_right_matches_sequential_recurrence(offset, magnitude):
     k0 = _ScanPlan(g, P.alpha, B, 0.0, order=2)  # B does not depend on k
     Pn = k0.wi * x[:-1] + k0.wj * x[1:]
     Pn[:-1] += k0.wk * x[2:]
-    U = solve_k0(ModeFunction(0, "G", g, x), lam, P).U.samples
+    U = solve_k0(ModeFunction(0, g, x), lam, P).U.samples
     want = -P.alpha * sequential(Pn, np.full(g.n - 1, np.exp(-B * g.h)))
     np.testing.assert_allclose(U, want, rtol=1e-13, atol=0)
 
@@ -194,7 +194,7 @@ def test_scan_plan_rejects_a_grid_too_coarse_for_lambda():
     # Re(B) h = 714 per panel: e^{-B h} of one panel is no longer a normal double
     g = LogGrid(-10.0, 10.0, 64)
     with pytest.raises(ValueError, match="too coarse"):
-        solve_k0(ModeFunction(0, "G", g, np.ones(g.n)), P.a0 + 4500.0, P)
+        solve_k0(ModeFunction(0, g, np.ones(g.n)), P.a0 + 4500.0, P)
 
 
 def test_scan_plan_multiple_blocks_match_sequential_recurrence():
@@ -219,7 +219,7 @@ def test_solve_k0_closed_form():
     s = ((g.nodes > 0) & (g.nodes < 1)).astype(complex)
     s[np.isclose(g.nodes, 0.0)] = 0.5
     s[np.isclose(g.nodes, 1.0)] = 0.5
-    G = ModeFunction(0, "G", g, s)
+    G = ModeFunction(0, g, s)
     sol = solve_k0(G, 0.0, P)
     sel = g.nodes < -0.5
     expect = -np.exp(0.5 * g.nodes[sel]) * (1 - np.exp(-0.5))
@@ -228,14 +228,14 @@ def test_solve_k0_closed_form():
 
 def test_solve_k0_zero_rhs_and_residual():
     g = LogGrid(-25.0, 25.0, 2**15 + 1)
-    z = ModeFunction(0, "G", g, np.zeros(g.n))
+    z = ModeFunction(0, g, np.zeros(g.n))
     assert np.all(solve_k0(z, 0.5, P).U.samples == 0)
     G = gaussian(g, k=0)
     assert ode_residual(solve_k0(G, -0.5, P).U, G, -0.5, P)[0] < 1e-7
     # Young bound ||U|| <= alpha ||G|| / Re B, here alpha/ReB = 1
     rng = np.random.default_rng(7)
     for _ in range(20):
-        G = ModeFunction(0, "G", g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+        G = ModeFunction(0, g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
         sol = solve_k0(G, 0.0, P)
         assert lq_norm(sol.U, 2.0) <= lq_norm(G, 2.0) * (1 + 1e-6)
     with pytest.raises(ValueError):
@@ -249,17 +249,31 @@ def test_contraction_bound_value():
 
 def test_solve_mode_zero_rhs():
     g = LogGrid(-15.0, 15.0, 1025)
-    z = ModeFunction(1, "G", g, np.zeros(g.n))
+    z = ModeFunction(1, g, np.zeros(g.n))
     sol = solve_mode(z, 0.5, P)
     assert np.all(sol.U.samples == 0)
 
 
-def test_solve_mode_requires_k_positive_and_lambda_right_of_a0():
+def test_solve_mode_requires_lambda_right_of_a0():
     g = LogGrid(-5.0, 5.0, 65)
-    with pytest.raises(ValueError):
-        solve_mode(gaussian(g, k=0), 0.5, P)
-    with pytest.raises(ValueError):
-        solve_mode(gaussian(g), -1.2, P)
+    for k in (0, 1):
+        with pytest.raises(ValueError):
+            solve_mode(gaussian(g, k=k), -1.2, P)
+
+
+def test_solve_mode_k0_is_the_closed_form():
+    g = LogGrid(-15.0, 15.0, 1025)
+    G = gaussian(g, k=0)
+    want = solve_k0(G, 0.5, P)
+    for map_kind in ("full", "reduced"):
+        sol = solve_mode(G, 0.5, P, map_kind=map_kind)
+        assert np.array_equal(sol.U.samples, want.U.samples)
+        assert (sol.iterations, sol.method) == (1, "direct")
+    # the map kind is checked before any branch on k or beta
+    p0 = VortexParams(alpha=0.5, beta=0.0, m=2, q=2.0)
+    for G, p in ((G, P), (gaussian(g), p0)):
+        with pytest.raises(ValueError, match="map_kind"):
+            solve_mode(G, 0.5, p, map_kind="bogus")
 
 
 def test_solve_mode_residual_and_bound():
@@ -391,9 +405,9 @@ def test_neat_identity_skipped_for_beta_zero():
 def test_quadrature_self_convergence():
     # composite Simpson approximations of the tail integral converge to the
     # adaptive-quadrature value at order >= 2
-    from ssvortex.resolvent import _tail_integral
+    from ssvortex.resolvent import _span_integral
     t, mu, alpha, c = 0.0, 1.0, 0.5, 2.0
-    ref = _tail_integral(t, mu, alpha, c)
+    ref = _span_integral(t, math.inf, mu, alpha, c)
     W = np.exp(-alpha * t)
 
     def simpson(n):
