@@ -42,6 +42,7 @@ from .modes import (
     _fd4,
     _Phi1Plan,
     _Recurrence,
+    k1_eval,
     lq_norm,
     lq_norm_samples,
     psi_from_U,
@@ -310,8 +311,8 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
     starting from U0 = -alpha * Phi2(G), each step reconstructs psi from the
     current iterate and integrates the first-order ODE exactly, so the limit
     satisfies the ODE to quadrature accuracy.  If Picard has not converged
-    within PICARD_MAX_ITER steps, or diverges, a Krylov solve of the same linear
-    system takes over; ``method`` of the result says which one finished.  With
+    within PICARD_MAX_ITER steps, a Krylov solve of the same linear system
+    takes over; ``method`` of the result says which one finished.  With
     map_kind="reduced" the K1-shortcut map is iterated instead (its fixed point
     does not satisfy the ODE at moderate phase rates; see the module docstring).
     """
@@ -354,33 +355,22 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
     method_used = "picard"
     history: list[float] = []
     U = U0.copy()
-    iters = 0
-    converged = False
-    growing = 0
     for _ in range(PICARD_MAX_ITER):
         Unew = tmap(U)
         Unew += U0
-        iters += 1
         upd = lq_norm_samples(Unew - U, grid.h, p.q) / max(lq_norm_samples(Unew, grid.h, p.q), 1e-300)
         history.append(upd)
         U = Unew
         if upd < PICARD_TOL:
-            converged = True
             break
-        if len(history) >= 2 and upd > history[-2]:
-            growing += 1
-            if growing >= 4 and upd > 10.0:
-                break
-        else:
-            growing = 0
-    if not converged:
+    else:
         op = LinearOperator((grid.n, grid.n), dtype=complex, matvec=lambda x: x - tmap(x))
         U, info = lgmres(op, U0, x0=U0, rtol=PICARD_TOL, atol=0.0, maxiter=2000)
         if info != 0:
             raise ConvergenceError(f"Krylov fallback failed (info={info})", history, gamma)
         method_used = "krylov"
 
-    return ResolventSolution(U=G.with_samples(U), iterations=iters,
+    return ResolventSolution(U=G.with_samples(U), iterations=len(history),
                              method=method_used, update_history=history)
 
 
@@ -392,9 +382,9 @@ def _wquad(nu: complex, c: float, w_lo: float, w_hi: float) -> complex:
     """Adaptive quadrature of int e^{icw} w^nu dw over [w_lo, w_hi].
 
     The tolerance is purely relative: callers rescale tiny integrals by large
-    prefactors (F1 * i*c*alpha reaches ~6e8 in the composition check), so an
-    absolute floor would let quad accept an O(1) relative error there without a
-    warning.  The subdivision budget grows with the phase span c*(w_hi - w_lo).
+    prefactors (up to ~6e8 in the composition check), so an absolute floor
+    would let quad accept an O(1) relative error there without a warning.  The
+    subdivision budget grows with the phase span c*(w_hi - w_lo).
     """
     limit = 300 + int(abs(c) * (w_hi - w_lo))
     return quad(lambda w: np.exp(1j * c * w) * w**nu, w_lo, w_hi, epsabs=0.0, limit=limit,
@@ -421,8 +411,7 @@ def verify_neat_identities(t_samples, mu_samples, params: VortexParams, k: int) 
     c = p.m * k * p.beta
     if c == 0.0:
         return {"skipped": True, "reason": "beta = 0 (shortcut denominator vanishes)",
-                "rows": [], "max_error_half_line": math.nan,
-                "max_error_finite": math.nan}
+                "rows": [], "max_error": math.nan}
     pref = 1.0 / (1j * c * p.alpha)
 
     def closed(x, mu):
@@ -435,7 +424,7 @@ def verify_neat_identities(t_samples, mu_samples, params: VortexParams, k: int) 
     spans = [("half_line", t, math.inf) for t in t_samples]
     spans += [("finite_interval", t, r) for i, t in enumerate(ts) for r in ts[i + 1:]]
     rows = []
-    err = {"half_line": 0.0, "finite_interval": 0.0}
+    max_err = 0.0
     for identity, t, r in spans:
         for mu in mu_samples:
             if r == math.inf and not np.real(mu) > 0:
@@ -443,13 +432,11 @@ def verify_neat_identities(t_samples, mu_samples, params: VortexParams, k: int) 
             lhs = _span_integral(t, r, mu, p.alpha, c)
             rhs = closed(t, mu) - closed(r, mu)
             e = abs(lhs - rhs)
-            err[identity] = max(err[identity], e)
+            max_err = max(max_err, e)
             rows.append({"identity": identity, "t": float(t),
                          "r": math.nan if r == math.inf else float(r),
                          "mu": complex(mu), "lhs": lhs, "rhs": rhs, "abs_error": e})
-    return {"skipped": False, "rows": rows,
-            "max_error_half_line": err["half_line"], "max_error_finite": err["finite_interval"],
-            "max_error": max(err["half_line"], err["finite_interval"])}
+    return {"skipped": False, "rows": rows, "max_error": max_err}
 
 
 def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, lam: complex) -> dict:
@@ -480,18 +467,16 @@ def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, 
     for t in t_values:
         phase_t = np.exp(-1j * c * math.exp(-p.alpha * t))
         for r in r_values:
-            f1 = phase_t * np.exp(B * t + k1.A_plus * r)
-            lhs = f1 * _span_integral(max(t, r), math.inf, mu1, p.alpha, c)
-            f2 = 0.0j
+            lhs = phase_t * np.exp(B * t + k1.A_plus * r) \
+                * _span_integral(max(t, r), math.inf, mu1, p.alpha, c)
             if t < r:
-                f2 = phase_t * np.exp(B * t - k1.A_minus * r)
-                lhs = lhs + f2 * _span_integral(t, r, mu2, p.alpha, c)
+                lhs = lhs + phase_t * np.exp(B * t - k1.A_minus * r) \
+                    * _span_integral(t, r, mu2, p.alpha, c)
             lhs = 1j * c * p.alpha * lhs
-            rhs = float(np.exp(-k1.A_plus * (t - r)) if t >= r else np.exp(k1.A_minus * (t - r)))
+            rhs = k1_eval(t, r, k1)
             err = abs(lhs - rhs)
             max_err = max(max_err, err)
-            rows.append({"t": float(t), "r": float(r), "lhs": lhs, "k1": rhs,
-                         "F1": f1, "F2": f2, "abs_error": err})
+            rows.append({"t": float(t), "r": float(r), "lhs": lhs, "k1": rhs, "abs_error": err})
     return {"skipped": False, "rows": rows, "max_error": max_err}
 
 

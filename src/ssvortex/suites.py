@@ -154,13 +154,12 @@ def suite_identities(cfg: RunConfig) -> tuple[dict, list, list]:
         comp_reports.append(verify_kernel_composition(lattice, lattice, p, cs["k"], cs["lam"]))
 
     rows = []
-    if not neat.get("skipped"):
-        for r in neat["rows"]:
-            rows.append({
-                "check": r["identity"], "t": r["t"], "r": r["r"],
-                "mu_re": complex(r["mu"]).real, "mu_im": complex(r["mu"]).imag,
-                "abs_error": r["abs_error"],
-            })
+    for r in neat["rows"]:
+        rows.append({
+            "check": r["identity"], "t": r["t"], "r": r["r"],
+            "mu_re": complex(r["mu"]).real, "mu_im": complex(r["mu"]).imag,
+            "abs_error": r["abs_error"],
+        })
     for cs, rep in zip(comp_sets, comp_reports):
         for r in rep["rows"]:
             rows.append({
@@ -168,8 +167,7 @@ def suite_identities(cfg: RunConfig) -> tuple[dict, list, list]:
                 "mu_re": complex(cs["lam"]).real, "mu_im": complex(cs["lam"]).imag,
                 "abs_error": r["abs_error"],
             })
-    max_neat = max(neat.get("max_error_half_line", math.nan),
-                   neat.get("max_error_finite", math.nan))
+    max_neat = neat["max_error"]
     max_comp = max(rep["max_error"] for rep in comp_reports)
     checks = [
         {"name": "tail_and_interval_shortcuts", "max_error": max_neat,

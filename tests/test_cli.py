@@ -237,17 +237,6 @@ def test_residual_check_reports_min_zone_fraction(tmp_path):
     assert len(rows) == 3 * len(cfg.lambda_offsets)
 
 
-def test_repeat_runs_are_byte_identical(tmp_path):
-    cfg1 = _small_all_config(tmp_path, "r1")
-    cfg2 = _small_all_config(tmp_path, "r2")
-    run(cfg1, log=lambda *a: None)
-    run(cfg2, log=lambda *a: None)
-    names = sorted(os.listdir(tmp_path / "r1"))
-    assert names == sorted(os.listdir(tmp_path / "r2"))
-    for name in names:
-        assert filecmp.cmp(tmp_path / "r1" / name, tmp_path / "r2" / name, shallow=False), name
-
-
 def test_worker_pool_output_matches_sequential(tmp_path):
     cfg1 = _small_all_config(tmp_path, "w1")
     cfg2 = _small_all_config(tmp_path, "w2")

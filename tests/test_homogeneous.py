@@ -47,6 +47,9 @@ def test_homo2_parameter_identities_lattice():
 def test_homo2_params_requires_k_positive():
     with pytest.raises(ValueError):
         homo2_params(P, 0, 0.0)
+    # the bundle is the m = 2 form: any other fold is rejected, not misread
+    with pytest.raises(ValueError):
+        homo2_params(VortexParams(alpha=0.5, beta=1.0, m=3, q=2.0), 1, 0.0)
 
 
 def test_series_at_zero_with_gamma_pole():
@@ -66,6 +69,7 @@ def test_series_term_budget_guard():
 
 
 def test_homo2_ode_defect_small():
+    # the derivatives are exact series, so only roundoff is left
     cases = [
         homo2_params(P, 1, 0.0),
         homo2_params(P, 1, 0.5),
@@ -73,7 +77,7 @@ def test_homo2_ode_defect_small():
     ]
     zs = np.linspace(0.1, 2.0, 10)
     for hp in cases:
-        assert homo2_defect(hp, zs) < 1e-6
+        assert homo2_defect(hp, zs) <= 1e-12
 
 
 def test_shoot_k0_analytic():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from ssvortex.modes import (
     KernelK1,
@@ -54,7 +55,7 @@ def test_weighted_norm_matches_radial_norm():
     u = np.exp(-t**2)   # u(e^t)
     U = ModeFunction(1, g, u * np.exp(2.0 * t / q))
     # radial-side integral of |u|^q r dr = |u(e^t)|^q e^{2t} dt by quadrature
-    radial = np.sqrt(np.trapezoid(np.abs(u) ** 2 * np.exp(2 * t), t))
+    radial = np.sqrt(trapezoid(np.abs(u) ** 2 * np.exp(2 * t), t))
     assert lq_norm(U, q) == pytest.approx(radial, abs=1e-8)
 
 

@@ -2,10 +2,12 @@
 
 `bench/tracing.py` rebinds named `ssvortex` functions and reads arguments and
 results of some of them; its own smoke test is not part of this suite, so a
-rename that breaks it shows here first.  The signatures below are pinned so
-that a new solver option shows up as a test diff.
+rename that breaks it shows here first.  The signatures and the fields of the
+public result types below are pinned so that a new solver option or a changed
+field shows up as a test diff.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -66,3 +68,16 @@ def test_solver_signatures():
     }
     for name, params in expected.items():
         assert list(inspect.signature(getattr(ssvortex, name)).parameters) == params, name
+
+
+def test_public_dataclass_fields():
+    # the tracer reads `iterations`, `method`, `steps`, `verdict` and `grid`
+    expected = {
+        "ResolventSolution": ["U", "iterations", "method", "update_history"],
+        "EvolutionTrace": ["times", "norms", "fitted_rate", "dt", "steps"],
+        "ShootingResult": ["lam", "k", "mismatch", "verdict", "note"],
+        "ModeFunction": ["k", "grid", "samples"],
+        "Homo2Params": ["a1", "a2", "b1", "b2", "q_frak"],
+    }
+    for name, fields in expected.items():
+        assert [f.name for f in dataclasses.fields(getattr(ssvortex, name))] == fields, name
