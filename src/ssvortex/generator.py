@@ -242,13 +242,6 @@ def eig_scan(k_values, params: VortexParams, grid: LogGrid) -> dict:
         if flagged.size:
             gauss = np.exp(-PROBE_GRID.nodes**2).astype(complex)
             for z in _dedupe_flags(flagged):
-                if not z.real > a0:
-                    # the solve is only defined right of a0; such a flag cannot
-                    # be discarded by a probe
-                    entry["probes"].append({"lambda": z, "residual": math.inf,
-                                            "resolved": False,
-                                            "note": "left of a0, not probeable"})
-                    continue
                 G = ModeFunction(k, PROBE_GRID, gauss)
                 sol = solve_mode(G, z, p)
                 res = ode_residual(sol.U, G, z, p)[0]

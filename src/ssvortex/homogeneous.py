@@ -11,13 +11,16 @@ whose regular-at-zero branch is the regularized hypergeometric series
     q# = sqrt(alpha^2 - 2*alpha + 4k^2)/alpha.
 
 Whether any solution of the original equation is q-integrable is decided
-numerically: the two-dimensional manifold of solutions admissible at t -> -inf
-is integrated as a wedge (cross-product) vector, the one-dimensional manifold
+numerically on its first-order form y' = A(t) y.  The two-dimensional manifold
+of solutions admissible at t -> -inf is integrated as its normal eta, which
+solves the adjoint equation eta' = -A^T eta, the one-dimensional manifold
 admissible at t -> +inf as a plain vector, and the normalized connection
-determinant at t = 0 measures their transversality.  A mismatch above threshold
-certifies that no nontrivial integrable solution exists at that lambda.
+determinant at t = 0 measures their transversality.  (The cross product of two
+solutions is eta times exp(int tr A), a scalar that renormalization discards,
+so the adjoint flow need not resolve the fast phase of tr A.)  A mismatch above
+threshold certifies that no nontrivial integrable solution exists at that lambda.
 
-`shoot_batch` integrates many (k, lambda) points at once: the left wedges of
+`shoot_batch` integrates many (k, lambda) points at once: the left normals of
 all of them as one stacked system and their right vectors as a second, with
 one vectorized right-hand side each.  The batched points share the adaptive
 steps and scipy's RMS error norm, so a point's mismatch depends on its batch
@@ -41,7 +44,7 @@ INCONCLUSIVE = "inconclusive"
 
 # a normalized connection determinant above this certifies NO_INTEGRABLE
 MISMATCH_THRESHOLD = 1e-6
-# wedge/vector integration: DOP853 relative tolerance, and the number of
+# normal/vector integration: DOP853 relative tolerance, and the number of
 # chunks per side after each of which the state is renormalized
 SHOOT_RTOL = 1e-8
 SHOOT_CHUNKS = 24
@@ -179,11 +182,6 @@ def _system(params: VortexParams, ks: np.ndarray, lams: np.ndarray):
     return M0, M1
 
 
-def _wedge(M: np.ndarray) -> np.ndarray:
-    """Generator of the wedge (cross-product) flow: trace(M) I - M^T per task."""
-    return np.trace(M, axis1=1, axis2=2)[:, None, None] * np.eye(3) - M.transpose(0, 2, 1)
-
-
 def _flow_to_zero(A0, A1, alpha: float, y0, t_start: float, side: str) -> np.ndarray:
     """Integrate every task's y' = (A0 + e^{-alpha t} A1) y from t_start to the
     matching point t = 0 as one stacked system, in SHOOT_CHUNKS chunks,
@@ -210,8 +208,9 @@ def _mismatches(params: VortexParams, kernels: list, lams: list) -> np.ndarray:
     p = params
     M0, M1 = _system(p, np.array([k1.k for k1 in kernels], dtype=float),
                      np.array(lams, dtype=complex))
-    # left 2-plane spanned by (1, A-, 0) and (0, 0, 1): wedge = (A-, -1, 0)
-    eta = _flow_to_zero(_wedge(M0), _wedge(M1), p.alpha,
+    # left 2-plane spanned by (1, A-, 0) and (0, 0, 1): its normal (A-, -1, 0)
+    # follows the adjoint flow -M^T
+    eta = _flow_to_zero(-M0.transpose(0, 2, 1), -M1.transpose(0, 2, 1), p.alpha,
                         [[k1.A_minus, -1.0, 0.0] for k1 in kernels], -SHOOT_SPAN, "left")
     yC = _flow_to_zero(M0, M1, p.alpha,
                        [[1.0, -k1.A_plus, 0.0] for k1 in kernels], SHOOT_SPAN, "right")
@@ -223,12 +222,12 @@ def shoot_batch(params: VortexParams, tasks: list[tuple[int, complex]]) -> list[
     (k, lambda) in ``tasks``, in order.
 
     The left-admissible plane (decaying stream-function branch plus the decaying
-    U branch) is integrated as its wedge vector with chunked renormalization;
-    the right-admissible line (psi ~ e^{-(mk+2-2/q)t}) is integrated backward.
-    ``mismatch`` is the normalized connection determinant at t = 0.  The left
-    wedges of every k >= 1 task form one stacked system and their right vectors
-    a second; if a batch of several tasks fails, each task is rerun alone, so
-    that only a task that fails by itself is inconclusive.
+    U branch) is integrated as its normal under the adjoint flow with chunked
+    renormalization; the right-admissible line (psi ~ e^{-(mk+2-2/q)t}) is
+    integrated backward.  ``mismatch`` is the normalized connection determinant
+    at t = 0.  The left normals of every k >= 1 task form one stacked system and
+    their right vectors a second; if a batch of several tasks fails, each task
+    is rerun alone, so that only a task that fails by itself is inconclusive.
     """
     p = params
     tasks = [(k, complex(lam)) for k, lam in tasks]

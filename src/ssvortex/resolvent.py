@@ -270,9 +270,9 @@ def ode_residual(U: ModeFunction, G: ModeFunction, lam: complex, params: VortexP
 # --------------------------------------------------------------------------
 
 # Picard stops once the relative update falls below PICARD_TOL, or after
-# PICARD_MAX_ITER steps, when a Krylov solve to the same relative tolerance takes
-# over; a solve is judged by its ODE residual (``ode_residual``) against
-# RESIDUAL_TOL
+# PICARD_MAX_ITER steps or an overflow, when a Krylov solve to the same relative
+# tolerance takes over; a solve is judged by its ODE residual (``ode_residual``)
+# against RESIDUAL_TOL
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 400
 RESIDUAL_TOL = 1e-6
@@ -311,10 +311,11 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
     starting from U0 = -alpha * Phi2(G), each step reconstructs psi from the
     current iterate and integrates the first-order ODE exactly, so the limit
     satisfies the ODE to quadrature accuracy.  If Picard has not converged
-    within PICARD_MAX_ITER steps, a Krylov solve of the same linear system
-    takes over; ``method`` of the result says which one finished.  With
-    map_kind="reduced" the K1-shortcut map is iterated instead (its fixed point
-    does not satisfy the ODE at moderate phase rates; see the module docstring).
+    within PICARD_MAX_ITER steps, or its iterates overflow first, a Krylov
+    solve of the same linear system takes over from U0; ``method`` of the
+    result says which one finished.  With map_kind="reduced" the K1-shortcut
+    map is iterated instead (its fixed point does not satisfy the ODE at
+    moderate phase rates; see the module docstring).
     """
     if map_kind not in ("full", "reduced"):
         raise ValueError("map_kind must be 'full' or 'reduced'")
@@ -352,26 +353,27 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
             return y
 
     U0 = -p.alpha * scan(G.samples)
-    method_used = "picard"
     history: list[float] = []
     U = U0.copy()
     for _ in range(PICARD_MAX_ITER):
         Unew = tmap(U)
         Unew += U0
-        upd = lq_norm_samples(Unew - U, grid.h, p.q) / max(lq_norm_samples(Unew, grid.h, p.q), 1e-300)
+        size = lq_norm_samples(Unew, grid.h, p.q)
+        diff = lq_norm_samples(Unew - U, grid.h, p.q)
+        upd = diff / max(size, 1e-300) if math.isfinite(size) else math.inf
         history.append(upd)
+        if not math.isfinite(upd):
+            break  # the iterates overflowed: Picard diverges, Krylov takes over
         U = Unew
         if upd < PICARD_TOL:
-            break
-    else:
-        op = LinearOperator((grid.n, grid.n), dtype=complex, matvec=lambda x: x - tmap(x))
-        U, info = lgmres(op, U0, x0=U0, rtol=PICARD_TOL, atol=0.0, maxiter=2000)
-        if info != 0:
-            raise ConvergenceError(f"Krylov fallback failed (info={info})", history, gamma)
-        method_used = "krylov"
-
+            return ResolventSolution(U=G.with_samples(U), iterations=len(history),
+                                     method="picard", update_history=history)
+    op = LinearOperator((grid.n, grid.n), dtype=complex, matvec=lambda x: x - tmap(x))
+    U, info = lgmres(op, U0, x0=U0, rtol=PICARD_TOL, atol=0.0, maxiter=2000)
+    if info != 0:
+        raise ConvergenceError(f"Krylov fallback failed (info={info})", history, gamma)
     return ResolventSolution(U=G.with_samples(U), iterations=len(history),
-                             method=method_used, update_history=history)
+                             method="krylov", update_history=history)
 
 
 # --------------------------------------------------------------------------

@@ -408,20 +408,15 @@ def suite_shooting(cfg: RunConfig) -> tuple[dict, list, list]:
 # emission
 # --------------------------------------------------------------------------
 
-def _sanitize(obj):
+def _json_default(obj):
+    """JSON form of the values json cannot write itself: complex as [re, im]."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _fmt_cell(v) -> str:
@@ -441,7 +436,7 @@ def emit(report: dict, rows: list, columns: list, out_dir: str, name: str) -> tu
     jpath = os.path.join(out_dir, f"{name}.json")
     cpath = os.path.join(out_dir, f"{name}.csv")
     with open(jpath, "w") as fh:
-        json.dump(_sanitize(report), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
     with open(cpath, "w") as fh:
         fh.write(",".join(columns) + "\n")

@@ -213,18 +213,15 @@ def test_eig_scan_refinement_converges_left_of_a0():
     assert max(res) <= P.a0 + 0.05
 
 
-def test_eig_scan_unprobeable_flags_are_survivors(monkeypatch):
-    # with an artificially negative threshold every eigenvalue is flagged; the
-    # ones left of a0 cannot be cross-probed and must be reported as surviving
+def test_eig_scan_flag_left_of_a0_raises(monkeypatch):
+    # a flag lies right of a0 + EPS_DISC; with an artificially negative
+    # threshold a flag left of a0 reaches the probe solve, which rejects it
+    # instead of passing it silently
     monkeypatch.setattr(generator, "EPS_DISC", -90.0)
     monkeypatch.setattr(generator, "PROBE_GRID", LogGrid(-18.0, 18.0, 2**14 + 1))
     g = LogGrid(-8.0, 8.0, 256)
-    rep = eig_scan([1], P, g)
-    m = rep["modes"][0]
-    assert m["n_flagged"] > 0
-    assert m["probes"]
-    assert m["survivors"]
-    assert not rep["passed"]
+    with pytest.raises(ValueError, match="a0"):
+        eig_scan([1], P, g)
 
 
 def test_eig_scan_probe_judged_by_residual_tol(monkeypatch):

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from ssvortex import homogeneous
 from ssvortex.homogeneous import (
@@ -16,10 +17,12 @@ from ssvortex.homogeneous import (
     shoot_batch,
     shoot_homogeneous,
 )
+from ssvortex.modes import KernelK1
 from ssvortex.params import VortexParams
 from ssvortex.suites import RunConfig
 
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)  # a0 = -1
+_P_NEG = VortexParams(alpha=0.5, beta=-1.0, m=3, q=4.0)
 
 
 def test_homo2_params_values():
@@ -113,11 +116,59 @@ def _grid(p, ks, offsets, imags):
 # the default shooting grid, and a negative-beta vortex with m = 3 at q > 2/alpha
 # down to Re(lambda) - a0 = 0.05 (k <= 2 there: its single-task solves are slow)
 _DEFAULT = RunConfig()
-_P_NEG = VortexParams(alpha=0.5, beta=-1.0, m=3, q=4.0)
 AGREEMENT_CASES = {
     "default": (P, _grid(P, _DEFAULT.shoot_k, _DEFAULT.shoot_offsets, _DEFAULT.shoot_imags)),
     "beta_neg_m3_q4": (_P_NEG, _grid(_P_NEG, (1, 2), (0.05, 1.0, 4.0), (-1.0, 0.0))),
 }
+
+
+def _flow(p, k, lam, y0, t0):
+    """One solution of the mode system y' = (M0 + e^{-alpha t} M1) y from t0 to 0."""
+    M0, M1 = homogeneous._system(p, np.array([float(k)]), np.array([lam]))
+
+    def rhs(t, y):
+        return (M0[0] + math.exp(-p.alpha * t) * M1[0]) @ y
+
+    sol = solve_ivp(rhs, (t0, 0.0), np.array(y0, dtype=complex), method="DOP853",
+                    rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return sol.y[:, -1]
+
+
+# a default-vortex batch (one complex lambda) and a negative-beta m = 3 vortex
+TEXTBOOK_CASES = [
+    (P, [(1, complex(P.a0 + 1.0)), (2, complex(P.a0 + 0.5, 1.0))]),
+    (_P_NEG, [(1, complex(_P_NEG.a0 + 0.3, -0.5)), (2, complex(_P_NEG.a0 + 2.0))]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(TEXTBOOK_CASES)))
+def test_adjoint_normal_gives_textbook_determinant(case, monkeypatch):
+    # the normal of the left plane is integrated by the adjoint flow; the
+    # textbook form integrates the plane's two spanning solutions u, v and the
+    # right solution y_C separately and takes |det[u, v, y_C]| / (|u x v| |y_C|)
+    monkeypatch.setattr(homogeneous, "SHOOT_SPAN", 2.0)
+    p, tasks = TEXTBOOK_CASES[case]
+    results = shoot_batch(p, tasks)
+    for r, (k, lam) in zip(results, tasks):
+        k1 = KernelK1(k, p.q, p.m)
+        u = _flow(p, k, lam, [1.0, k1.A_minus, 0.0], -2.0)
+        v = _flow(p, k, lam, [0.0, 0.0, 1.0], -2.0)
+        yC = _flow(p, k, lam, [1.0, -k1.A_plus, 0.0], 2.0)
+        det = np.linalg.det(np.column_stack([u, v, yC]))
+        expected = abs(det) / (np.linalg.norm(np.cross(u, v)) * np.linalg.norm(yC))
+        assert r.verdict == NO_INTEGRABLE
+        assert r.mismatch == pytest.approx(expected, rel=1e-7, abs=0.0)
+
+
+def test_shoot_large_k_needs_renormalization():
+    # at k = 16 and 32 the left normal and the right vector grow by far more
+    # than a double holds over SHOOT_SPAN; only the chunked renormalization
+    # keeps them finite
+    lam = complex(P.a0 + 1.0, 0.5)
+    for r in shoot_batch(P, [(16, lam), (32, lam)]):
+        assert r.verdict == NO_INTEGRABLE
+        assert math.isfinite(r.mismatch) and r.mismatch > homogeneous.MISMATCH_THRESHOLD
 
 
 @pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))

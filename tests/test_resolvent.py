@@ -531,3 +531,33 @@ def test_auto_method_falls_back_to_krylov(monkeypatch):
     assert len(sol.update_history) == 2
     assert ode_residual(sol.U, G, -0.5, P)[0] < 1e-5
     np.testing.assert_allclose(sol.U.samples, ref.U.samples, atol=1e-8 * np.abs(ref.U.samples).max())
+
+
+def test_picard_overflow_hands_over_to_krylov(monkeypatch):
+    # a Phi1 scaled by 50 makes the Picard map expand: its iterates overflow
+    # within about 160 steps, and the first non-finite update must end Picard
+    # and start Krylov from U0 (here a stub that fails at once)
+    from ssvortex.resolvent import ConvergenceError
+    real = resolvent._Phi1Plan
+
+    def scaled(grid, kernel):
+        plan = real(grid, kernel)
+        return lambda x: 50.0 * plan(x)
+
+    starts = []
+
+    def failing_lgmres(op, b, **kw):
+        starts.append((b, kw["x0"]))
+        return b, 1
+
+    monkeypatch.setattr(resolvent, "_Phi1Plan", scaled)
+    monkeypatch.setattr(resolvent, "lgmres", failing_lgmres)
+    G = gaussian(LogGrid(-15.0, 15.0, 257))
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
+        solve_mode(G, -0.5, P)
+    history = exc.value.history
+    assert len(history) < resolvent.PICARD_MAX_ITER
+    assert not math.isfinite(history[-1])
+    assert all(math.isfinite(u) for u in history[:-1])
+    ((b, x0),) = starts
+    assert np.isfinite(x0).all() and np.array_equal(x0, b)
