@@ -139,8 +139,8 @@ class EvolutionTrace:
     times: np.ndarray
     norms: np.ndarray
     fitted_rate: float
-    dt: float = math.nan
-    steps: int = 0
+    dt: float
+    steps: int
 
 
 def growth_fit(times, norms) -> float:

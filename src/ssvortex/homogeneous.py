@@ -16,9 +16,11 @@ of solutions admissible at t -> -inf is integrated as its normal eta, which
 solves the adjoint equation eta' = -A^T eta, the one-dimensional manifold
 admissible at t -> +inf as a plain vector, and the normalized connection
 determinant at t = 0 measures their transversality.  (The cross product of two
-solutions is eta times exp(int tr A), a scalar that renormalization discards,
-so the adjoint flow need not resolve the fast phase of tr A.)  A mismatch above
-threshold certifies that no nontrivial integrable solution exists at that lambda.
+solutions is eta times exp(int tr A), a scalar that the normalization discards,
+so the adjoint flow need not resolve the fast phase of tr A.)  Both flows are
+shifted by the rate A+ at which both sides grow toward t = 0: that keeps them
+bounded and only scales them by positive factors.  A mismatch above threshold
+certifies that no nontrivial integrable solution exists at that lambda.
 
 `shoot_batch` integrates many (k, lambda) points at once: the left normals of
 all of them as one stacked system and their right vectors as a second, with
@@ -44,10 +46,8 @@ INCONCLUSIVE = "inconclusive"
 
 # a normalized connection determinant above this certifies NO_INTEGRABLE
 MISMATCH_THRESHOLD = 1e-6
-# normal/vector integration: DOP853 relative tolerance, and the number of
-# chunks per side after each of which the state is renormalized
+# normal/vector integration: DOP853 relative tolerance
 SHOOT_RTOL = 1e-8
-SHOOT_CHUNKS = 24
 # the left side is integrated from t = -SHOOT_SPAN and the right side from
 # t = SHOOT_SPAN, both to the matching point t = 0
 SHOOT_SPAN = 12.0
@@ -157,7 +157,7 @@ class ShootingResult:
     k: int
     mismatch: float
     verdict: str
-    note: str = ""
+    note: str
 
 
 class _FlowFailed(RuntimeError):
@@ -183,36 +183,36 @@ def _system(params: VortexParams, ks: np.ndarray, lams: np.ndarray):
 
 
 def _flow_to_zero(A0, A1, alpha: float, y0, t_start: float, side: str) -> np.ndarray:
-    """Integrate every task's y' = (A0 + e^{-alpha t} A1) y from t_start to the
-    matching point t = 0 as one stacked system, in SHOOT_CHUNKS chunks,
-    renormalizing each task's block to unit length before the first chunk and
-    after each one.  Returns the blocks, shape (tasks, 3)."""
+    """Integrate every task's y' = (A0 + e^{-alpha t} A1) y from a unit block at
+    t_start to t = 0, all as one system; returns the unit end blocks (tasks, 3)."""
 
     def rhs(t, y):
         return ((A0 + math.exp(-alpha * t) * A1) @ y.reshape(-1, 3, 1)).ravel()
 
     Y = np.array(y0, dtype=complex)
     Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-    edges = np.linspace(t_start, 0.0, SHOOT_CHUNKS + 1)
-    for t0, t1 in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(rhs, (t0, t1), Y.ravel(), method="DOP853", rtol=SHOOT_RTOL, atol=1e-13)
-        if not sol.success:
-            raise _FlowFailed(f"{side} integration failed: {sol.message}")
-        Y = sol.y[:, -1].reshape(-1, 3)
-        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-    return Y
+    sol = solve_ivp(rhs, (t_start, 0.0), Y.ravel(), method="DOP853", rtol=SHOOT_RTOL, atol=1e-13)
+    if not sol.success:
+        raise _FlowFailed(f"{side} integration failed: {sol.message}")
+    Y = sol.y[:, -1].reshape(-1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite block's norm can overflow
+        norms = np.linalg.norm(Y, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norms)):
+        raise _FlowFailed(f"{side} integration overflowed")
+    return Y / norms
 
 
 def _mismatches(params: VortexParams, kernels: list, lams: list) -> np.ndarray:
     """Normalized connection determinants at t = 0 of a batch of k >= 1 tasks."""
-    p = params
-    M0, M1 = _system(p, np.array([k1.k for k1 in kernels], dtype=float),
+    M0, M1 = _system(params, np.array([k1.k for k1 in kernels], dtype=float),
                      np.array(lams, dtype=complex))
     # left 2-plane spanned by (1, A-, 0) and (0, 0, 1): its normal (A-, -1, 0)
-    # follows the adjoint flow -M^T
-    eta = _flow_to_zero(-M0.transpose(0, 2, 1), -M1.transpose(0, 2, 1), p.alpha,
+    # follows -M^T and grows at the plane's rate A- + alpha (lambda - a0) - tr M0
+    # = A+, the right vector like e^{-A+ t}: both flows are shifted by A+
+    shift = np.array([k1.A_plus for k1 in kernels])[:, None, None] * np.eye(3)
+    eta = _flow_to_zero(-M0.transpose(0, 2, 1) - shift, -M1.transpose(0, 2, 1), params.alpha,
                         [[k1.A_minus, -1.0, 0.0] for k1 in kernels], -SHOOT_SPAN, "left")
-    yC = _flow_to_zero(M0, M1, p.alpha,
+    yC = _flow_to_zero(M0 + shift, M1, params.alpha,
                        [[1.0, -k1.A_plus, 0.0] for k1 in kernels], SHOOT_SPAN, "right")
     return np.abs(np.sum(eta * yC, axis=1))
 
@@ -222,12 +222,12 @@ def shoot_batch(params: VortexParams, tasks: list[tuple[int, complex]]) -> list[
     (k, lambda) in ``tasks``, in order.
 
     The left-admissible plane (decaying stream-function branch plus the decaying
-    U branch) is integrated as its normal under the adjoint flow with chunked
-    renormalization; the right-admissible line (psi ~ e^{-(mk+2-2/q)t}) is
-    integrated backward.  ``mismatch`` is the normalized connection determinant
-    at t = 0.  The left normals of every k >= 1 task form one stacked system and
-    their right vectors a second; if a batch of several tasks fails, each task
-    is rerun alone, so that only a task that fails by itself is inconclusive.
+    U branch) is integrated as its normal under the adjoint flow; the
+    right-admissible line (psi ~ e^{-(mk+2-2/q)t}) is integrated backward.
+    ``mismatch`` is the normalized connection determinant at t = 0.  The left
+    normals of every k >= 1 task are one integration and their right vectors a
+    second, each with the growth e^{A+ |t|} shifted out.  If a batch fails or
+    overflows, each task is rerun alone: only a task failing alone is inconclusive.
     """
     p = params
     tasks = [(k, complex(lam)) for k, lam in tasks]

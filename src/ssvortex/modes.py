@@ -35,9 +35,9 @@ from .params import VortexParams, _number
 class LogGrid:
     """Uniform grid in t = log r covering r in [e^t_min, e^t_max]."""
 
-    t_min: float = -40.0
-    t_max: float = 40.0
-    n: int = 4096
+    t_min: float
+    t_max: float
+    n: int
 
     def __post_init__(self):
         if not self.t_min < self.t_max:

@@ -53,9 +53,9 @@ from .params import VortexParams
 class ConvergenceError(RuntimeError):
     """Raised when an iterative solve fails; carries the update history."""
 
-    def __init__(self, message, history=None, gamma=None):
+    def __init__(self, message, history, gamma):
         super().__init__(message)
-        self.history = list(history or [])
+        self.history = list(history)
         self.gamma = gamma
 
 

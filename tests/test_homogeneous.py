@@ -162,13 +162,45 @@ def test_adjoint_normal_gives_textbook_determinant(case, monkeypatch):
 
 
 def test_shoot_large_k_needs_renormalization():
-    # at k = 16 and 32 the left normal and the right vector grow by far more
-    # than a double holds over SHOOT_SPAN; only the chunked renormalization
-    # keeps them finite
+    # at k = 16, 32 and 64 the unshifted left normal and right vector would grow
+    # like e^{A+ SHOOT_SPAN}, far more than a double holds; the shift by A+ is
+    # what keeps them finite in one integration per side
     lam = complex(P.a0 + 1.0, 0.5)
-    for r in shoot_batch(P, [(16, lam), (32, lam)]):
+    for r in shoot_batch(P, [(16, lam), (32, lam), (64, lam)]):
         assert r.verdict == NO_INTEGRABLE
         assert math.isfinite(r.mismatch) and r.mismatch > homogeneous.MISMATCH_THRESHOLD
+
+
+# every block starts at unit length; the shifted flows must never grow it much
+# (the critical line q = 2/alpha has a0 = 0)
+BOUNDED_CASES = {
+    "default": AGREEMENT_CASES["default"],
+    "large_k": (P, [(k, complex(P.a0 + 1.0, 0.5)) for k in (16, 32, 64)]),
+    "beta_neg_m3_q4": AGREEMENT_CASES["beta_neg_m3_q4"],
+    "alpha_0.2_q10": (VortexParams(alpha=0.2, beta=1.0, m=2, q=10.0),
+                      [(k, complex(off, im)) for k in (1, 3) for off in (0.05, 1.0)
+                       for im in (0.0, 2.0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDED_CASES))
+def test_shifted_flow_keeps_states_bounded(case, monkeypatch):
+    p, tasks = BOUNDED_CASES[case]
+    real = homogeneous.solve_ivp
+    largest = []
+
+    def recording(fun, t_span, y0, **kwargs):
+        # without t_eval, sol.y keeps every accepted step
+        sol = real(fun, t_span, y0, **kwargs)
+        blocks = sol.y.reshape(-1, 3, sol.y.shape[1])
+        largest.append(np.linalg.norm(blocks, axis=1).max())
+        return sol
+
+    monkeypatch.setattr(homogeneous, "solve_ivp", recording)
+    results = shoot_batch(p, tasks)
+    assert len(largest) == 2  # one integration per side
+    assert all(r.verdict == NO_INTEGRABLE for r in results)
+    assert max(largest) <= 2.0
 
 
 @pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
@@ -203,6 +235,33 @@ def test_shoot_batch_failure_stays_with_its_task(monkeypatch):
     assert [r.verdict for r in results] == [NO_INTEGRABLE, INCONCLUSIVE, NO_INTEGRABLE,
                                             NO_INTEGRABLE]
     assert results[1].note == "left integration failed: planted failure"
+    monkeypatch.undo()
+    for r, (k, lam) in zip(results, tasks):
+        if r.verdict == NO_INTEGRABLE:
+            assert r.mismatch == shoot_homogeneous(P, k, lam).mismatch
+
+
+@pytest.mark.parametrize("value", [np.inf, 1e200])
+def test_shoot_batch_overflow_is_inconclusive(value, monkeypatch):
+    # a stub solve_ivp reports success but leaves an overflowed value (or one
+    # whose norm overflows) in the planted task's block; that task must not
+    # pass as a possible eigenvalue
+    planted = complex(P.a0 + 1000.0, 0.5)
+    tasks = [(1, complex(P.a0 + 0.8, -1.0)), (2, planted), (2, complex(P.a0 + 4.0, 1.0))]
+    real = homogeneous.solve_ivp
+
+    def overflowing(fun, t_span, y0, **kwargs):
+        hit = np.abs(fun(t_span[0], np.ones_like(y0)).real).reshape(-1, 3).max(axis=1) > 100.0
+        if not hit.any():
+            return real(fun, t_span, y0, **kwargs)
+        y = np.ones((len(y0), 1), dtype=complex)
+        y.reshape(-1, 3)[hit] = value
+        return SimpleNamespace(success=True, message="", y=y)
+
+    monkeypatch.setattr(homogeneous, "solve_ivp", overflowing)
+    results = shoot_batch(P, tasks)
+    assert [r.verdict for r in results] == [NO_INTEGRABLE, INCONCLUSIVE, NO_INTEGRABLE]
+    assert results[1].note == "left integration overflowed"
     monkeypatch.undo()
     for r, (k, lam) in zip(results, tasks):
         if r.verdict == NO_INTEGRABLE:
