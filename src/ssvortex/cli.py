@@ -1,13 +1,12 @@
 """Command-line runner: parse a run configuration, execute suites, emit artifacts.
 
 Usage:
-    ssvortex <verify|resolvent|semigroup|spectrum|shoot|all>
-             [--config FILE] [--alpha A] [--beta B] [--q Q] [--m M]
-             [--kmax K] [--seed S] [--out DIR] [--workers N]
+    ssvortex <verify|resolvent|semigroup|spectrum|shoot|all> [--config FILE] [--out DIR]
 
 The config file is a flat list of `key = value` lines (# starts a comment).
-Values are parsed as int, float, complex, or comma-separated lists thereof;
-command-line flags override file values.  Exit codes: 0 all suites passed,
+Values are parsed as int, float, complex, or comma-separated lists thereof.
+The subcommand picks the suites, the file sets every other run input, and
+`--out` overrides the file's `out`.  Exit codes: 0 all suites passed,
 1 at least one check failed, 2 usage or configuration error.
 """
 
@@ -73,9 +72,10 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def build_config(file_values: dict, overrides: dict, suites) -> RunConfig:
+def build_config(file_values: dict, out, suites) -> RunConfig:
     merged = dict(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    if out:  # no `--out` (None, or `{}` from bench/worker.py) keeps the file's `out`
+        merged["out"] = out
     pkw = {key: merged.pop(key) for key in _PARAM_KEYS & merged.keys()}
     params = replace(DEFAULT_PARAMS, **pkw)
     if suites is not None:
@@ -92,14 +92,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=sorted(_SUBCOMMAND_SUITES))
     parser.add_argument("--config", default=None, help="key = value configuration file")
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--q", type=float, default=None)
-    parser.add_argument("--m", type=int, default=None)
-    parser.add_argument("--kmax", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory for reports")
-    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -108,15 +101,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    overrides = {
-        "alpha": args.alpha, "beta": args.beta, "q": args.q, "m": args.m,
-        "k_max": args.kmax, "seed": args.seed, "out": args.out,
-        "workers": args.workers,
-    }
     # `all` runs the file's `suites`, or every suite by default
     suites = None if args.command == "all" else _SUBCOMMAND_SUITES[args.command]
     try:
-        cfg = build_config(file_values, overrides, suites)
+        cfg = build_config(file_values, args.out, suites)
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

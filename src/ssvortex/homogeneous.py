@@ -191,10 +191,12 @@ def _flow_to_zero(A0, A1, alpha: float, y0, t_start: float, side: str) -> np.nda
 
     Y = np.array(y0, dtype=complex)
     Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-    sol = solve_ivp(rhs, (t_start, 0.0), Y.ravel(), method="DOP853", rtol=SHOOT_RTOL, atol=1e-13)
+    # t_eval: store the end state only, not every accepted step
+    sol = solve_ivp(rhs, (t_start, 0.0), Y.ravel(), method="DOP853", t_eval=(0.0,),
+                    rtol=SHOOT_RTOL, atol=1e-13)
     if not sol.success:
         raise _FlowFailed(f"{side} integration failed: {sol.message}")
-    Y = sol.y[:, -1].reshape(-1, 3)
+    Y = sol.y[:, 0].reshape(-1, 3)
     with np.errstate(over="ignore", invalid="ignore"):  # a finite block's norm can overflow
         norms = np.linalg.norm(Y, axis=1, keepdims=True)
     if not np.all(np.isfinite(norms)):

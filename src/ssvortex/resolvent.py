@@ -325,16 +325,11 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
     p = params
     kernel = KernelK2(p, k, lam)
     grid = G.grid
-    c = kernel.phase_amplitude
     gamma = contraction_bound(p, k)
     phi1 = _Phi1Plan(grid, KernelK1(k, p.q, p.m))
-    scan = _ScanPlan(grid, p.alpha, kernel.B, c)
+    scan = _ScanPlan(grid, p.alpha, kernel.B, kernel.phase_amplitude)
 
-    if c == 0.0:
-        # beta = 0: the coupling term vanishes and the map has no Phi1 feedback
-        def tmap(x):
-            return np.zeros_like(x)
-    elif map_kind == "full":
+    if map_kind == "full":
         coef = 1j * p.beta * p.alpha**2 * (2.0 - p.alpha) / 2.0
         decay = np.exp(-p.alpha * grid.nodes)
 

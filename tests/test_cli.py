@@ -33,7 +33,12 @@ def test_parse_config_values(tmp_path):
     cfg = write(tmp_path / "a.cfg", """
 # comment
 alpha = 0.6
+beta = -2
+q = 3
 m = 3
+k_max = 4
+seed = 7
+workers = 2
 suites = semigroup, shooting
 lambda_offsets = 0.9, 1.5+1j
 out = results
@@ -44,6 +49,11 @@ out = results
     assert vals["suites"] == ("semigroup", "shooting")
     assert vals["lambda_offsets"] == (0.9, 1.5 + 1j)
     assert vals["out"] == "results"
+    # every run input is a config key, the vortex parameters included
+    run_cfg = build_config(vals, None, None)
+    p = run_cfg.params
+    assert (p.alpha, p.beta, p.q, p.m) == (0.6, -2.0, 3.0, 3)
+    assert (run_cfg.k_max, run_cfg.seed, run_cfg.workers) == (4, 7, 2)
 
 
 def test_parse_config_line_errors(tmp_path):
@@ -97,7 +107,7 @@ def test_build_config_normalizes_types():
     # integral floats are ints, ints of real fields are floats, scalars of tuple
     # keys are 1-tuples
     cfg = build_config({"m": 3.0, "k_max": 2.0, "shoot_k": 1, "lambda_offsets": 0.5 + 1j,
-                        "suites": "shooting", "beta": 2}, {}, None)
+                        "suites": "shooting", "beta": 2}, None, None)
     assert cfg.params.m == 3 and isinstance(cfg.params.m, int)
     assert cfg.params.beta == 2.0 and isinstance(cfg.params.beta, float)
     assert cfg.k_max == 2 and isinstance(cfg.k_max, int)
@@ -127,10 +137,22 @@ def test_unwritable_out_dir_exits_2(tmp_path):
 
 
 def test_build_config_overrides():
-    cfg = build_config({"alpha": 0.6, "seed": 9}, {"alpha": 0.7, "out": "x"}, None)
-    assert cfg.params.alpha == 0.7
+    # `--out` is the one value the command line sets over the file
+    cfg = build_config({"alpha": 0.6, "seed": 9, "out": "from_file"}, "x", None)
+    assert cfg.params.alpha == 0.6
     assert cfg.seed == 9
     assert cfg.out_dir == "x"
+    assert build_config({"out": "from_file"}, None, None).out_dir == "from_file"
+
+
+@pytest.mark.parametrize("flag", [
+    "--alpha", "--beta", "--q", "--m", "--kmax", "--seed", "--workers"])
+def test_cli_has_no_parameter_flags(flag, capsys):
+    # a run's inputs come from its config file; only --config and --out are options
+    with pytest.raises(SystemExit) as exc:
+        main(["all", flag, "0.6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_run_semigroup_small(tmp_path):

@@ -190,10 +190,15 @@ def test_shifted_flow_keeps_states_bounded(case, monkeypatch):
     largest = []
 
     def recording(fun, t_span, y0, **kwargs):
-        # without t_eval, sol.y keeps every accepted step
-        sol = real(fun, t_span, y0, **kwargs)
-        blocks = sol.y.reshape(-1, 3, sol.y.shape[1])
-        largest.append(np.linalg.norm(blocks, axis=1).max())
+        # every state the integrator evaluates, trial stages included
+        seen = []
+
+        def watched(t, y):
+            seen.append(np.linalg.norm(y.reshape(-1, 3), axis=1).max())
+            return fun(t, y)
+
+        sol = real(watched, t_span, y0, **kwargs)
+        largest.append(max(seen))
         return sol
 
     monkeypatch.setattr(homogeneous, "solve_ivp", recording)

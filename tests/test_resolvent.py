@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ssvortex import resolvent
-from ssvortex.modes import KernelK1, LogGrid, ModeFunction, lq_norm, phi1_matrix
+from ssvortex.modes import KernelK1, LogGrid, ModeFunction, apply_phi1, lq_norm, phi1_matrix
 from ssvortex.params import VortexParams
 from ssvortex.resolvent import (
     PICARD_TOL,
@@ -315,6 +317,29 @@ def test_solve_mode_beyond_default_vortex(alpha, beta, m, q, k, offset):
     assert lq_norm(sol.U, p.q) <= bound * lq_norm(G, p.q)
 
 
+@st.composite
+def valid_solves(draw):
+    """(params, k, lambda) over the valid range, the critical line q = 2/alpha included."""
+    alpha = draw(st.floats(0.05, 0.95))
+    u = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    q = 2.0 / alpha if u == 1.0 else 2.0 + u * (2.0 / alpha - 2.0)
+    beta = draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(0.01, 50.0))
+    p = VortexParams(alpha=alpha, beta=beta, m=draw(st.integers(2, 6)), q=q)
+    lam = complex(p.a0 + draw(st.floats(1e-3, 5.0)), draw(st.floats(-1000.0, 1000.0)))
+    return p, draw(st.integers(1, 16)), lam
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(valid_solves())
+def test_picard_finishes_every_valid_solve(case):
+    # sweeps of 2,640 valid points needed at most 22 Picard steps and never Krylov
+    p, k, lam = case
+    sol = solve_mode(gaussian(LogGrid(-20.0, 20.0, 4097), k=k), lam, p)
+    assert sol.method == "picard"
+    assert sol.iterations <= 40
+    assert np.all(np.isfinite(sol.U.samples))
+
+
 def test_solve_mode_dense_matches_picard():
     # oracle: the full map T applied to every column of the identity, and the
     # linear system (I - T) U = U0 solved directly
@@ -374,6 +399,20 @@ def test_solve_mode_beta_zero_reduces_to_phi2():
     sol = solve_mode(G, 0.5, p0)
     expect = -p0.alpha * apply_phi2(G, KernelK2(p0, 1, 0.5)).samples
     np.testing.assert_allclose(sol.U.samples, expect, rtol=0, atol=1e-12)
+
+
+def test_solve_mode_reduced_map_at_beta_zero():
+    # the reduced map alpha(2-alpha)/(2mk) Phi1 does not depend on beta, so at
+    # beta = 0 it still feeds back: its fixed point takes Picard steps
+    p0 = VortexParams(alpha=0.5, beta=0.0, m=2, q=2.0)
+    g = LogGrid(-15.0, 15.0, 2049)
+    G = gaussian(g)
+    sol = solve_mode(G, 0.5, p0, map_kind="reduced")
+    U0 = -p0.alpha * apply_phi2(G, KernelK2(p0, 1, 0.5)).samples
+    coef = p0.alpha * (2.0 - p0.alpha) / (2.0 * p0.m * 1)
+    fixed = U0 + coef * apply_phi1(sol.U, KernelK1(1, p0.q, p0.m)).samples
+    assert sol.method == "picard" and sol.iterations > 1
+    assert lq_norm(sol.U.with_samples(sol.U.samples - fixed), p0.q) <= 1e-8 * lq_norm(sol.U, p0.q)
 
 
 def test_neat_identity_report_oracle_values():
