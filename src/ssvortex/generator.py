@@ -139,7 +139,6 @@ class EvolutionTrace:
     times: np.ndarray
     norms: np.ndarray
     fitted_rate: float
-    dt: float
     steps: int
 
 
@@ -189,7 +188,7 @@ def evolve(U0, tau_end: float, *, gen: GeneratorMatrix) -> EvolutionTrace:
     times = np.asarray(times)
     norms = np.asarray(norms)
     rate = growth_fit(times, norms) if times.size >= 10 else math.nan
-    return EvolutionTrace(times=times, norms=norms, fitted_rate=rate, dt=dt, steps=steps)
+    return EvolutionTrace(times=times, norms=norms, fitted_rate=rate, steps=steps)
 
 
 def _dedupe_flags(flagged: np.ndarray, radius: float = 0.3):

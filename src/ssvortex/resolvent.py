@@ -232,8 +232,8 @@ def ode_residual(U: ModeFunction, G: ModeFunction, lam: complex, params: VortexP
     taken after factoring out the known phase e^{-i c e^{-alpha t}} (exact
     product rule), and the norm is restricted to the sub-grid where
     h * max(phase rate, 1) <= RESIDUAL_ZONE_THETA; beyond it no pointwise
-    stencil can resolve the oscillation.  Returns (residual, zone_fraction,
-    zone_t_min).
+    stencil can resolve the oscillation.  Returns (residual, zone_fraction);
+    with no resolvable node the residual is inf, so the check fails.
     """
     p = params
     k = U.k
@@ -254,7 +254,7 @@ def ode_residual(U: ModeFunction, G: ModeFunction, lam: complex, params: VortexP
     zone[:2] = False
     zone[-2:] = False
     if not zone.any():
-        return math.inf, 0.0, math.nan
+        return math.inf, 0.0
     rz = np.where(zone, r, 0.0)
     gn = lq_norm_samples(G.samples, h, p.q)
     rn = lq_norm_samples(rz, h, p.q)
@@ -262,7 +262,7 @@ def ode_residual(U: ModeFunction, G: ModeFunction, lam: complex, params: VortexP
         rel = 0.0 if rn == 0.0 else math.inf
     else:
         rel = rn / gn
-    return rel, float(zone.mean()), float(t[zone][0])
+    return rel, float(zone.mean())
 
 
 # --------------------------------------------------------------------------
@@ -407,8 +407,7 @@ def verify_neat_identities(t_samples, mu_samples, params: VortexParams, k: int) 
     p = params
     c = p.m * k * p.beta
     if c == 0.0:
-        return {"skipped": True, "reason": "beta = 0 (shortcut denominator vanishes)",
-                "rows": [], "max_error": math.nan}
+        return {"skipped": True, "rows": [], "max_error": math.nan}
     pref = 1.0 / (1j * c * p.alpha)
 
     def closed(x, mu):
@@ -430,9 +429,10 @@ def verify_neat_identities(t_samples, mu_samples, params: VortexParams, k: int) 
             rhs = closed(t, mu) - closed(r, mu)
             e = abs(lhs - rhs)
             max_err = max(max_err, e)
-            rows.append({"identity": identity, "t": float(t),
+            rows.append({"check": identity, "t": float(t),
                          "r": math.nan if r == math.inf else float(r),
-                         "mu": complex(mu), "lhs": lhs, "rhs": rhs, "abs_error": e})
+                         "mu_re": complex(mu).real, "mu_im": complex(mu).imag,
+                         "lhs": lhs, "rhs": rhs, "abs_error": e})
     return {"skipped": False, "rows": rows, "max_error": max_err}
 
 
@@ -454,7 +454,7 @@ def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, 
     kernel = KernelK2(p, k, lam)
     c = kernel.phase_amplitude
     if c == 0.0:
-        return {"skipped": True, "reason": "beta = 0", "rows": [], "max_error": math.nan}
+        return {"skipped": True, "rows": [], "max_error": math.nan}
     k1 = KernelK1(k, p.q, p.m)
     B = kernel.B
     mu1 = B + k1.A_plus
@@ -473,7 +473,9 @@ def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, 
             rhs = k1_eval(t, r, k1)
             err = abs(lhs - rhs)
             max_err = max(max_err, err)
-            rows.append({"t": float(t), "r": float(r), "lhs": lhs, "k1": rhs, "abs_error": err})
+            rows.append({"check": "composition", "t": float(t), "r": float(r),
+                         "mu_re": kernel.lam.real, "mu_im": kernel.lam.imag,
+                         "lhs": lhs, "k1": rhs, "abs_error": err})
     return {"skipped": False, "rows": rows, "max_error": max_err}
 
 
@@ -504,8 +506,9 @@ def resolvent_bound_check(lambda_values, params: VortexParams, k_max: int,
                 ratio = lq_norm(sol.U, p.q) / lq_norm(G, p.q)
                 worst = max(worst, ratio)
             M_emp = max(M_emp, worst * (lam.real - p.a0))
-            rows.append({"lambda": lam, "k": k, "max_ratio": worst, "bound": bound,
-                         "passed": bool(worst <= bound)})
+            rows.append({"check": "norm_ratio", "k": k, "q": p.q, "alpha": p.alpha,
+                         "lambda_re": lam.real, "lambda_im": lam.imag,
+                         "value": worst, "bound": bound, "passed": bool(worst <= bound)})
     return {
         "rows": rows,
         "M_empirical": M_emp,

@@ -8,6 +8,7 @@ identical code paths.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -149,24 +150,9 @@ def suite_identities(cfg: RunConfig) -> tuple[dict, list, list]:
         {"k": 2, "lam": a0 + 1.0 + 1.0j},
         {"k": 3, "lam": a0 + 0.5 - 0.5j},
     ]
-    comp_reports = []
-    for cs in comp_sets:
-        comp_reports.append(verify_kernel_composition(lattice, lattice, p, cs["k"], cs["lam"]))
-
-    rows = []
-    for r in neat["rows"]:
-        rows.append({
-            "check": r["identity"], "t": r["t"], "r": r["r"],
-            "mu_re": complex(r["mu"]).real, "mu_im": complex(r["mu"]).imag,
-            "abs_error": r["abs_error"],
-        })
-    for cs, rep in zip(comp_sets, comp_reports):
-        for r in rep["rows"]:
-            rows.append({
-                "check": "composition", "t": r["t"], "r": r["r"],
-                "mu_re": complex(cs["lam"]).real, "mu_im": complex(cs["lam"]).imag,
-                "abs_error": r["abs_error"],
-            })
+    comp_reports = [verify_kernel_composition(lattice, lattice, p, cs["k"], cs["lam"])
+                    for cs in comp_sets]
+    rows = neat["rows"] + [r for rep in comp_reports for r in rep["rows"]]
     max_neat = neat["max_error"]
     max_comp = max(rep["max_error"] for rep in comp_reports)
     checks = [
@@ -288,7 +274,7 @@ def _residual_checks(cfg: RunConfig) -> tuple[list, list]:
         for k in (0, 1, 2):
             G = ModeFunction(k, grid, gauss)
             sol = solve_mode(G, lam, p)
-            res, frac, _ = ode_residual(sol.U, G, lam, p)
+            res, frac = ode_residual(sol.U, G, lam, p)
             worst = max(worst, res)
             min_zone = min(min_zone, frac)
             rows.append({"check": "residual", "k": k, "q": p.q, "alpha": p.alpha,
@@ -311,17 +297,13 @@ def suite_resolvent(cfg: RunConfig) -> tuple[dict, list, list]:
         grid=LogGrid(-NORM_T, NORM_T, cfg.norm_n),
         batch=cfg.bound_batch, seed=cfg.seed + 2,
     )
-    bound_rows = [{"check": "norm_ratio", "k": r["k"], "q": p.q, "alpha": p.alpha,
-                   "lambda_re": r["lambda"].real, "lambda_im": r["lambda"].imag,
-                   "value": r["max_ratio"], "bound": r["bound"], "passed": r["passed"]}
-                  for r in bound["rows"]]
     checks = young_checks + contr_checks + resid_checks + [
         {"name": "resolvent_norm_bound", "M_empirical": bound["M_empirical"],
          "M_alpha_bound": bound["M_alpha_bound"], "passed": bound["passed"]},
     ]
     cols = ["check", "k", "q", "alpha", "lambda_re", "lambda_im", "value", "bound", "passed"]
     return (_summary("resolvent", cfg, checks),
-            young_rows + contr_rows + resid_rows + bound_rows, cols)
+            young_rows + contr_rows + resid_rows + bound["rows"], cols)
 
 
 # --------------------------------------------------------------------------
@@ -394,14 +376,14 @@ def suite_shooting(cfg: RunConfig) -> tuple[dict, list, list]:
                 tasks.append((k, complex(lr, li)))
     results = shoot_batch(p, tasks)
     rows = [{"k": r.k, "re_lambda": r.lam.real, "im_lambda": r.lam.imag,
-             "mismatch": r.mismatch, "verdict": r.verdict} for r in results]
+             "mismatch": r.mismatch, "verdict": r.verdict, "note": r.note} for r in results]
     ok = all(r.verdict == NO_INTEGRABLE for r in results)
     min_mismatch = min(r.mismatch for r in results)
     summary = _summary("shooting", cfg, [{
         "name": "no_integrable_homogeneous_solution",
         "min_mismatch": min_mismatch, "threshold": MISMATCH_THRESHOLD,
         "passed": ok}])
-    return summary, rows, ["k", "re_lambda", "im_lambda", "mismatch", "verdict"]
+    return summary, rows, ["k", "re_lambda", "im_lambda", "mismatch", "verdict", "note"]
 
 
 # --------------------------------------------------------------------------
@@ -438,10 +420,11 @@ def emit(report: dict, rows: list, columns: list, out_dir: str, name: str) -> tu
     with open(jpath, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
-    with open(cpath, "w") as fh:
-        fh.write(",".join(columns) + "\n")
+    with open(cpath, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
         for row in rows:
-            fh.write(",".join(_fmt_cell(row.get(c, "")) for c in columns) + "\n")
+            writer.writerow([_fmt_cell(row.get(c, "")) for c in columns])
     return jpath, cpath
 
 

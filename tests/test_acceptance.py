@@ -142,8 +142,8 @@ def test_criterion_4_integration_identities(cfg):
     c = P.m * P.beta
     worst_identity = 0.0
     for row in rep["rows"]:
-        mu = row["mu"]
-        upper = np.inf if row["identity"] == "half_line" else row["r"]
+        mu = complex(row["mu_re"], row["mu_im"])
+        upper = np.inf if row["check"] == "half_line" else row["r"]
         rem = -(mu / (1j * c * P.alpha)) * _cquad(
             lambda s: np.exp(1j * c * np.exp(-P.alpha * s) - mu * s), row["t"], upper)
         worst_identity = max(worst_identity, abs(row["lhs"] - (row["rhs"] + rem)))

@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 import ssvortex
 from ssvortex import suites
 from ssvortex.cli import ConfigError, build_config, main, parse_config_file
+from ssvortex.homogeneous import NO_INTEGRABLE
 from ssvortex.modes import KernelK1, LogGrid, ModeFunction, apply_phi1, lq_norm
 from ssvortex.params import VortexParams
 from ssvortex.resolvent import KernelK2, apply_phi2
@@ -198,6 +200,25 @@ def test_emit_serializes_complex_deterministically(tmp_path):
     assert data["z"] == [1.5, -2.0]
     assert data["arr"] == [1.0, 2.0]
     assert data["flag"] is True
+
+
+def test_emit_round_trips_a_cell_with_comma_and_quote(tmp_path):
+    cell = 'a, "b" c'
+    emit({}, [{"x": 1.5, "s": cell}], ["x", "s"], str(tmp_path), "r0")
+    with open(tmp_path / "r0.csv", newline="") as fh:
+        assert list(csv.DictReader(fh)) == [{"x": "1.5", "s": cell}]
+
+
+def test_shooting_csv_carries_the_note(tmp_path):
+    # the note is the only reason an inconclusive point gives; the k = 0 one holds a comma
+    cfg = RunConfig(suites=("shooting",), out_dir=str(tmp_path / "r"),
+                    shoot_k=(1,), shoot_offsets=(1.0,), shoot_imags=(0.0,))
+    assert run(cfg, log=lambda *a: None) == 0
+    with open(tmp_path / "r" / "shooting.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["k"], r["verdict"]) for r in rows] == [("0", NO_INTEGRABLE), ("1", NO_INTEGRABLE)]
+    assert rows[0]["note"] == "first-order radial mode, analytic verdict"
+    assert rows[1]["note"] == ""
 
 
 def _small_all_config(tmp_path, out_name):

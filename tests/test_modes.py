@@ -16,6 +16,7 @@ from ssvortex.modes import (
     second_order_relation,
 )
 from ssvortex.params import VortexParams
+from ssvortex.suites import LATTICE_K, YOUNG_LATTICE, YOUNG_N, YOUNG_T
 
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)
 
@@ -214,6 +215,23 @@ def test_phi1_young_bound_randomized():
             fn = ModeFunction(k, g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
             ratio = lq_norm(apply_phi1(fn, ker), q) / lq_norm(fn, q)
             assert ratio <= bound * (1 + 1e-6)
+
+
+def test_phi1_plan_near_its_young_bound():
+    # a wide smooth input nearly attains the plan's norm, where white noise
+    # reaches about a quarter of it: at q = 2 the ratio is the trapezoid row sum
+    # h (1 + 1/expm1(A+ h) + 1/expm1(A- h)), 0.949 of 2/A- at k = 8 on this grid
+    g = LogGrid(-YOUNG_T, YOUNG_T, YOUNG_N)
+    x = np.exp(-(g.nodes / 10.0) ** 2).astype(complex)
+    for q, _ in YOUNG_LATTICE:
+        for k in LATTICE_K:
+            ker = KernelK1(k, q, 2)
+            ratio = lq_norm_samples(_Phi1Plan(g, ker)(x), g.h, q) / lq_norm_samples(x, g.h, q)
+            assert ratio <= 2.0 / ker.A_minus, (q, k)
+            if q == 2.0:
+                row_sum = g.h * (1.0 + 1.0 / np.expm1(ker.A_plus * g.h)
+                                 + 1.0 / np.expm1(ker.A_minus * g.h))
+                assert ratio == pytest.approx(row_sum, rel=1e-2), k
 
 
 def test_phi1_zero():

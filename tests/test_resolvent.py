@@ -421,7 +421,7 @@ def test_neat_identity_report_oracle_values():
     # -i e^{2i}; their distance is 0.89374...
     rep = verify_neat_identities([0.0], [1.0], P, 1)
     assert not rep["skipped"]
-    row = [r for r in rep["rows"] if r["identity"] == "half_line"][0]
+    row = [r for r in rep["rows"] if r["check"] == "half_line"][0]
     lhs_exact = np.exp(2j) * (1 - 0.5j) - 0.5j
     rhs_claim = -1j * np.exp(2j)
     assert row["lhs"] == pytest.approx(lhs_exact, abs=1e-9)
@@ -432,7 +432,7 @@ def test_neat_identity_report_oracle_values():
 def test_neat_identity_finite_interval_empty():
     rep = verify_neat_identities([0.5], [1.0], P, 1)
     # single t-sample: no (t, r) pairs, so no finite-interval rows
-    assert all(r["identity"] == "half_line" for r in rep["rows"])
+    assert all(r["check"] == "half_line" for r in rep["rows"])
 
 
 def test_neat_identity_skipped_for_beta_zero():
@@ -539,9 +539,19 @@ def test_ode_residual_zone_reporting():
     g = LogGrid(-25.0, 25.0, 2**14 + 1)
     G = gaussian(g)
     sol = solve_mode(G, -0.5, P)
-    _, frac, tmin = ode_residual(sol.U, G, -0.5, P)
-    assert 0.0 < frac <= 1.0
-    assert tmin > g.t_min
+    _, frac = ode_residual(sol.U, G, -0.5, P)
+    assert 0.0 < frac < 1.0
+
+
+def test_ode_residual_fails_with_no_resolvable_node():
+    # h = 0.050 exceeds RESIDUAL_ZONE_THETA at every node: with nothing to
+    # measure the residual is inf, so the check fails instead of passing vacuously
+    g = LogGrid(-10.0, 10.0, 400)
+    assert g.h > resolvent.RESIDUAL_ZONE_THETA
+    G = gaussian(g)
+    res, frac = ode_residual(solve_mode(G, -0.5, P).U, G, -0.5, P)
+    assert (res, frac) == (math.inf, 0.0)
+    assert not res <= resolvent.RESIDUAL_TOL
 
 
 def test_iteration_budget_exhaustion_raises_with_history(monkeypatch):

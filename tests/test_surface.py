@@ -2,9 +2,9 @@
 
 `bench/tracing.py` rebinds named `ssvortex` functions and reads arguments and
 results of some of them; its own smoke test is not part of this suite, so a
-rename that breaks it shows here first.  The signatures and the fields of the
-public result types below are pinned so that a new solver option or a changed
-field shows up as a test diff.
+rename that breaks it shows here first.  The signatures, the fields of the
+public result types and every suite's CSV header are pinned so that a new
+solver option, a changed field or a changed column shows up as a test diff.
 """
 
 import dataclasses
@@ -74,10 +74,29 @@ def test_public_dataclass_fields():
     # the tracer reads `iterations`, `method`, `steps`, `verdict` and `grid`
     expected = {
         "ResolventSolution": ["U", "iterations", "method", "update_history"],
-        "EvolutionTrace": ["times", "norms", "fitted_rate", "dt", "steps"],
+        "EvolutionTrace": ["times", "norms", "fitted_rate", "steps"],
         "ShootingResult": ["lam", "k", "mismatch", "verdict", "note"],
         "ModeFunction": ["k", "grid", "samples"],
         "Homo2Params": ["a1", "a2", "b1", "b2", "q_frak"],
     }
     for name, fields in expected.items():
         assert [f.name for f in dataclasses.fields(getattr(ssvortex, name))] == fields, name
+
+
+def test_suite_csv_headers(tmp_path):
+    # criterion 10's config
+    cfg = suites.RunConfig(
+        k_max=1, seed=99, out_dir=str(tmp_path), young_batch=2, bound_batch=1, fine_n=4097,
+        norm_n=1025, scan_n=128, scan_t=8.0, evolve_n=256, tau_end=2.0,
+        lambda_offsets=(0.5, 1.0), shoot_k=(1,), shoot_offsets=(1.0,), shoot_imags=(0.0,))
+    suites.run(cfg, log=lambda *a: None)
+    expected = {
+        "identities": "check,t,r,mu_re,mu_im,abs_error",
+        "resolvent": "check,k,q,alpha,lambda_re,lambda_im,value,bound,passed",
+        "semigroup": "k,tau,norm",
+        "spectrum": "k,re,im",
+        "shooting": "k,re_lambda,im_lambda,mismatch,verdict,note",
+    }
+    for name, header in expected.items():
+        with (tmp_path / f"{name}.csv").open() as fh:
+            assert fh.readline() == header + "\n", name
