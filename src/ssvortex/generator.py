@@ -16,7 +16,8 @@ and normalization conventions used here.
 diagonal, and the coupling through the K1 recurrences of ``modes._Phi1Plan``.
 Time stepping runs on it.  The dense matrix of the same operator,
 ``GeneratorMatrix.entries``, is built only when read: by the eigenvalue scan,
-and by the tests as the oracle of ``apply``.
+and by the tests as the oracle of ``apply``.  It is built in place, the
+coupling in blocks of rows, so its peak memory is the result plus one block.
 """
 
 from __future__ import annotations
@@ -45,16 +46,8 @@ DRIFT_EDGES = (
 )
 
 
-def _drift_matrix(n: int, h: float) -> np.ndarray:
-    """Dense d/dt of the drift stencil."""
-    D = np.zeros((n, n))
-    rows = np.arange(1, n - 2)
-    for off, c in DRIFT_INTERIOR:
-        D[rows, rows + off] = c
-    for row, stencil in DRIFT_EDGES:
-        for off, c in stencil:
-            D[row % n, row % n + off] = c
-    return D / h
+# rows of the K1 coupling that ``entries`` builds at a time
+_ENTRY_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,13 +82,25 @@ class GeneratorMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """Dense complex matrix of the operator (n x n)."""
+        """Dense complex matrix of the operator (n x n), built in place in row
+        blocks (peak: the result plus one block).  Each entry is
+        ``(1/alpha) * (c/h)``, then ``+= diag``, then ``+= coup_i * ((h K_ij) w_j)``."""
         p = self.params
-        L = (1.0 / p.alpha) * _drift_matrix(self.grid.n, self.grid.h).astype(complex)
-        idx = np.arange(self.grid.n)
+        n, h = self.grid.n, self.grid.h
+        L = np.zeros((n, n), dtype=complex)
+        rows = np.arange(1, n - 2)
+        for off, c in DRIFT_INTERIOR:
+            L[rows, rows + off] = (1.0 / p.alpha) * (c / h)
+        for row, stencil in DRIFT_EDGES:
+            for off, c in stencil:
+                L[row % n, row % n + off] = (1.0 / p.alpha) * (c / h)
+        idx = np.arange(n)
         L[idx, idx] += self.diag
         if self.plan is not None:
-            L += self.coup[:, None] * phi1_matrix(self.grid, KernelK1(self.k, p.q, p.m))
+            kernel = KernelK1(self.k, p.q, p.m)
+            for lo in range(0, n, _ENTRY_BLOCK_ROWS):
+                block = slice(lo, lo + _ENTRY_BLOCK_ROWS)
+                L[block] += self.coup[block, None] * phi1_matrix(self.grid, kernel, rows=block)
         return L
 
 

@@ -172,10 +172,10 @@ def k1_eval(t, s, kernel: KernelK1):
     return out if out.ndim else float(out)
 
 
-def phi1_matrix(grid: LogGrid, kernel: KernelK1) -> np.ndarray:
-    """Dense trapezoid quadrature matrix of the K1 convolution."""
+def phi1_matrix(grid: LogGrid, kernel: KernelK1, rows=slice(None)) -> np.ndarray:
+    """Dense trapezoid quadrature matrix of the K1 convolution, or its given rows."""
     t = grid.nodes
-    K = k1_eval(t[:, None], t[None, :], kernel)
+    K = k1_eval(t[rows, None], t[None, :], kernel)
     return grid.h * K * _trapezoid_weights(grid.n)[None, :]
 
 

@@ -151,6 +151,16 @@ def test_phi1_recurrence_matches_matrix(grid, k, q):
     np.testing.assert_allclose(out, phi1_matrix(grid, ker) @ fn.samples, rtol=1e-11, atol=0)
 
 
+# full row blocks, the partial last one, and a slice that runs past the end
+@pytest.mark.parametrize("rows", [slice(0, 128), slice(128, 256), slice(256, 300),
+                                  slice(290, 400)])
+def test_phi1_matrix_rows_are_rows_of_full_matrix(rows):
+    g = LogGrid(-8.0, 10.0, 300)
+    ker = KernelK1(1, 2.0, 2)
+    full = phi1_matrix(g, ker)
+    assert phi1_matrix(g, ker, rows=rows).tobytes() == full[rows].tobytes()
+
+
 def test_phi1_coarse_grid_single_panel_blocks():
     # A+ h = 90.7 per panel: a block of 8 panels would underflow its cumulative
     # product, so blocks shrink to 3 panels; against the dense matrix and a

@@ -536,11 +536,16 @@ def test_resolvent_ratio_decays_like_inverse_lambda():
 
 
 def test_ode_residual_zone_reporting():
+    # the zone is every node where h * max(|c| alpha e^{-alpha t}, 1) <= theta,
+    # c = m k beta, less the two end nodes on each side
     g = LogGrid(-25.0, 25.0, 2**14 + 1)
     G = gaussian(g)
     sol = solve_mode(G, -0.5, P)
     _, frac = ode_residual(sol.U, G, -0.5, P)
-    assert 0.0 < frac < 1.0
+    resolvable = [g.h * max(abs(P.m * P.beta) * P.alpha * math.exp(-P.alpha * t), 1.0)
+                  <= resolvent.RESIDUAL_ZONE_THETA for t in g.nodes[2:-2]]
+    assert 0 < sum(resolvable) < g.n - 4
+    assert frac == sum(resolvable) / g.n
 
 
 def test_ode_residual_fails_with_no_resolvable_node():
