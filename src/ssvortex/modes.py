@@ -13,11 +13,11 @@ the weighted ones.  The second-order relation
 
 is inverted by convolution with the two-sided exponential kernel K1, realizing
 the mode-k inverse Laplacian with the unique integrable tail constants.  Being a
-two-sided exponential, K1's trapezoid convolution is exactly one forward and
-one backward first-order recurrence, each with the trapezoid weights folded
-in, evaluated in O(n) by ``_Recurrence`` in about three in-place passes.
-``_Phi1Plan`` builds both recurrences once per (grid, kernel); the K2 scans of
-``resolvent`` run on the same ``_Recurrence``.
+two-sided exponential, K1's trapezoid convolution is exactly a backward
+first-order recurrence over j >= i (diagonal included) plus a forward one over
+j < i, with the trapezoid weights folded in, each three in-place passes of
+``_Recurrence``.  ``_Phi1Plan`` builds both once per (grid, kernel), so a call
+makes 7 passes; the K2 scans of ``resolvent`` run on the same ``_Recurrence``.
 """
 
 from __future__ import annotations
@@ -94,10 +94,17 @@ def lq_norm_samples(samples: np.ndarray, h: float, q: float) -> float | np.ndarr
     each column of an (n, batch) block (an array)."""
     if q < 1.0:
         raise ValueError("q must be >= 1")
-    a = np.abs(samples)
-    a **= q
-    norm = (h * (a.sum(axis=0) - 0.5 * (a[0] + a[-1]))) ** (1.0 / q)
-    return float(norm) if a.ndim == 1 else norm
+    x = np.asarray(samples)
+    if q == 2.0:  # re^2 + im^2 in one einsum pass; no BLAS, so no thread-count dependence
+        v = x[..., None].view(x.real.dtype)  # (..., 2) complex, (..., 1) real
+        inner, ends = v[1:-1], v[[0, -1]]
+        total = (np.einsum("i...j,i...j->...", inner, inner)
+                 + 0.5 * np.einsum("i...j,i...j->...", ends, ends))
+    else:
+        a = np.abs(x) ** q
+        total = a.sum(axis=0) - 0.5 * (a[0] + a[-1])
+    norm = (h * total) ** (1.0 / q)
+    return float(norm) if x.ndim == 1 else norm
 
 
 def lq_norm(fn: ModeFunction, q: float) -> float:
@@ -233,30 +240,25 @@ class _Recurrence:
 
 class _Phi1Plan:
     """Trapezoid K1 convolution sum_j y_j K1(t_i - t_j), y = h w x (w the
-    trapezoid weights), as y_i plus a backward recurrence over j > i (decay
-    e^{-A- h}) plus a forward one over j < i (decay e^{-A+ h}), each with the
-    weights h w folded in.  Both recurrences depend on the grid and the kernel
-    only and are built once.  Samples may be (n,) or an (n, batch) block."""
+    trapezoid weights), as a backward recurrence over j >= i (decay e^{-A- h},
+    diagonal term included) plus a forward one over j < i (decay e^{-A+ h}),
+    each with h w folded in and built once per (grid, kernel).  A call makes 7
+    passes (three per recurrence, one add).  Samples: (n,) or (n, batch)."""
 
     def __init__(self, grid: LogGrid, kernel: KernelK1):
         n, h = grid.n, grid.h
-        self.scale = h * _trapezoid_weights(n)
-
-        def later(A, scale):  # x[1:] -> sum_{j > i} e^{-A h (j - i)} scale_j x_j
-            d = math.exp(-A * h)
-            return _Recurrence(np.full(n - 1, d), A * h, d * scale)
-
-        self.backward = later(kernel.A_minus, self.scale[1:])
-        self.forward = later(kernel.A_plus, self.scale[:-1][::-1])
+        scale = h * _trapezoid_weights(n)
+        # x -> sum_{j >= i} e^{-A- h (j - i)} scale_j x_j
+        self.backward = _Recurrence(np.full(n, math.exp(-kernel.A_minus * h)),
+                                    kernel.A_minus * h, scale)
+        # x[::-1][1:] -> sum_{j < i} e^{-A+ h (i - j)} scale_j x_j, reversed
+        d = math.exp(-kernel.A_plus * h)
+        self.forward = _Recurrence(np.full(n - 1, d), kernel.A_plus * h, d * scale[:-1][::-1])
 
     def __call__(self, samples: np.ndarray) -> np.ndarray:
         x = np.asarray(samples)
-        out = self.backward(x[1:])
-        earlier = self.forward(x[::-1][1:])[::-1]
-        out += earlier
-        # the forward result's buffer takes the diagonal term y = h w x
-        np.multiply(self.scale if x.ndim == 1 else self.scale[:, None], x, out=earlier)
-        out += earlier
+        out = self.backward(x)[:-1]
+        out += self.forward(x[::-1][1:])[::-1]
         return out
 
 

@@ -241,15 +241,16 @@ def ode_residual(U: ModeFunction, G: ModeFunction, lam: complex, params: VortexP
     t = U.grid.nodes
     h = U.grid.h
     c = KernelK2(p, k, lam).phase_amplitude
-    phase = np.exp(1j * c * np.exp(-p.alpha * t))
+    decay = np.exp(-p.alpha * t)
+    phase = np.exp(1j * c * decay)
     W = phase * U.samples
     dW = _fd4(W, h)
     lhs = (1.0 / phase) * ((1.0 / p.alpha) * dW + (p.a0 - lam) * W)
     if k >= 1:
         lhs = lhs - 1j * p.m * k * p.alpha * (2.0 - p.alpha) * p.beta \
-            * np.exp(-p.alpha * t) * psi_from_U(U, p).samples
+            * decay * psi_from_U(U, p).samples
     r = lhs - G.samples
-    rate = np.maximum(np.abs(c) * p.alpha * np.exp(-p.alpha * t), 1.0)
+    rate = np.maximum(np.abs(c) * p.alpha * decay, 1.0)
     zone = h * rate <= RESIDUAL_ZONE_THETA
     zone[:2] = False
     zone[-2:] = False
@@ -310,7 +311,9 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
     The radial mode k = 0 has the closed form of ``solve_k0``.  For k >= 1,
     starting from U0 = -alpha * Phi2(G), each step reconstructs psi from the
     current iterate and integrates the first-order ODE exactly, so the limit
-    satisfies the ODE to quadrature accuracy.  If Picard has not converged
+    satisfies the ODE to quadrature accuracy.  After U0 the map's factor
+    coef * e^{-alpha t} is folded into the solve's own K2 panel weights, so a
+    step is one K1 plan call and one scan.  If Picard has not converged
     within PICARD_MAX_ITER steps, or its iterates overflow first, a Krylov
     solve of the same linear system takes over from U0; ``method`` of the
     result says which one finished.  With map_kind="reduced" the K1-shortcut
@@ -328,17 +331,18 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
     gamma = contraction_bound(p, k)
     phi1 = _Phi1Plan(grid, KernelK1(k, p.q, p.m))
     scan = _ScanPlan(grid, p.alpha, kernel.B, kernel.phase_amplitude)
+    U0 = -p.alpha * scan(G.samples)
 
     if map_kind == "full":
-        coef = 1j * p.beta * p.alpha**2 * (2.0 - p.alpha) / 2.0
-        decay = np.exp(-p.alpha * grid.nodes)
+        # the map is coef * Phi2(e^{-alpha t} y); with U0 formed, s = coef * e^{-alpha t}
+        # is folded into the scan's panel weights
+        s = 1j * p.beta * p.alpha**2 * (2.0 - p.alpha) / 2.0 * np.exp(-p.alpha * grid.nodes)
+        scan.wi *= s[:-1]
+        scan.wj *= s[1:]
+        del s  # freed before the loop, so the fold adds nothing to the solve's peak memory
 
         def tmap(x):
-            y = phi1(x)
-            y *= decay
-            y = scan(y)
-            y *= coef
-            return y
+            return scan(phi1(x))
     else:
         coef = p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k)
 
@@ -347,7 +351,6 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
             y *= coef
             return y
 
-    U0 = -p.alpha * scan(G.samples)
     history: list[float] = []
     U = U0.copy()
     for _ in range(PICARD_MAX_ITER):

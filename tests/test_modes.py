@@ -87,6 +87,35 @@ def test_lq_norm_samples_of_a_block_is_per_column():
             assert norms[j] == pytest.approx(one, rel=1e-15)
 
 
+def _explicit_l2(x, h):
+    w = np.ones(x.shape[0])
+    w[[0, -1]] = 0.5
+    return np.sqrt(h * np.sum(w * np.abs(x) ** 2))
+
+
+def test_lq_norm_samples_q2_matches_explicit_sum():
+    # the q = 2 sum runs over a float view of the samples: contiguous, a strided
+    # column of a block, a reversed view and a real array all give h sum w |x|^2
+    g = LogGrid(-10.0, 10.0, 4097)
+    rng = np.random.default_rng(16)
+    X = rng.standard_normal((g.n, 3)) + 1j * rng.standard_normal((g.n, 3))
+    x = np.ascontiguousarray(X[:, 0])
+    for name, s in [("contiguous", x), ("column", X[:, 1]), ("reversed", X[::-1, 2]),
+                    ("real", X[:, 2].real.copy())]:
+        norm = lq_norm_samples(s, g.h, 2.0)
+        assert type(norm) is float
+        assert norm == pytest.approx(_explicit_l2(s, g.h), rel=1e-14), name
+
+
+def test_lq_norm_samples_q2_overflow_is_inf():
+    # solve_mode's overflow hand-over reads math.isfinite of the iterate's norm
+    g = LogGrid(-10.0, 10.0, 257)
+    big = np.full((g.n, 2), 1e200 + 1e200j)
+    with np.errstate(over="ignore"):
+        assert lq_norm_samples(big[:, 0], g.h, 2.0) == np.inf
+        np.testing.assert_array_equal(lq_norm_samples(big, g.h, 2.0), [np.inf, np.inf])
+
+
 def test_second_order_relation_zero_and_root():
     g = LogGrid(-2.0, 2.0, 201)
     zero = ModeFunction(1, g, np.zeros(g.n))
