@@ -89,22 +89,19 @@ def _trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-def lq_norm_samples(samples: np.ndarray, h: float, q: float) -> float | np.ndarray:
-    """Composite-trapezoid L^q(dt) norm of samples of shape (n,) (a float) or of
-    each column of an (n, batch) block (an array)."""
+def lq_norm_samples(samples: np.ndarray, h: float, q: float) -> float:
+    """Composite-trapezoid L^q(dt) norm of samples of shape (n,)."""
     if q < 1.0:
         raise ValueError("q must be >= 1")
     x = np.asarray(samples)
     if q == 2.0:  # re^2 + im^2 in one einsum pass; no BLAS, so no thread-count dependence
-        v = x[..., None].view(x.real.dtype)  # (..., 2) complex, (..., 1) real
+        v = x[:, None].view(x.real.dtype)  # (n, 2) complex, (n, 1) real
         inner, ends = v[1:-1], v[[0, -1]]
-        total = (np.einsum("i...j,i...j->...", inner, inner)
-                 + 0.5 * np.einsum("i...j,i...j->...", ends, ends))
+        total = np.einsum("ij,ij->", inner, inner) + 0.5 * np.einsum("ij,ij->", ends, ends)
     else:
         a = np.abs(x) ** q
-        total = a.sum(axis=0) - 0.5 * (a[0] + a[-1])
-    norm = (h * total) ** (1.0 / q)
-    return float(norm) if x.ndim == 1 else norm
+        total = a.sum() - 0.5 * (a[0] + a[-1])
+    return float((h * total) ** (1.0 / q))
 
 
 def lq_norm(fn: ModeFunction, q: float) -> float:
@@ -193,8 +190,7 @@ MAX_PANEL_DECAY = 700.0
 
 class _Recurrence:
     """Solve S_i = w_i P_i + D_i S_{i+1} (i < npan, S_npan = 0) for a fixed D and
-    weight w (1 if None) and any number of right-hand sides P (shape (npan,) or
-    (npan, batch)).
+    weight w (1 if None) and any right-hand side P of shape (npan,).
 
     The panels are split into blocks over which the cumulative product cp of D
     falls by at most e^{300} (decay_per_panel = -log|D|), or into single panels
@@ -224,14 +220,12 @@ class _Recurrence:
             self.blocks.append((lo, hi, rinv, rcp, 1.0 / balance))
 
     def __call__(self, P: np.ndarray) -> np.ndarray:
-        S = np.empty((self.npan + 1,) + P.shape[1:], dtype=complex)
+        S = np.empty(self.npan + 1, dtype=complex)
         S[self.npan] = 0.0
         for lo, hi, rinv, rcp, seed in self.blocks:
-            if P.ndim == 2:
-                rinv, rcp = rinv[:, None], rcp[:, None]
             T = S[lo:hi][::-1]
             np.multiply(P[lo:hi][::-1], rinv, out=T)
-            np.cumsum(T, axis=0, out=T)
+            np.cumsum(T, out=T)
             if hi < self.npan:
                 T += seed * S[hi]
             T *= rcp
@@ -243,7 +237,7 @@ class _Phi1Plan:
     trapezoid weights), as a backward recurrence over j >= i (decay e^{-A- h},
     diagonal term included) plus a forward one over j < i (decay e^{-A+ h}),
     each with h w folded in and built once per (grid, kernel).  A call makes 7
-    passes (three per recurrence, one add).  Samples: (n,) or (n, batch)."""
+    passes (three per recurrence, one add)."""
 
     def __init__(self, grid: LogGrid, kernel: KernelK1):
         n, h = grid.n, grid.h

@@ -116,20 +116,36 @@ def _osc_weights(y: np.ndarray):
 
         gb = int_0^1 (1 - x) e^{-iyx} dx,   ga = int_0^1 x e^{-iyx} dx,
 
-    plus the panel phase e^{-iy}.  Only the odd part (y - sin y)/y^3 cancels for
-    small y, so only it switches to its series there.
+    plus the panel phase e^{-iy}.  Each is its own complex array, written in
+    place through ``.real`` and ``.imag``; no complex temporary is made.  Only
+    the odd part (y - sin y)/y^3 cancels for small y, so there Im gb switches to
+    its series, summed by Horner's rule in place on the small part only.
     """
-    Y = y * y
-    s = np.sin(y)
-    half = np.sin(0.5 * y)
-    gb_re = 2.0 * half * half / Y                # (1 - cos y) / y^2
+    gb, ga, phase = (np.empty(y.shape, dtype=complex) for _ in range(3))
+    s = np.sin(y, out=phase.imag)
+    v = np.sin(np.multiply(y, 0.5, out=ga.real), out=ga.real)
+    v *= v
+    v *= 2.0                                     # 1 - cos y = 2 sin^2(y/2)
+    np.subtract(1.0, v, out=phase.real)
+    Y = np.multiply(y, y, out=ga.imag)
+    np.divide(v, Y, out=gb.real)                 # (1 - cos y) / y^2
+    np.subtract(s, y, out=gb.imag)
+    gb.imag /= Y                                 # -(y - sin y) / y^2
     small = np.abs(y) < 0.5
-    rem = (y - s) / np.where(small, 1.0, Y * y)
-    rem[small] = np.polynomial.polynomial.polyval(Y[small], _SIN_REMAINDER)
-    gb_im = -y * rem
-    gb = gb_re + 1j * gb_im
-    ga = (s / y - gb_re) - 1j * (gb_im + y * gb_re)
-    phase = (1.0 - 2.0 * half * half) - 1j * s
+    ys = y[small]
+    Ys = ys * ys
+    rem = np.full(ys.shape, _SIN_REMAINDER[-1])
+    for coef in _SIN_REMAINDER[-2::-1]:
+        rem *= Ys
+        rem += coef
+    rem *= ys
+    gb.imag[small] = np.negative(rem, out=rem)
+    np.divide(s, y, out=ga.real)
+    ga.real -= gb.real                           # sin y / y - Re gb
+    np.multiply(y, gb.real, out=ga.imag)
+    ga.imag += gb.imag
+    np.negative(ga.imag, out=ga.imag)            # -(Im gb + y Re gb)
+    np.negative(s, out=s)
     return gb, ga, phase
 
 
@@ -158,9 +174,13 @@ class _ScanPlan:
     Everything that does not depend on g is built once: the per-panel weights
     (``wi`` for the panel's left sample, ``wj`` for its right one, and for
     ``order=2`` ``wk`` for the next sample) and the recurrence blocks of the
-    panel factors D = e^{-icL - Bh}.  Applying the plan to samples g (shape
-    (n,) or (n, batch)) forms the panel integrals P = wi g_i + wj g_{i+1}
-    [+ wk g_{i+2}] and runs the recurrence S_i = P_i + D_i S_{i+1}.
+    panel factors D = e^{-icL - Bh}, L = e^{-alpha t_i} - e^{-alpha t_{i+1}}.
+    For c != 0, L is a fixed multiple of either end's w = e^{-alpha t}, so
+    ``wi`` and ``wj`` are ``_osc_weights``' gb and ga scaled in place by one
+    number each, and D is its panel phase scaled in place, so the plan keeps
+    four complex arrays: wi, wj and the recurrence's two factors.  Applying the plan to samples g of shape (n,)
+    forms the panel integrals P = wi g_i + wj g_{i+1} [+ wk g_{i+2}] and runs
+    the recurrence S_i = P_i + D_i S_{i+1}.
 
     ``order=2`` (quadratic panel interpolation) is supported for c == 0 only.
     """
@@ -184,25 +204,26 @@ class _ScanPlan:
         else:
             if order != 1:
                 raise ValueError("quadratic panels are implemented for the c == 0 path only")
-            w_nodes = np.exp(-alpha * grid.nodes)
-            wb = w_nodes[:-1]  # w at the panel's left t-node (larger w)
-            wa = w_nodes[1:]
-            L = wb - wa
+            # a panel's phase rate is c (wb - wa), wb and wa = e^{-alpha t} at its ends
+            w = np.exp(-alpha * grid.nodes)
+            gb, ga, D = _osc_weights(c * (w[:-1] - w[1:]))
+            del w
+            # the smooth factor g / (alpha w) is interpolated linearly in w; with
+            # wb - wa = a wb = a e^{alpha h} wa the weights are scalar multiples
+            a = -math.expm1(-alpha * h)
             ebh = np.exp(-B * h)
-            gb, ga, phase = _osc_weights(c * L)
-            # the smooth factor g / (alpha w) is interpolated linearly in w
-            self.wi = L * gb / (alpha * wb)
-            self.wj = L * ga * ebh / (alpha * wa)
-            D = phase * ebh
+            gb *= a / alpha
+            ga *= ebh * a / (alpha * math.exp(-alpha * h))
+            self.wi, self.wj = gb, ga
+            D *= ebh
         self.recurrence = _Recurrence(D, B.real * h)
 
     def __call__(self, samples) -> np.ndarray:
         g = np.asarray(samples, dtype=complex)
-        col = (slice(None), None) if g.ndim == 2 else slice(None)
-        P = self.wi[col] * g[:-1]
-        P += self.wj[col] * g[1:]
+        P = self.wi * g[:-1]
+        P += self.wj * g[1:]
         if self.wk is not None:
-            P[:-1] += self.wk[col] * g[2:]
+            P[:-1] += self.wk * g[2:]
         return self.recurrence(P)
 
 
@@ -242,14 +263,22 @@ def ode_residual(U: ModeFunction, G: ModeFunction, lam: complex, params: VortexP
     h = U.grid.h
     c = KernelK2(p, k, lam).phase_amplitude
     decay = np.exp(-p.alpha * t)
-    phase = np.exp(1j * c * decay)
+    # e^{ic e^{-alpha t}} from cos and sin: cheaper than a complex exp
+    phase = np.empty(t.shape, dtype=complex)
+    arg = c * decay
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
     W = phase * U.samples
-    dW = _fd4(W, h)
-    lhs = (1.0 / phase) * ((1.0 / p.alpha) * dW + (p.a0 - lam) * W)
+    r = _fd4(W, h)
+    r *= 1.0 / p.alpha
+    W *= p.a0 - lam
+    r += W
+    r *= np.conjugate(phase, out=phase)  # |phase| = 1: divide by multiplying by the conjugate
     if k >= 1:
-        lhs = lhs - 1j * p.m * k * p.alpha * (2.0 - p.alpha) * p.beta \
-            * decay * psi_from_U(U, p).samples
-    r = lhs - G.samples
+        coupling = 1j * p.m * k * p.alpha * (2.0 - p.alpha) * p.beta * decay
+        coupling *= psi_from_U(U, p).samples
+        r -= coupling
+    r -= G.samples
     rate = np.maximum(np.abs(c) * p.alpha * decay, 1.0)
     zone = h * rate <= RESIDUAL_ZONE_THETA
     zone[:2] = False
@@ -313,7 +342,10 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
     current iterate and integrates the first-order ODE exactly, so the limit
     satisfies the ODE to quadrature accuracy.  After U0 the map's factor
     coef * e^{-alpha t} is folded into the solve's own K2 panel weights, so a
-    step is one K1 plan call and one scan.  If Picard has not converged
+    step is one K1 plan call and one scan.  Picard runs on the increment:
+    d_0 = U0, d_{j+1} = T d_j and U_{j+1} = U_j + d_{j+1}, which is the
+    iteration U_{j+1} = U0 + T U_j with its update ||U_{j+1} - U_j|| read off
+    d_{j+1}, so a step forms no difference array.  If Picard has not converged
     within PICARD_MAX_ITER steps, or its iterates overflow first, a Krylov
     solve of the same linear system takes over from U0; ``method`` of the
     result says which one finished.  With map_kind="reduced" the K1-shortcut
@@ -353,16 +385,16 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
 
     history: list[float] = []
     U = U0.copy()
+    d = U0
     for _ in range(PICARD_MAX_ITER):
-        Unew = tmap(U)
-        Unew += U0
-        size = lq_norm_samples(Unew, grid.h, p.q)
-        diff = lq_norm_samples(Unew - U, grid.h, p.q)
+        d = tmap(d)
+        U += d
+        size = lq_norm_samples(U, grid.h, p.q)
+        diff = lq_norm_samples(d, grid.h, p.q)
         upd = diff / max(size, 1e-300) if math.isfinite(size) else math.inf
         history.append(upd)
         if not math.isfinite(upd):
             break  # the iterates overflowed: Picard diverges, Krylov takes over
-        U = Unew
         if upd < PICARD_TOL:
             return ResolventSolution(U=G.with_samples(U), iterations=len(history),
                                      method="picard", update_history=history)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,15 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ssvortex import resolvent
-from ssvortex.modes import KernelK1, LogGrid, ModeFunction, apply_phi1, lq_norm, phi1_matrix
+from ssvortex.modes import (
+    KernelK1,
+    LogGrid,
+    ModeFunction,
+    apply_phi1,
+    lq_norm,
+    lq_norm_samples,
+    phi1_matrix,
+)
 from ssvortex.params import VortexParams
 from ssvortex.resolvent import (
     PICARD_TOL,
@@ -136,17 +145,6 @@ def test_scan_plan_reuse_is_bit_identical():
     np.testing.assert_array_equal(a2, _ScanPlan(g, P.alpha, B, 2.0)(x2))
 
 
-@pytest.mark.parametrize("c, order", [(2.0, 1), (0.0, 1), (0.0, 2)])
-def test_scan_plan_batched_matches_columns(c, order):
-    g = LogGrid(-10.0, 10.0, 501)
-    rng = np.random.default_rng(8)
-    X = rng.standard_normal((g.n, 4)) + 1j * rng.standard_normal((g.n, 4))
-    plan = _ScanPlan(g, P.alpha, KernelK2(P, 1, 0.5).B, c, order=order)
-    batched = plan(X)
-    for j in range(X.shape[1]):
-        np.testing.assert_allclose(batched[:, j], plan(X[:, j]), rtol=1e-14, atol=0)
-
-
 def test_scan_plan_rejects_unsupported_combinations():
     g = LogGrid(-10.0, 10.0, 501)
     B = KernelK2(P, 1, 0.5).B
@@ -214,6 +212,26 @@ def test_scan_plan_multiple_blocks_match_sequential_recurrence():
     for i in range(g.n - 2, -1, -1):
         want[i] = Pn[i] + D[i] * want[i + 1]
     np.testing.assert_allclose(plan(x), want, rtol=1e-13, atol=0)
+
+
+def test_scan_plan_build_memory():
+    # the c != 0 build writes its weights and panel phase in place: its peak
+    # stays under 7.5 complex arrays of the grid's length, and the plan keeps
+    # exactly four: wi, wj and the recurrence's two factors, no view into a
+    # larger buffer
+    g = LogGrid(-25.0, 25.0, 2**17 + 1)
+    g.nodes  # cached on the grid, not part of the plan
+    B = KernelK2(P, 1, 0.5).B
+    tracemalloc.start()
+    try:
+        plan = _ScanPlan(g, P.alpha, B, 2.0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(plan.recurrence.blocks) == 1
+    unit = 16 * g.n
+    assert peak / unit <= 7.5
+    assert held / unit == pytest.approx(4.0, abs=0.01)
 
 
 def test_solve_k0_closed_form():
@@ -340,9 +358,29 @@ def test_picard_finishes_every_valid_solve(case):
     assert np.all(np.isfinite(sol.U.samples))
 
 
+def plain_picard(tmap, U0, h, q):
+    """Update history of U <- U0 + T U from U = U0, stopped as solve_mode stops.
+
+    Its updates are norms of the difference of two iterates, so besides their
+    relative rounding they carry an absolute one of order eps (they are relative
+    to ||U||); HISTORY_ATOL allows for that on the last, smallest updates."""
+    history = []
+    U = U0
+    while len(history) < resolvent.PICARD_MAX_ITER:
+        Unew = U0 + tmap(U)
+        history.append(lq_norm_samples(Unew - U, h, q) / lq_norm_samples(Unew, h, q))
+        U = Unew
+        if history[-1] < PICARD_TOL:
+            break
+    return history
+
+
+HISTORY_ATOL = np.finfo(float).eps
+
+
 def test_solve_mode_dense_matches_picard():
-    # oracle: the full map T applied to every column of the identity, and the
-    # linear system (I - T) U = U0 solved directly
+    # oracle: the full map T applied to every column of the identity, iterated
+    # as U <- U0 + T U and solved directly as (I - T) U = U0
     g = LogGrid(-18.0, 18.0, 2049)
     G = gaussian(g)
     a = solve_mode(G, 0.5, P)
@@ -351,11 +389,33 @@ def test_solve_mode_dense_matches_picard():
     coef = 1j * P.beta * P.alpha**2 * (2.0 - P.alpha) / 2.0
     scan = _ScanPlan(g, P.alpha, B, c)
     w = np.exp(-P.alpha * g.nodes)
-    T = coef * scan(w[:, None] * phi1_matrix(g, KernelK1(1, P.q, P.m)))
+    M = w[:, None] * phi1_matrix(g, KernelK1(1, P.q, P.m))
+    T = coef * np.stack([scan(col) for col in M.T], axis=1)
     U0 = -P.alpha * scan(G.samples)
     dense = np.linalg.solve(np.eye(g.n) - T, U0)
     assert a.method == "picard"
     np.testing.assert_allclose(dense, a.U.samples, atol=1e-9 * np.abs(a.U.samples).max())
+    history = plain_picard(lambda x: T @ x, U0, g.h, P.q)
+    assert a.iterations == len(history)
+    np.testing.assert_allclose(a.update_history, history, rtol=1e-10, atol=HISTORY_ATOL)
+
+
+@pytest.mark.parametrize("q, alpha, k", [(2.5, 0.8, 2), (3.0, 2.0 / 3.0, 4)])
+def test_solve_mode_reduced_map_matches_plain_picard(q, alpha, k):
+    # two points of the contraction check's lattice, on its grid and data
+    p = VortexParams(alpha=alpha, beta=1.0, m=2, q=q)
+    lam = p.a0 + 0.5
+    g = LogGrid(-20.0, 20.0, 2**14 + 1)
+    G = gaussian(g, k=k)
+    sol = solve_mode(G, lam, p, map_kind="reduced")
+    coef = alpha * (2.0 - alpha) / (2.0 * p.m * k)
+    k1 = KernelK1(k, q, p.m)
+    U0 = -alpha * apply_phi2(G, KernelK2(p, k, lam)).samples
+    history = plain_picard(lambda x: coef * apply_phi1(G.with_samples(x), k1).samples,
+                           U0, g.h, q)
+    assert sol.method == "picard"
+    assert sol.iterations == len(history)
+    np.testing.assert_allclose(sol.update_history, history, rtol=1e-10, atol=HISTORY_ATOL)
 
 
 def test_solve_mode_builds_its_plans_once(monkeypatch):
