@@ -28,7 +28,6 @@ from .modes import (
     lq_norm,
     phi1_matrix,
     psi_from_U,
-    second_order_relation,
 )
 from .params import VortexParams
 from .resolvent import (
@@ -37,7 +36,6 @@ from .resolvent import (
     ResolventSolution,
     apply_phi2,
     contraction_bound,
-    k2_eval,
     ode_residual,
     resolvent_bound_check,
     solve_k0,
@@ -53,9 +51,8 @@ __all__ = [
     "RunConfig", "ShootingResult", "VortexParams", "apply_phi1", "apply_phi2",
     "assemble_generator", "contraction_bound", "eig_scan", "emit", "evolve",
     "growth_fit", "homo2_defect", "homo2_params", "hyp2f2_regularized", "k1_eval",
-    "k2_eval", "lq_norm", "ode_residual", "phi1_matrix", "psi_from_U", "q_frak",
-    "resolvent_bound_check", "run", "second_order_relation", "shoot_batch",
-    "shoot_homogeneous", "solve_k0", "solve_mode", "stable_dt",
-    "verify_kernel_composition", "verify_neat_identities",
+    "lq_norm", "ode_residual", "phi1_matrix", "psi_from_U", "q_frak",
+    "resolvent_bound_check", "run", "shoot_batch", "shoot_homogeneous", "solve_k0",
+    "solve_mode", "stable_dt", "verify_kernel_composition", "verify_neat_identities",
 ]
 __version__ = "0.1.0"

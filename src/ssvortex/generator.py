@@ -15,18 +15,20 @@ and normalization conventions used here.
 ``GeneratorMatrix.apply`` evaluates L_k U in O(n): a banded drift stencil, a
 diagonal, and the coupling through the K1 recurrences of ``modes._Phi1Plan``.
 Time stepping runs on it.  The dense matrix of the same operator,
-``GeneratorMatrix.entries``, is built only when read: by the eigenvalue scan,
-and by the tests as the oracle of ``apply``.  It is built in place, the
-coupling in blocks of rows, so its peak memory is the result plus one block.
+``GeneratorMatrix.dense()``, is built fresh on each call: by the eigenvalue
+scan, which hands it to LAPACK to overwrite, and by the tests as the oracle of
+``apply``.  It is built in place, Fortran-ordered, the coupling in blocks of
+rows, so its peak memory is the result plus one block and the eigensolve needs
+no second copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigvals
 
 from . import resolvent
 from .modes import KernelK1, LogGrid, ModeFunction, _Phi1Plan, lq_norm_samples, phi1_matrix
@@ -46,7 +48,7 @@ DRIFT_EDGES = (
 )
 
 
-# rows of the K1 coupling that ``entries`` builds at a time
+# rows of the K1 coupling that ``dense`` builds at a time
 _ENTRY_BLOCK_ROWS = 128
 
 
@@ -56,8 +58,7 @@ class GeneratorMatrix:
 
     ``apply(U)`` is ``drift_scale`` times the drift stencil, plus ``diag * U``,
     plus ``coup * plan(U)`` (the K1 coupling; ``plan`` is None when k = 0 or
-    beta = 0).  ``entries`` is the dense matrix of the same operator, built on
-    first read.
+    beta = 0).  ``dense()`` builds the dense matrix of the same operator.
     """
 
     k: int
@@ -80,14 +81,14 @@ class GeneratorMatrix:
             out += self.coup * self.plan(U)
         return out
 
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """Dense complex matrix of the operator (n x n), built in place in row
-        blocks (peak: the result plus one block).  Each entry is
-        ``(1/alpha) * (c/h)``, then ``+= diag``, then ``+= coup_i * ((h K_ij) w_j)``."""
+    def dense(self) -> np.ndarray:
+        """A new dense complex matrix of the operator (n x n, Fortran order, so
+        LAPACK can work on it without a copy), built in place in row blocks
+        (peak: the result plus one block).  Each entry is ``(1/alpha) * (c/h)``,
+        then ``+= diag``, then ``+= coup_i * ((h K_ij) w_j)``."""
         p = self.params
         n, h = self.grid.n, self.grid.h
-        L = np.zeros((n, n), dtype=complex)
+        L = np.zeros((n, n), dtype=complex, order="F")
         rows = np.arange(1, n - 2)
         for off, c in DRIFT_INTERIOR:
             L[rows, rows + off] = (1.0 / p.alpha) * (c / h)
@@ -223,6 +224,10 @@ def eig_scan(k_values, params: VortexParams, grid: LogGrid) -> dict:
     ``resolvent.RESIDUAL_TOL``, read at call time), which identifies it
     as a truncation artifact rather than spectrum.  Conclusions are desk-scale
     evidence: the probe, not the discretized eigenvalue, is the arbiter.
+
+    Each mode's matrix is built once and overwritten by LAPACK.  A matrix with
+    an inf or NaN, or an eigensolve that does not converge, is reported as a
+    ``failed`` mode.
     """
     if grid.n > SCAN_N_MAX:
         raise ValueError(f"dense eigensolve capped at n = {SCAN_N_MAX}; use a coarser scan grid")
@@ -231,10 +236,10 @@ def eig_scan(k_values, params: VortexParams, grid: LogGrid) -> dict:
     modes = []
     for k in k_values:
         entry = {"k": int(k)}
+        gen = assemble_generator(k, p, grid)
         try:
-            gen = assemble_generator(k, p, grid)
-            ev = np.linalg.eigvals(gen.entries)
-        except np.linalg.LinAlgError as exc:
+            ev = eigvals(gen.dense(), overwrite_a=True)
+        except (np.linalg.LinAlgError, ValueError) as exc:  # no convergence; inf or NaN
             entry["failed"] = str(exc)
             modes.append(entry)
             continue

@@ -121,30 +121,6 @@ def _fd4(y: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def second_order_relation(psi: ModeFunction, params: VortexParams) -> ModeFunction:
-    """Apply psi'' + (4-4/q) psi' + ((2-2/q)^2 - (mk)^2) psi by finite differences,
-    with k the mode index of psi.
-
-    Interior points use 4th-order centered stencils; the two points at each end
-    fall back to 2nd order and should be excluded from residual metrics.
-    """
-    q, m = params.q, params.m
-    h = psi.grid.h
-    y = psi.samples
-    n = y.size
-    d1 = _fd4(y, h)
-    d2 = np.empty(n, dtype=complex)
-    d2[2:-2] = (-y[:-4] + 16 * y[1:-3] - 30 * y[2:-2] + 16 * y[3:-1] - y[4:]) / (12 * h * h)
-    # one-sided 2nd order at the ends, centered 2nd order one point in
-    d2[0] = (2 * y[0] - 5 * y[1] + 4 * y[2] - y[3]) / (h * h)
-    d2[-1] = (2 * y[-1] - 5 * y[-2] + 4 * y[-3] - y[-4]) / (h * h)
-    d2[1] = (y[0] - 2 * y[1] + y[2]) / (h * h)
-    d2[-2] = (y[-3] - 2 * y[-2] + y[-1]) / (h * h)
-    c1 = 4.0 - 4.0 / q
-    c0 = (2.0 - 2.0 / q) ** 2 - float(m * psi.k) ** 2
-    return psi.with_samples(d2 + c1 * d1 + c0 * y)
-
-
 @dataclass(frozen=True)
 class KernelK1:
     """Two-sided exponential kernel with decay A+ = mk+2-2/q forward, A- = mk-2+2/q backward."""

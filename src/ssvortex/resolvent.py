@@ -87,21 +87,6 @@ class KernelK2:
         return self.params.m * self.k * self.params.beta
 
 
-def k2_eval(t, s, kernel: KernelK2):
-    """Evaluate K2(t, s); zero for t >= s (the indicator is open at the seam)."""
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    p = kernel.params
-    c = kernel.phase_amplitude
-    expo = (
-        -1j * c * np.exp(-p.alpha * t)
-        + 1j * c * np.exp(-p.alpha * s)
-        + (t - s) * kernel.B
-    )
-    out = np.exp(np.where(t - s < 0.0, expo, -np.inf))
-    return out if out.ndim else complex(out)
-
-
 # --------------------------------------------------------------------------
 # panel quadrature for backward (t -> +infinity) kernel scans
 # --------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from ssvortex.modes import KernelK1, LogGrid, k1_eval
 from ssvortex.params import VortexParams
 from ssvortex.resolvent import (
     KernelK2,
-    k2_eval,
     resolvent_bound_check,
     verify_kernel_composition,
     verify_neat_identities,
@@ -44,6 +43,8 @@ from ssvortex.suites import (
     suite_shooting,
     suite_spectrum,
 )
+
+from oracles import k2_eval
 
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)  # a0 = -1
 

@@ -13,10 +13,11 @@ from ssvortex.modes import (
     lq_norm_samples,
     phi1_matrix,
     psi_from_U,
-    second_order_relation,
 )
 from ssvortex.params import VortexParams
 from ssvortex.suites import LATTICE_K, YOUNG_LATTICE, YOUNG_N, YOUNG_T
+
+from oracles import second_order_relation
 
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)
 

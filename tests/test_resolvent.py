@@ -26,7 +26,6 @@ from ssvortex.resolvent import (
     _ScanPlan,
     apply_phi2,
     contraction_bound,
-    k2_eval,
     ode_residual,
     resolvent_bound_check,
     solve_k0,
@@ -34,6 +33,8 @@ from ssvortex.resolvent import (
     verify_kernel_composition,
     verify_neat_identities,
 )
+
+from oracles import k2_eval
 
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)  # a0 = -1
 

@@ -48,10 +48,9 @@ def test_public_names():
         "RunConfig", "ShootingResult", "VortexParams", "apply_phi1", "apply_phi2",
         "assemble_generator", "contraction_bound", "eig_scan", "emit", "evolve",
         "growth_fit", "homo2_defect", "homo2_params", "hyp2f2_regularized", "k1_eval",
-        "k2_eval", "lq_norm", "ode_residual", "phi1_matrix", "psi_from_U", "q_frak",
-        "resolvent_bound_check", "run", "second_order_relation", "shoot_batch",
-        "shoot_homogeneous", "solve_k0", "solve_mode", "stable_dt",
-        "verify_kernel_composition", "verify_neat_identities",
+        "lq_norm", "ode_residual", "phi1_matrix", "psi_from_U", "q_frak",
+        "resolvent_bound_check", "run", "shoot_batch", "shoot_homogeneous", "solve_k0",
+        "solve_mode", "stable_dt", "verify_kernel_composition", "verify_neat_identities",
     ]
 
 
@@ -65,7 +64,7 @@ def test_solver_signatures():
         "shoot_homogeneous": ["params", "k", "lam"],
         "shoot_batch": ["params", "tasks"],
         "resolvent_bound_check": ["lambda_values", "params", "k_max", "grid", "batch", "seed"],
-        # traced; the dense-generator smoke test counts its calls from `entries`
+        # traced; the dense-generator smoke test counts its calls from `dense()`
         "phi1_matrix": ["grid", "kernel", "rows"],
     }
     for name, params in expected.items():
