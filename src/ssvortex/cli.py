@@ -16,6 +16,7 @@ import argparse
 import sys
 from dataclasses import fields, replace
 
+from .params import _number
 from .suites import DEFAULT_PARAMS, SUITES, RunConfig, run
 
 _SUBCOMMAND_SUITES = {
@@ -28,9 +29,10 @@ _SUBCOMMAND_SUITES = {
 }
 
 _PARAM_KEYS = {"alpha", "beta", "m", "q"}
-# file keys: the run inputs of RunConfig, with `out` for `out_dir`
-_CONFIG_KEYS = _PARAM_KEYS | {"out"} | {
-    f.name for f in fields(RunConfig) if f.name not in ("params", "out_dir")
+# file keys: the run inputs of RunConfig but the suites, with `out` for `out_dir`
+# and `workers`, which build_config alone reads
+_CONFIG_KEYS = _PARAM_KEYS | {"out", "workers"} | {
+    f.name for f in fields(RunConfig) if f.name not in ("params", "out_dir", "suites")
 }
 
 
@@ -74,15 +76,17 @@ def parse_config_file(path: str) -> dict:
 
 def build_config(file_values: dict, out, suites) -> RunConfig:
     merged = dict(file_values)
+    # the suites run serially; bench/workloads.py still writes `workers = 1`, and
+    # ROADMAP item 5 deletes this line together with that one
+    if _number("workers", merged.pop("workers", 1), integer=True) != 1:
+        raise ConfigError("workers: the only accepted value is 1")
     if out:  # no `--out` (None, or `{}` from bench/worker.py) keeps the file's `out`
         merged["out"] = out
     pkw = {key: merged.pop(key) for key in _PARAM_KEYS & merged.keys()}
     params = replace(DEFAULT_PARAMS, **pkw)
-    if suites is not None:
-        merged["suites"] = tuple(suites)
     if "out" in merged:
         merged["out_dir"] = str(merged.pop("out"))
-    return RunConfig(params=params, **merged)
+    return RunConfig(params=params, suites=tuple(suites), **merged)
 
 
 def main(argv=None) -> int:
@@ -101,10 +105,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    # `all` runs the file's `suites`, or every suite by default
-    suites = None if args.command == "all" else _SUBCOMMAND_SUITES[args.command]
     try:
-        cfg = build_config(file_values, args.out, suites)
+        cfg = build_config(file_values, args.out, _SUBCOMMAND_SUITES[args.command])
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

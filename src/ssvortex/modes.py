@@ -243,6 +243,5 @@ def psi_from_U(fn: ModeFunction, params: VortexParams) -> ModeFunction:
     k = fn.k
     if k < 1:
         raise ValueError("psi_from_U requires k >= 1 (no stream-function coupling at k = 0)")
-    plan = _Phi1Plan(fn.grid, KernelK1(k, params.q, params.m))
-    scale = -1.0 / (2.0 * params.m * k)
-    return fn.with_samples(scale * plan(fn.samples))
+    phi = apply_phi1(fn, KernelK1(k, params.q, params.m))
+    return phi.with_samples(-1.0 / (2.0 * params.m * k) * phi.samples)

@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,7 +64,6 @@ class RunConfig:
     out_dir: str = "out"
     # probe points lambda = a0 + offset; complex offsets are allowed
     lambda_offsets: tuple = (0.1, 0.5, 1.0, 4.0)
-    workers: int = 1
     young_batch: int = 100
     bound_batch: int = 12
     # grid point counts, the scan span and the evolution time
@@ -93,14 +91,19 @@ class RunConfig:
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suites {unknown}; choose from {SUITES}")
-        if self.seed < 0 or self.k_max < 0 or any(k < 0 for k in self.shoot_k):
-            raise ValueError("seed, k_max and shoot_k must be nonnegative")
+        if self.seed < 0 or self.k_max < 0:
+            raise ValueError("seed and k_max must be nonnegative")
         # shooting points are lambda = a0 + offset, which must lie right of a0
         if self.scan_t <= 0 or self.tau_end <= 0 or any(off <= 0 for off in self.shoot_offsets):
             raise ValueError("scan_t, tau_end and every shoot_offsets entry must be positive")
         # a check over no samples would pass vacuously
         if self.young_batch < 1 or self.bound_batch < 1:
             raise ValueError("young_batch and bound_batch must be at least 1")
+        if not (self.shoot_k and self.shoot_offsets and self.shoot_imags):
+            raise ValueError("shoot_k, shoot_offsets and shoot_imags each need an entry")
+        # the shooting suite adds the analytic k = 0 row itself
+        if any(k < 1 for k in self.shoot_k):
+            raise ValueError("every shoot_k entry must be at least 1")
         if min(self.fine_n, self.norm_n, self.scan_n, self.evolve_n) < 16:
             raise ValueError("every grid needs at least 16 points")
         if self.scan_n > SCAN_N_MAX:
@@ -124,13 +127,6 @@ def _summary(name: str, cfg: RunConfig, checks: list, **extra) -> dict:
             "params": {"alpha": p.alpha, "beta": p.beta, "m": p.m, "q": p.q, "a0": p.a0},
             "seed": cfg.seed, "checks": checks,
             "passed": all(c["passed"] for c in checks), **extra}
-
-
-def _map_tasks(fn, tasks, workers):
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
 
 
 # --------------------------------------------------------------------------
@@ -319,14 +315,10 @@ def suite_semigroup(cfg: RunConfig) -> tuple[dict, list, list]:
     center = EVOLVE_T_MAX - 0.22 * (EVOLVE_T_MAX - EVOLVE_T_MIN)
     U0 = np.exp(-(grid.nodes - center) ** 2).astype(complex)
 
-    def one(k):
-        gen = assemble_generator(k, p, grid)
-        return k, evolve(U0, cfg.tau_end, gen=gen)
-
-    results = _map_tasks(one, list(range(cfg.k_max + 1)), cfg.workers)
     rows = []
     fits = {}
-    for k, tr in results:
+    for k in range(cfg.k_max + 1):
+        tr = evolve(U0, cfg.tau_end, gen=assemble_generator(k, p, grid))
         fits[k] = tr.fitted_rate
         for tau, nrm in zip(tr.times, tr.norms):
             rows.append({"k": k, "tau": float(tau), "norm": float(nrm)})

@@ -1,5 +1,4 @@
 import csv
-import filecmp
 import json
 import os
 import subprocess
@@ -40,22 +39,20 @@ q = 3
 m = 3
 k_max = 4
 seed = 7
-workers = 2
-suites = semigroup, shooting
 lambda_offsets = 0.9, 1.5+1j
 out = results
 """)
     vals = parse_config_file(cfg)
     assert vals["alpha"] == 0.6
     assert vals["m"] == 3
-    assert vals["suites"] == ("semigroup", "shooting")
     assert vals["lambda_offsets"] == (0.9, 1.5 + 1j)
     assert vals["out"] == "results"
     # every run input is a config key, the vortex parameters included
-    run_cfg = build_config(vals, None, None)
+    run_cfg = build_config(vals, None, ("semigroup", "shooting"))
     p = run_cfg.params
     assert (p.alpha, p.beta, p.q, p.m) == (0.6, -2.0, 3.0, 3)
-    assert (run_cfg.k_max, run_cfg.seed, run_cfg.workers) == (4, 7, 2)
+    assert (run_cfg.k_max, run_cfg.seed) == (4, 7)
+    assert run_cfg.suites == ("semigroup", "shooting")
 
 
 def test_parse_config_line_errors(tmp_path):
@@ -81,12 +78,14 @@ def test_cli_exit_2_on_lambda_at_a0(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", [
-    "young_batch = 0", "bound_batch = 0", "lambda_offsets = none"])
+    "young_batch = 0", "bound_batch = 0", "lambda_offsets = none",
+    "shoot_k = none", "shoot_offsets = none", "shoot_imags = none", "shoot_k = 0"])
 def test_cli_exit_2_on_empty_sample_set(tmp_path, capsys, line):
-    # a Young, norm-bound or residual check over no samples would pass
-    # vacuously; the config is rejected before any suite runs
-    cfg = write(tmp_path / "c.cfg", f"suites = none\n{line}\n")
-    assert main(["all", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    # a Young, norm-bound, residual or shooting check over no samples would
+    # pass vacuously (an empty shooting grid, or one of k = 0 alone, leaves only
+    # the analytic k = 0 row); the config is rejected before any suite runs
+    cfg = write(tmp_path / "c.cfg", f"{line}\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -100,8 +99,8 @@ def test_cli_exit_2_on_invalid_value(tmp_path, capsys, line):
     # the log grid refuses, a key that is not a run input, a negative seed, an
     # empty scan span or evolution time, and a shooting point not right of a0
     # are all rejected before any suite runs
-    cfg = write(tmp_path / "c.cfg", f"suites = none\n{line}\n")
-    assert main(["all", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    cfg = write(tmp_path / "c.cfg", f"{line}\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -109,7 +108,7 @@ def test_build_config_normalizes_types():
     # integral floats are ints, ints of real fields are floats, scalars of tuple
     # keys are 1-tuples
     cfg = build_config({"m": 3.0, "k_max": 2.0, "shoot_k": 1, "lambda_offsets": 0.5 + 1j,
-                        "suites": "shooting", "beta": 2}, None, None)
+                        "beta": 2}, None, ("shooting",))
     assert cfg.params.m == 3 and isinstance(cfg.params.m, int)
     assert cfg.params.beta == 2.0 and isinstance(cfg.params.beta, float)
     assert cfg.k_max == 2 and isinstance(cfg.k_max, int)
@@ -119,16 +118,36 @@ def test_build_config_normalizes_types():
 
 
 def test_cli_out_flag_overrides_config_file(tmp_path):
-    cfg = write(tmp_path / "c.cfg", f"suites = none\nout = {tmp_path / 'from_file'}\n")
-    assert main(["all", "--config", cfg, "--out", str(tmp_path / "from_flag")]) == 0
+    # one shooting point keeps the run short
+    cfg = write(tmp_path / "c.cfg", f"out = {tmp_path / 'from_file'}\n"
+                "shoot_k = 1\nshoot_offsets = 1.0\nshoot_imags = 0.0\n")
+    assert main(["shoot", "--config", cfg, "--out", str(tmp_path / "from_flag")]) == 0
     assert (tmp_path / "from_flag").is_dir()
     assert not (tmp_path / "from_file").exists()
 
 
-def test_cli_empty_suites_exits_zero(tmp_path):
-    cfg = write(tmp_path / "c.cfg", "suites = none\n")
-    out = tmp_path / "out"
-    assert main(["all", "--config", cfg, "--out", str(out)]) == 0
+def test_cli_suites_is_not_a_config_key(tmp_path, capsys):
+    # the subcommand alone picks the suites
+    cfg = write(tmp_path / "c.cfg", "suites = identities\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown key 'suites'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["workers = 2", "workers = 0", "workers = none",
+                                  "workers = 1+0j"])
+def test_cli_workers_other_than_one_is_a_config_error(tmp_path, capsys, line):
+    # the suites run serially; the key stays parseable for configs that set 1
+    cfg = write(tmp_path / "c.cfg", f"{line}\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "workers" in capsys.readouterr().err
+
+
+def test_build_config_accepts_workers_one(tmp_path):
+    cfg = write(tmp_path / "c.cfg", "workers = 1\nseed = 3\n")
+    run_cfg = build_config(parse_config_file(cfg), None, ("shooting",))
+    assert run_cfg.seed == 3
+    assert not hasattr(run_cfg, "workers")
 
 
 def test_unwritable_out_dir_exits_2(tmp_path):
@@ -140,11 +159,11 @@ def test_unwritable_out_dir_exits_2(tmp_path):
 
 def test_build_config_overrides():
     # `--out` is the one value the command line sets over the file
-    cfg = build_config({"alpha": 0.6, "seed": 9, "out": "from_file"}, "x", None)
+    cfg = build_config({"alpha": 0.6, "seed": 9, "out": "from_file"}, "x", ("identities",))
     assert cfg.params.alpha == 0.6
     assert cfg.seed == 9
     assert cfg.out_dir == "x"
-    assert build_config({"out": "from_file"}, None, None).out_dir == "from_file"
+    assert build_config({"out": "from_file"}, None, ("identities",)).out_dir == "from_file"
 
 
 @pytest.mark.parametrize("flag", [
@@ -280,15 +299,32 @@ def test_residual_check_reports_min_zone_fraction(tmp_path):
     assert len(rows) == 3 * len(cfg.lambda_offsets)
 
 
-def test_worker_pool_output_matches_sequential(tmp_path):
-    cfg1 = _small_all_config(tmp_path, "w1")
-    cfg2 = _small_all_config(tmp_path, "w2")
-    cfg1.suites = cfg2.suites = ("semigroup", "shooting")
-    cfg2.workers = 3
-    run(cfg1, log=lambda *a: None)
-    run(cfg2, log=lambda *a: None)
-    for name in sorted(os.listdir(tmp_path / "w1")):
-        assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name, shallow=False), name
+def test_cli_all_writes_every_report(tmp_path):
+    # criterion 10's config as a config file: `ssvortex all` runs the five
+    # suites (it exits 1: the identities shortcuts, and the residuals on its
+    # coarse fine_n, fail)
+    cfg = write(tmp_path / "c.cfg", """
+k_max = 1
+seed = 99
+young_batch = 2
+bound_batch = 1
+fine_n = 4097
+norm_n = 1025
+scan_n = 128
+scan_t = 8.0
+evolve_n = 256
+tau_end = 2.0
+lambda_offsets = 0.5, 1.0
+shoot_k = 1
+shoot_offsets = 1.0
+shoot_imags = 0.0
+""")
+    out = tmp_path / "out"
+    assert main(["all", "--config", cfg, "--out", str(out)]) == 1
+    assert sorted(os.listdir(out)) == sorted(
+        f"{name}.{ext}" for name in suites.SUITES for ext in ("csv", "json"))
+    for name in suites.SUITES:
+        assert json.loads((out / f"{name}.json").read_text())["suite"] == name
 
 
 def test_cli_import_leaves_out_scipy_signal():

@@ -83,6 +83,55 @@ def test_homo2_ode_defect_small():
         assert homo2_defect(hp, zs) <= 1e-12
 
 
+def _series_vector(p, k, lam):
+    """(psi, psi', U) at t = 0 of psi = e^{(n - c_w) t} F(z), z = -i m k beta e^{-alpha t}:
+    F is the regularized 2F2 at homo2_params, F' and F'' the series with every
+    parameter raised by 1 and 2 (DLMF 16.3.1), and z' = -alpha z."""
+    hp = homo2_params(p, k, lam)
+    n, cw, a = p.m * k, 2.0 - 2.0 / p.q, p.alpha
+    z = -1j * p.m * k * p.beta
+    F, poch = [], 1.0
+    for j in range(3):
+        F.append(poch * hyp2f2_regularized(hp.a1 + j, hp.a2 + j, hp.b1 + j, hp.b2 + j, z))
+        poch *= (hp.a1 + j) * (hp.a2 + j)
+    return np.array([F[0], n * F[0] - a * z * F[1] - cw * F[0],
+                     -a * (2 * n - a) * z * F[1] + a * a * z * z * F[2]])
+
+
+def _right_vector(p, k, lam):
+    """The shooting flow's right-admissible vector at t = 0, built as _mismatches does."""
+    M0, M1 = homogeneous._system(p, np.array([k], dtype=float), np.array([lam], dtype=complex))
+    k1 = KernelK1(k, p.q, p.m)
+    return homogeneous._flow_to_zero(M0 + k1.A_plus * np.eye(3), M1, p.alpha,
+                                     [[1.0, -k1.A_plus, 0.0]], homogeneous.SHOOT_SPAN, "right")[0]
+
+
+def _sine(u, v):
+    """Sine of the angle between the complex lines through u and v."""
+    v = v / np.linalg.norm(v)
+    return np.linalg.norm(u - np.vdot(v, u) * v) / np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("alpha, beta, q, k", [
+    (0.5, 1.0, 2.0, 1), (0.5, 1.0, 2.0, 2), (0.5, 1.0, 2.0, 3), (0.5, 1.0, 2.0, 8),
+    (0.8, 1.0, 2.5, 2), (2.0 / 3.0, 1.0, 3.0, 3), (0.5, 3.0, 3.0, 2)])
+def test_series_is_the_right_admissible_solution(alpha, beta, q, k):
+    # ties the appendix series to the vortex: at t = 0 it spans the same line
+    # as the right-admissible vector the shooting flow integrates from t = 12
+    p = VortexParams(alpha=alpha, beta=beta, m=2, q=q)
+    # 1 - b1 = 2mk/alpha is a positive integer, so b1 is a reciprocal-gamma zero
+    # and the regularized series starts at z^{2mk/alpha}: psi ~ e^{-A+ t}
+    assert abs(2 * p.m * k / alpha - round(2 * p.m * k / alpha)) < 1e-12
+    for off in (0.1, 0.5, 1.0, 4.0, 0.5 + 1j, 2.0 - 2.0j, 4.0 + 3.0j):
+        lam = p.a0 + off
+        v = _right_vector(p, k, lam)
+        # measured at most 6.7e-12 over this lattice
+        assert _sine(_series_vector(p, k, lam), v) <= 1e-10
+        # control: the series at a neighbouring lambda is off the line
+        # (measured 1.9e-5 to 5.5e-4)
+        assert _sine(_series_vector(p, k, lam + 0.05), v) >= 1e-6
+
+
 def test_shoot_k0_analytic():
     r = shoot_homogeneous(P, 0, 0.0)
     assert r.verdict == NO_INTEGRABLE

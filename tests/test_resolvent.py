@@ -309,6 +309,40 @@ def test_solve_mode_residual_and_bound():
     assert sol.iterations <= int(np.ceil(np.log(PICARD_TOL) / np.log(gamma))) + 1
 
 
+def _manufactured(grid, t0, lam):
+    """U of the Gaussian psi = e^{-(t - t0)^2} at k = 1 and the G the resolvent
+    ODE (module docstring of ``resolvent``) gives it, derivatives by hand."""
+    x = grid.nodes - t0
+    psi = np.exp(-x * x)
+    d1, d2, d3 = -2 * x * psi, (4 * x * x - 2) * psi, (12 * x - 8 * x**3) * psi
+    cw, n = 2.0 - 2.0 / P.q, P.m
+    U = d2 + 2 * cw * d1 + (cw * cw - n * n) * psi
+    dU = d3 + 2 * cw * d2 + (cw * cw - n * n) * d1
+    osc = 1j * n * P.beta * np.exp(-P.alpha * grid.nodes)
+    G = dU / P.alpha + (P.a0 - lam) * U - osc * (U + P.alpha * (2 - P.alpha) * psi)
+    return U, ModeFunction(1, grid, G)
+
+
+@pytest.mark.parametrize("t0", [0.0, -6.0])
+def test_solve_mode_manufactured_smooth_solution(t0):
+    # solve_mode against a known U on every node: relative L2 errors measured
+    # 1.54e-5, 9.65e-7, 6.03e-8 (t0 = 0) and 1.06e-5, 6.60e-7, 4.13e-8 (t0 = -6)
+    # at n = 2^13+1, 2^15+1, 2^17+1, second order throughout.  At t0 = -6 and
+    # n = 2^13+1 ode_residual reads 1.35e-10 against the 1.06e-5 error: it does
+    # not see the far left, where the Gaussian sits (ROADMAP item 10).
+    lam = P.a0 + 0.1
+    errors = []
+    for n in (2**13 + 1, 2**15 + 1):
+        grid = LogGrid(-25.0, 25.0, n)
+        U, G = _manufactured(grid, t0, lam)
+        sol = solve_mode(G, lam, P)
+        errors.append(lq_norm_samples(sol.U.samples - U, grid.h, 2.0)
+                      / lq_norm_samples(U, grid.h, 2.0))
+    assert errors[0] <= 3e-5 and errors[1] <= 2e-6
+    # h falls by 4 between the grids
+    assert math.log(errors[0] / errors[1], 4.0) >= 1.8
+
+
 # (alpha, beta, m, q, k, lambda - a0) beyond the default vortex: the critical
 # line q = 2/alpha, negative beta, a complex lambda, k = 16 and lambda close to a0
 BEYOND_DEFAULT = [
