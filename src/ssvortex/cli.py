@@ -51,26 +51,35 @@ def _parse_scalar(text: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Parse `key = value` lines into a config dict, with line-precise errors."""
+    """Parse `key = value` lines into a config dict, with line-precise errors.
+    The file is read as UTF-8, and each key may be set once."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            val = val.strip()
-            if val == "" or val.lower() == "none":
-                out[key] = ()
-            elif "," in val:
-                out[key] = tuple(_parse_scalar(v) for v in val.split(",") if v.strip())
-            else:
-                out[key] = _parse_scalar(val)
+    set_on = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
+        val = val.strip()
+        if val == "" or val.lower() == "none":
+            out[key] = ()
+        elif "," in val:
+            out[key] = tuple(_parse_scalar(v) for v in val.split(",") if v.strip())
+        else:
+            out[key] = _parse_scalar(val)
     return out
 
 

@@ -18,12 +18,11 @@ interpolated linearly and integrated against e^{icw} exactly, so accuracy is
 uniform in the oscillation rate (the phase rate grows like e^{-alpha t} and
 cannot be resolved pointwise on wide grids).
 
-Two fixed-point maps are available.  The default "full" map uses the kernel
-above and its fixed point satisfies the ODE to quadrature accuracy.  The
-"reduced" map replaces the kernel composition with the bare K1 convolution
-scaled by alpha*(2-alpha)/(2mk); this shortcut is exact only in the rapid-phase
-limit (c -> inf) and its fixed point leaves an O(1) ODE defect at moderate c;
-the ``verify_*`` checks below quantify exactly that discrepancy.
+The fixed-point map uses the kernel above, so its fixed point satisfies the ODE
+to quadrature accuracy.  The K1-shortcut map (the bare K1 convolution scaled by
+alpha*(2-alpha)/(2mk), exact only in the rapid-phase limit c -> inf) is iterated
+only by the contraction certificate in ``suites``, through the same Picard loop;
+the ``verify_*`` checks below quantify the discrepancy between the two.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .modes import (
     KernelK1,
@@ -53,10 +51,9 @@ from .params import VortexParams
 class ConvergenceError(RuntimeError):
     """Raised when an iterative solve fails; carries the update history."""
 
-    def __init__(self, message, history, gamma):
+    def __init__(self, message, history):
         super().__init__(message)
         self.history = list(history)
-        self.gamma = gamma
 
 
 @dataclass(frozen=True)
@@ -284,10 +281,9 @@ def ode_residual(U: ModeFunction, G: ModeFunction, lam: complex, params: VortexP
 # solves
 # --------------------------------------------------------------------------
 
-# Picard stops once the relative update falls below PICARD_TOL, or after
-# PICARD_MAX_ITER steps or an overflow, when a Krylov solve to the same relative
-# tolerance takes over; a solve is judged by its ODE residual (``ode_residual``)
-# against RESIDUAL_TOL
+# Picard stops once the relative update falls below PICARD_TOL; after
+# PICARD_MAX_ITER steps or an overflow it raises ConvergenceError.  A solve is
+# judged by its ODE residual (``ode_residual``) against RESIDUAL_TOL
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 400
 RESIDUAL_TOL = 1e-6
@@ -318,8 +314,31 @@ def solve_k0(G: ModeFunction, lam: complex, params: VortexParams) -> ResolventSo
                              method="direct", update_history=[])
 
 
-def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
-               map_kind: str = "full") -> ResolventSolution:
+def _picard(tmap, U0: np.ndarray, G: ModeFunction, q: float) -> ResolventSolution:
+    """Picard U <- U0 + tmap(U) from U = U0 on G's grid, run on the increment
+    (d <- tmap(d), U += d, update ||d|| / ||U||), so a step forms no difference
+    array.  Raises ConvergenceError at the first non-finite update or after
+    PICARD_MAX_ITER steps."""
+    h = G.grid.h
+    history: list[float] = []
+    U = U0.copy()
+    d = U0
+    for _ in range(PICARD_MAX_ITER):
+        d = tmap(d)
+        U += d
+        size = lq_norm_samples(U, h, q)
+        diff = lq_norm_samples(d, h, q)
+        upd = diff / max(size, 1e-300) if math.isfinite(size) else math.inf
+        history.append(upd)
+        if not math.isfinite(upd):
+            raise ConvergenceError("Picard iterates overflowed", history)
+        if upd < PICARD_TOL:
+            return ResolventSolution(U=G.with_samples(U), iterations=len(history),
+                                     method="picard", update_history=history)
+    raise ConvergenceError(f"Picard did not converge in {PICARD_MAX_ITER} steps", history)
+
+
+def solve_mode(G: ModeFunction, lam: complex, params: VortexParams) -> ResolventSolution:
     """Solve the mode-k resolvent equation, k = G.k.
 
     The radial mode k = 0 has the closed form of ``solve_k0``.  For k >= 1,
@@ -327,68 +346,24 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams,
     current iterate and integrates the first-order ODE exactly, so the limit
     satisfies the ODE to quadrature accuracy.  After U0 the map's factor
     coef * e^{-alpha t} is folded into the solve's own K2 panel weights, so a
-    step is one K1 plan call and one scan.  Picard runs on the increment:
-    d_0 = U0, d_{j+1} = T d_j and U_{j+1} = U_j + d_{j+1}, which is the
-    iteration U_{j+1} = U0 + T U_j with its update ||U_{j+1} - U_j|| read off
-    d_{j+1}, so a step forms no difference array.  If Picard has not converged
-    within PICARD_MAX_ITER steps, or its iterates overflow first, a Krylov
-    solve of the same linear system takes over from U0; ``method`` of the
-    result says which one finished.  With map_kind="reduced" the K1-shortcut
-    map is iterated instead (its fixed point does not satisfy the ODE at
-    moderate phase rates; see the module docstring).
+    step is one K1 plan call and one scan (``_picard`` iterates it).
     """
-    if map_kind not in ("full", "reduced"):
-        raise ValueError("map_kind must be 'full' or 'reduced'")
     k = G.k
     if k == 0:
         return solve_k0(G, lam, params)
     p = params
     kernel = KernelK2(p, k, lam)
     grid = G.grid
-    gamma = contraction_bound(p, k)
     phi1 = _Phi1Plan(grid, KernelK1(k, p.q, p.m))
     scan = _ScanPlan(grid, p.alpha, kernel.B, kernel.phase_amplitude)
     U0 = -p.alpha * scan(G.samples)
-
-    if map_kind == "full":
-        # the map is coef * Phi2(e^{-alpha t} y); with U0 formed, s = coef * e^{-alpha t}
-        # is folded into the scan's panel weights
-        s = 1j * p.beta * p.alpha**2 * (2.0 - p.alpha) / 2.0 * np.exp(-p.alpha * grid.nodes)
-        scan.wi *= s[:-1]
-        scan.wj *= s[1:]
-        del s  # freed before the loop, so the fold adds nothing to the solve's peak memory
-
-        def tmap(x):
-            return scan(phi1(x))
-    else:
-        coef = p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k)
-
-        def tmap(x):
-            y = phi1(x)
-            y *= coef
-            return y
-
-    history: list[float] = []
-    U = U0.copy()
-    d = U0
-    for _ in range(PICARD_MAX_ITER):
-        d = tmap(d)
-        U += d
-        size = lq_norm_samples(U, grid.h, p.q)
-        diff = lq_norm_samples(d, grid.h, p.q)
-        upd = diff / max(size, 1e-300) if math.isfinite(size) else math.inf
-        history.append(upd)
-        if not math.isfinite(upd):
-            break  # the iterates overflowed: Picard diverges, Krylov takes over
-        if upd < PICARD_TOL:
-            return ResolventSolution(U=G.with_samples(U), iterations=len(history),
-                                     method="picard", update_history=history)
-    op = LinearOperator((grid.n, grid.n), dtype=complex, matvec=lambda x: x - tmap(x))
-    U, info = lgmres(op, U0, x0=U0, rtol=PICARD_TOL, atol=0.0, maxiter=2000)
-    if info != 0:
-        raise ConvergenceError(f"Krylov fallback failed (info={info})", history, gamma)
-    return ResolventSolution(U=G.with_samples(U), iterations=len(history),
-                             method="krylov", update_history=history)
+    # the map is coef * Phi2(e^{-alpha t} y); with U0 formed, s = coef * e^{-alpha t}
+    # is folded into the scan's panel weights
+    s = 1j * p.beta * p.alpha**2 * (2.0 - p.alpha) / 2.0 * np.exp(-p.alpha * grid.nodes)
+    scan.wi *= s[:-1]
+    scan.wj *= s[1:]
+    del s  # freed before the loop, so the fold adds nothing to the solve's peak memory
+    return _picard(lambda x: scan(phi1(x)), U0, G, p.q)
 
 
 # --------------------------------------------------------------------------

@@ -22,8 +22,12 @@ from .homogeneous import MISMATCH_THRESHOLD, NO_INTEGRABLE, shoot_batch
 from .modes import KernelK1, LogGrid, ModeFunction, _Phi1Plan, lq_norm_samples
 from .params import VortexParams, _number
 from .resolvent import (
+    ConvergenceError,
     KernelK2,
+    ResolventSolution,
+    _picard,
     _ScanPlan,
+    apply_phi2,
     contraction_bound,
     ode_residual,
     resolvent_bound_check,
@@ -219,6 +223,25 @@ def _young_checks(cfg: RunConfig) -> tuple[list, list]:
     return checks, rows
 
 
+def _reduced_picard(G: ModeFunction, lam: complex, params: VortexParams) -> ResolventSolution:
+    """Picard on the K1-shortcut map U <- U0 + alpha(2-alpha)/(2mk) Phi1(U),
+    U0 = -alpha Phi2(G), whose factor ``contraction_bound`` bounds.  Its fixed
+    point leaves an ODE defect at moderate phase rates, so it certifies the
+    iteration budget, not a solve."""
+    p = params
+    k = G.k
+    U0 = -p.alpha * apply_phi2(G, KernelK2(p, k, lam)).samples
+    phi1 = _Phi1Plan(G.grid, KernelK1(k, p.q, p.m))
+    coef = p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k)
+
+    def tmap(x):
+        y = phi1(x)
+        y *= coef
+        return y
+
+    return _picard(tmap, U0, G, p.q)
+
+
 def _contraction_checks(cfg: RunConfig) -> tuple[list, list]:
     rows = []
     gammas_ok = True
@@ -244,14 +267,18 @@ def _contraction_checks(cfg: RunConfig) -> tuple[list, list]:
             budget = int(math.ceil(math.log(resolvent.PICARD_TOL) / math.log(g))) + 1
             for off in LAMBDA_OFFSETS_YOUNG:
                 G = ModeFunction(k, grid, gauss)
-                sol = solve_mode(G, p.a0 + off, p, map_kind="reduced")
-                # a Picard run that broke off and was finished by Krylov
-                # certifies nothing, however few steps it took
-                ok = sol.method == "picard" and sol.iterations <= budget
+                try:
+                    # `sol` stays bound while the next solve runs: freed at once, it lets
+                    # glibc trim the heap, and each solve faults its pages in afresh
+                    sol = _reduced_picard(G, p.a0 + off, p)
+                    steps, ok = sol.iterations, sol.iterations <= budget
+                except ConvergenceError as exc:
+                    # a Picard run that broke off certifies nothing, however few steps it took
+                    steps, ok = len(exc.history), False
                 iter_ok = iter_ok and ok
                 rows.append({"check": "picard_iterations", "k": k, "q": q, "alpha": alpha,
                              "lambda_re": p.a0 + off, "lambda_im": 0.0,
-                             "value": sol.iterations, "bound": budget, "passed": ok})
+                             "value": steps, "bound": budget, "passed": ok})
     checks = [
         {"name": "contraction_factor_below_one", "worst_gamma": worst_gamma,
          "passed": gammas_ok},

@@ -3,13 +3,12 @@ import json
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ssvortex
-from ssvortex import suites
+from ssvortex import resolvent, suites
 from ssvortex.cli import ConfigError, build_config, main, parse_config_file
 from ssvortex.homogeneous import NO_INTEGRABLE
 from ssvortex.modes import KernelK1, LogGrid, ModeFunction, apply_phi1, lq_norm
@@ -62,6 +61,26 @@ def test_parse_config_line_errors(tmp_path):
     unknown = write(tmp_path / "unk.cfg", "alpha = 0.5\nwibble = 3\n")
     with pytest.raises(ConfigError, match="unk.cfg:2.*wibble"):
         parse_config_file(unknown)
+
+
+def test_parse_config_rejects_a_repeated_key(tmp_path, capsys):
+    # a second `shoot_k` would silently replace the first: the run would check
+    # k = 2 alone and report a pass for the k = 1 it never ran
+    cfg = write(tmp_path / "dup.cfg", "shoot_k = 1\nalpha = 0.5\nshoot_k = 2\n")
+    with pytest.raises(ConfigError, match="dup.cfg:3.*'shoot_k'.*line 1"):
+        parse_config_file(cfg)
+    assert main(["shoot", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_exit_2_on_config_that_is_not_utf8(tmp_path, capsys):
+    # exit 1 means a check failed; an undecodable file is a configuration error
+    cfg = tmp_path / "bin.cfg"
+    cfg.write_bytes(b"alpha = 0.5\nbeta = \xff\n")
+    assert main(["shoot", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "UTF-8" in err
 
 
 def test_cli_exit_2_on_bad_config(tmp_path, capsys):
@@ -253,17 +272,16 @@ def _small_all_config(tmp_path, out_name):
 
 
 def test_iteration_budget_needs_picard_to_finish(monkeypatch):
-    # a Picard run that breaks off early and is finished by Krylov reports a
-    # small iteration count; it must not pass the certificate
-    def krylov_finished(G, lam, params, **options):
-        return SimpleNamespace(method="krylov", iterations=3)
-
-    monkeypatch.setattr(suites, "solve_mode", krylov_finished)
+    # a Picard run that breaks off at its step cap certifies nothing, however
+    # few steps it took: each row fails at the cap, and the suite goes on
+    monkeypatch.setattr(resolvent, "PICARD_MAX_ITER", 3)
     checks, rows = _contraction_checks(RunConfig())
     verdict = {c["name"]: c["passed"] for c in checks}
     assert verdict["contraction_factor_below_one"]
     assert not verdict["picard_iteration_budget"]
-    assert not any(r["passed"] for r in rows if r["check"] == "picard_iterations")
+    budget_rows = [r for r in rows if r["check"] == "picard_iterations"]
+    assert len(budget_rows) == 32
+    assert all(not r["passed"] and r["value"] == 3 for r in budget_rows)
 
 
 def test_young_checks_match_one_draw_at_a_time():

@@ -56,7 +56,7 @@ def test_public_names():
 
 def test_solver_signatures():
     expected = {
-        "solve_mode": ["G", "lam", "params", "map_kind"],
+        "solve_mode": ["G", "lam", "params"],
         "solve_k0": ["G", "lam", "params"],
         "ode_residual": ["U", "G", "lam", "params"],
         "eig_scan": ["k_values", "params", "grid"],
