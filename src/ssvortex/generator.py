@@ -20,15 +20,24 @@ scan, which hands it to LAPACK to overwrite, and by the tests as the oracle of
 ``apply``.  It is built in place, Fortran-ordered, the coupling in blocks of
 rows, so its peak memory is the result plus one block and the eigensolve needs
 no second copy.
+
+A mode with the K1 block is solved by ``scipy.linalg.eigvals`` (LAPACK's
+zgeev: balance, Hessenberg reduction, QR iteration).  A mode without it (k = 0
+or beta = 0) is the drift band plus a diagonal; no stencil offset lies below -1,
+so that matrix is already upper Hessenberg with a real subdiagonal, and the
+reduction (zgehrd) would return it unchanged after an O(n^3) pass.  Those modes
+run zgeev's other steps directly, and their eigenvalues have the same bytes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals
+from scipy.linalg import cython_lapack, eigvals
+from scipy.linalg.lapack import zgebal, zgeev_lwork, zlange
 
 from . import resolvent
 from .modes import KernelK1, LogGrid, ModeFunction, _Phi1Plan, lq_norm_samples, phi1_matrix
@@ -215,6 +224,90 @@ EPS_DISC = 0.05
 PROBE_GRID = LogGrid(-20.0, 20.0, 2**16 + 1)
 
 
+# zhseqr's C signature in scipy's Cython LAPACK table when LAPACK's INTEGER is a
+# C int (LP64), which is what the ctypes prototype below declares
+_ZHSEQR_SIGNATURE = (
+    "void (char *, char *, int *, int *, int *, __pyx_t_double_complex *, int *, "
+    "__pyx_t_double_complex *, __pyx_t_double_complex *, int *, "
+    "__pyx_t_double_complex *, int *, int *)")
+_INT_P = ctypes.POINTER(ctypes.c_int)
+_ZHSEQR_TYPE = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, _INT_P, _INT_P, _INT_P,
+                                ctypes.c_void_p, _INT_P, ctypes.c_void_p, ctypes.c_void_p, _INT_P,
+                                ctypes.c_void_p, _INT_P, _INT_P)
+
+
+def _lapack_function(name: str, signature: str, prototype):
+    """A routine of the LAPACK that scipy links, from scipy's Cython table, as a
+    ctypes function; raises if its C signature is not ``signature``."""
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    capsule = cython_lapack.__pyx_capi__[name]
+    found = capsule_name(capsule)
+    if found != signature.encode():
+        raise RuntimeError(f"scipy's {name} has the C signature {found!r}, not {signature!r}")
+    return prototype(capsule_pointer(capsule, found))
+
+
+_ZHSEQR = _lapack_function("zhseqr", _ZHSEQR_SIGNATURE, _ZHSEQR_TYPE)
+# zgeev scales a matrix whose largest |entry| lies outside [_SMLNUM, 1/_SMLNUM]
+_SMLNUM = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+
+
+def _zhseqr(H: np.ndarray, lwork: int) -> tuple[np.ndarray, int]:
+    """LAPACK's zhseqr('E', 'N') on all of the Fortran-ordered upper Hessenberg
+    H (ilo = 1, ihi = n), which it overwrites: the eigenvalues and ``info``."""
+    n = H.shape[0]
+    if H.dtype != complex or H.shape != (n, n) or not H.flags.f_contiguous:
+        raise TypeError("zhseqr needs a square Fortran-ordered complex128 matrix")
+    w = np.empty(n, dtype=complex)
+    work = np.empty(lwork, dtype=complex)
+    z = np.empty(1, dtype=complex)  # not referenced with compz = 'N'
+    ints = [ctypes.c_int(v) for v in (n, 1, n, n, 1, lwork, 0)]
+    N, ILO, IHI, LDH, LDZ, LWORK, INFO = (ctypes.byref(v) for v in ints)
+    _ZHSEQR(b"E", b"N", N, ILO, IHI, H.ctypes.data, LDH, w.ctypes.data, z.ctypes.data, LDZ,
+            work.ctypes.data, LWORK, INFO)
+    return w, ints[-1].value
+
+
+def _hessenberg_eigvals(A: np.ndarray) -> np.ndarray:
+    """The eigenvalues ``eigvals(A, overwrite_a=True)`` returns, with the same
+    bytes, for a Fortran-ordered complex A that is upper Hessenberg with a real
+    subdiagonal and that balancing does not permute.
+
+    zgeev balances A (zgebal, job 'B'), reduces it to Hessenberg form (zgehrd)
+    and runs zhseqr on the result.  On such an A every Householder vector of the
+    reduction is zero with tau = 0, so zgehrd leaves A as it is.  This runs the
+    other two steps, handing zhseqr all of zgeev's workspace as zgeev's
+    eigenvalues-only branch does: the workspace size sets zhseqr's deflation
+    window, so a smaller one changes the bytes.  Overwrites A.  A non-finite A
+    raises ValueError and an eigensolve that does not converge LinAlgError, as
+    in ``eigvals``; an A that zgeev would scale or that balancing permutes
+    raises RuntimeError, since zgeev's path differs there.
+    """
+    A = np.asarray_chkfinite(A)
+    n = A.shape[0]
+    anrm = zlange("M", A)
+    if 0.0 < anrm < _SMLNUM or anrm > 1.0 / _SMLNUM:
+        raise RuntimeError(f"max |entry| {anrm:.3g} is outside the range zgeev leaves unscaled")
+    A, lo, hi, _, info = zgebal(A, scale=1, permute=1, overwrite_a=1)
+    if info != 0 or (lo, hi) != (0, n - 1):
+        raise RuntimeError(f"zgebal returned info = {info}, ilo = {lo + 1}, ihi = {hi + 1}: "
+                           f"it permuted the matrix or failed (n = {n})")
+    work, info = zgeev_lwork(n, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise RuntimeError(f"zgeev workspace query failed: info = {info}")
+    w, info = _zhseqr(A, int(work.real))
+    if info < 0:
+        raise RuntimeError(f"zhseqr: illegal value in argument {-info}")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"eig algorithm (zhseqr) did not converge (only eigenvalues with order >= {info} "
+            "have converged)")
+    return w
+
+
 def eig_scan(k_values, params: VortexParams, grid: LogGrid) -> dict:
     """Dense eigenvalue scan of every mode generator, with resolvent cross-probes.
 
@@ -225,9 +318,11 @@ def eig_scan(k_values, params: VortexParams, grid: LogGrid) -> dict:
     as a truncation artifact rather than spectrum.  Conclusions are desk-scale
     evidence: the probe, not the discretized eigenvalue, is the arbiter.
 
-    Each mode's matrix is built once and overwritten by LAPACK.  A matrix with
-    an inf or NaN, or an eigensolve that does not converge, is reported as a
-    ``failed`` mode.
+    Each mode's matrix is built once and overwritten by LAPACK.  A mode with
+    the K1 block goes to ``eigvals``; a mode without it skips zgeev's Hessenberg
+    reduction, which is the identity on its matrix (``_hessenberg_eigvals``),
+    and gets the same eigenvalue bytes.  A matrix with an inf or NaN, or an
+    eigensolve that does not converge, is reported as a ``failed`` mode.
     """
     if grid.n > SCAN_N_MAX:
         raise ValueError(f"dense eigensolve capped at n = {SCAN_N_MAX}; use a coarser scan grid")
@@ -238,7 +333,12 @@ def eig_scan(k_values, params: VortexParams, grid: LogGrid) -> dict:
         entry = {"k": int(k)}
         gen = assemble_generator(k, p, grid)
         try:
-            ev = eigvals(gen.dense(), overwrite_a=True)
+            # without K1 the matrix is the drift band plus a diagonal: upper
+            # Hessenberg with a real subdiagonal, so zgeev's reduction is a no-op
+            if gen.plan is None:
+                ev = _hessenberg_eigvals(gen.dense())
+            else:
+                ev = eigvals(gen.dense(), overwrite_a=True)
         except (np.linalg.LinAlgError, ValueError) as exc:  # no convergence; inf or NaN
             entry["failed"] = str(exc)
             modes.append(entry)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -6,7 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
+from scipy.linalg.lapack import zgebal
 
 from ssvortex import generator, resolvent
 from ssvortex.generator import (
@@ -26,6 +29,9 @@ OPERATOR_CASES = [
     (0.5, 1.0, 2, 2.0, 0), (0.5, 1.0, 2, 2.0, 1), (0.5, 1.0, 2, 2.0, 8),
     (0.5, -1.0, 2, 4.0, 1),    # critical line q = 2/alpha, negative beta
     (0.8, 1.0, 3, 2.5, 1), (0.8, 1.0, 3, 2.5, 8)]
+# the generators without a K1 block (k = 0 or beta = 0), whose eigenvalues
+# eig_scan takes without zgeev's Hessenberg reduction
+K1_FREE_CASES = [c for c in OPERATOR_CASES if c[4] == 0 or c[1] == 0.0] + [(0.5, 0.0, 2, 2.0, 2)]
 
 
 def test_k0_matrix_is_drift_plus_constant():
@@ -208,6 +214,38 @@ def test_entries_peak_memory(k, bound):
     assert peak <= bound * 16 * gen.grid.n**2
 
 
+def _hessenberg_premise(L):
+    # what eig_scan's K1-free shortcut relies on: zgehrd is the identity on an
+    # upper Hessenberg matrix with a real subdiagonal, and zgebal must not
+    # permute it (ilo = 1, ihi = n)
+    n = L.shape[0]
+    sub = np.diagonal(L, -1)
+    _, lo, hi, _, info = zgebal(L.copy(order="F"), scale=1, permute=1)
+    return {"below_subdiagonal": not np.any(np.tril(L, -2)),
+            "subdiagonal_real": not np.any(sub.imag),
+            "subdiagonal_nonzero": bool(np.all(sub != 0.0)),
+            "not_permuted": info == 0 and (lo, hi) == (0, n - 1)}
+
+
+@pytest.mark.parametrize("n", [64, 300])
+@pytest.mark.parametrize("alpha, beta, m, q, k", K1_FREE_CASES)
+def test_k1_free_matrix_is_unpermuted_hessenberg(alpha, beta, m, q, k, n):
+    gen = assemble_generator(k, VortexParams(alpha=alpha, beta=beta, m=m, q=q),
+                             LogGrid(-8.0, 10.0, n))
+    assert gen.plan is None
+    premise = _hessenberg_premise(gen.dense())
+    assert all(premise.values()), premise
+
+
+def test_hessenberg_premise_fails_for_a_second_subdiagonal(monkeypatch):
+    # an upwind stencil reaching two nodes left would put entries below the
+    # first subdiagonal, and the premise check must see them
+    interior = ((-2, 0.1),) + generator.DRIFT_INTERIOR[1:]
+    monkeypatch.setattr(generator, "DRIFT_INTERIOR", interior)
+    premise = _hessenberg_premise(assemble_generator(0, P, LogGrid(-8.0, 10.0, 64)).dense())
+    assert not premise["below_subdiagonal"]
+
+
 @pytest.mark.parametrize("k", [0, 1])
 def test_evolve_matches_dense_rk4(k):
     # classical RK4 written out on the dense matrix, at evolve's own step
@@ -330,7 +368,9 @@ def test_eig_scan_eigenvalues_match_numpy_bytes():
     # copy.  At one BLAS thread the two give the same bytes; at two threads
     # they differ from n = 128 up, and numpy's own k = 0 max_re at the
     # benchmark's n = 2048 is then -59.75, not the pinned -62.06, so the pinned
-    # values are one-thread values and this check runs at one thread
+    # values are one-thread values and this check runs at one thread.  The
+    # K1-free modes skip zgehrd; n = 128 is where handing zhseqr less than
+    # zgeev's whole workspace changes the bytes
     code = """
 import numpy as np
 from ssvortex.generator import assemble_generator, eig_scan
@@ -338,24 +378,35 @@ from ssvortex.modes import LogGrid
 from ssvortex.params import VortexParams
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)
 Q = VortexParams(alpha=0.8, beta=-1.0, m=3, q=2.5)
+B0 = VortexParams(alpha=0.5, beta=0.0, m=2, q=2.0)
 for n in (128, 256, 512):
     g = LogGrid(-8.0, 10.0, n)
-    for p, k in ((P, 0), (P, 1), (P, 8), (Q, 1)):
+    for p, k in ((P, 0), (Q, 0), (B0, 2), (P, 1), (P, 8), (Q, 1)):
         ev = eig_scan([k], p, g)["modes"][0]["eigenvalues"]
         ref = np.linalg.eigvals(assemble_generator(k, p, g).dense())
         print(n, k, p.alpha, ev.tobytes() == ref.tobytes())
 """
     lines = _run_isolated(code).split("\n")[:-1]
-    assert len(lines) == 12
+    assert len(lines) == 18
     assert all(line.endswith("True") for line in lines), lines
 
 
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize("p, k", [(P, 0), (VortexParams(alpha=0.5, beta=0.0, m=2, q=2.0), 2)])
+def test_k1_free_eigenvalues_match_scipy_bytes(p, k, n):
+    # at the default BLAS threads: the path without zgehrd against zgeev
+    g = LogGrid(-12.0, 12.0, n)
+    ev = eig_scan([k], p, g)["modes"][0]["eigenvalues"]
+    assert ev.tobytes() == scipy.linalg.eigvals(assemble_generator(k, p, g).dense()).tobytes()
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-@pytest.mark.parametrize("k", [0, 1])
-def test_eig_scan_peak_memory(k):
+@pytest.mark.parametrize("ks", [[0], [1], [0, 1]], ids=lambda ks: ",".join(map(str, ks)))
+def test_eig_scan_peak_memory(ks):
     # the eigensolve works on the one matrix that dense() builds: peak growth
     # 1.21x and 1.25x of 16 n^2 bytes measured, against 2.11x and 2.24x when
-    # LAPACK gets a copy.  The peak is VmHWM, not ru_maxrss: a child's
+    # LAPACK gets a copy; across modes, mode 0's matrix is gone before mode 1's
+    # is built.  The peak is VmHWM, not ru_maxrss: a child's
     # ru_maxrss starts at the high-water mark of the process that forked it
     code = f"""
 from ssvortex.generator import eig_scan
@@ -365,7 +416,7 @@ def hwm_kib():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 before = hwm_kib()
-eig_scan([{k}], DEFAULT_PARAMS, LogGrid(-12.0, 12.0, 1024))
+eig_scan({ks}, DEFAULT_PARAMS, LogGrid(-12.0, 12.0, 1024))
 print(hwm_kib() - before)
 """
     growth = 1024 * int(_run_isolated(code))
@@ -386,6 +437,48 @@ def test_eig_scan_non_finite_matrix_fails_the_mode(monkeypatch):
     assert "failed" not in ok and ok["max_re"] <= P.a0 + 1e-9
     assert "nan" in bad["failed"].lower() and "eigenvalues" not in bad
     assert not rep["passed"]
+
+
+def test_eig_scan_non_finite_k1_free_matrix_fails_the_mode(monkeypatch):
+    # a NaN in the k = 0 diagonal is caught before LAPACK: the mode is
+    # reported failed and zhseqr never sees the matrix
+    assemble = generator.assemble_generator
+
+    def nan_diag(k, params, grid):
+        gen = assemble(k, params, grid)
+        return dataclasses.replace(gen, diag=np.where(np.arange(grid.n) == 5, np.nan, gen.diag))
+
+    def zhseqr(H, lwork):
+        raise AssertionError("zhseqr called on a non-finite matrix")
+
+    monkeypatch.setattr(generator, "assemble_generator", nan_diag)
+    monkeypatch.setattr(generator, "_zhseqr", zhseqr)
+    rep = eig_scan([0], P, LogGrid(-8.0, 8.0, 64))
+    (bad,) = rep["modes"]
+    assert "infs or nans" in bad["failed"].lower() and "eigenvalues" not in bad
+    assert not rep["passed"]
+
+
+def test_eig_scan_zhseqr_info_fails_the_mode(monkeypatch):
+    monkeypatch.setattr(generator, "_zhseqr",
+                        lambda H, lwork: (np.full(H.shape[0], np.nan + 0j), 7))
+    rep = eig_scan([0, 1], P, LogGrid(-8.0, 8.0, 64))
+    bad, ok = rep["modes"]
+    assert "did not converge" in bad["failed"] and "eigenvalues" not in bad
+    assert "failed" not in ok and not rep["passed"]
+
+
+def test_hessenberg_eigvals_refuses_what_zgeev_treats_otherwise():
+    # the shortcut raises, never falls back, where zgeev's path would differ:
+    # a matrix that balancing permutes, one that zgeev scales, and a LAPACK
+    # whose zhseqr is not the LP64 routine the ctypes prototype declares
+    with pytest.raises(RuntimeError, match="permuted"):
+        generator._hessenberg_eigvals(np.asfortranarray(np.triu(np.ones((8, 8), complex))))
+    huge = assemble_generator(0, P, LogGrid(-8.0, 8.0, 16)).dense() * 1e150
+    with pytest.raises(RuntimeError, match="scaled"):
+        generator._hessenberg_eigvals(huge)
+    with pytest.raises(RuntimeError, match="signature"):
+        generator._lapack_function("zhseqr", "void (long *)", generator._ZHSEQR_TYPE)
 
 
 def test_dense_is_built_fresh_in_fortran_order():
