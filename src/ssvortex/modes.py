@@ -94,14 +94,22 @@ def lq_norm_samples(samples: np.ndarray, h: float, q: float) -> float:
     if q < 1.0:
         raise ValueError("q must be >= 1")
     x = np.asarray(samples)
+    scale = 1.0
     if q == 2.0:  # re^2 + im^2 in one einsum pass; no BLAS, so no thread-count dependence
         v = x[:, None].view(x.real.dtype)  # (n, 2) complex, (n, 1) real
         inner, ends = v[1:-1], v[[0, -1]]
         total = np.einsum("ij,ij->", inner, inner) + 0.5 * np.einsum("ij,ij->", ends, ends)
     else:
-        a = np.abs(x) ** q
+        a = np.abs(x)
+        top = a.max()
+        # over max|x|, |x|**q cannot underflow (all 0 at q = 200 if |x| < 0.02); a
+        # non-finite max stays unscaled, so Picard still sees an overflow in the norm
+        if 0.0 < top < math.inf:
+            a /= top
+            scale = float(top)
+        a **= q
         total = a.sum() - 0.5 * (a[0] + a[-1])
-    return float((h * total) ** (1.0 / q))
+    return scale * float((h * total) ** (1.0 / q))
 
 
 def lq_norm(fn: ModeFunction, q: float) -> float:

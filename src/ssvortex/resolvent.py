@@ -415,19 +415,17 @@ def verify_neat_identities(t_samples, mu_samples, params: VortexParams, k: int) 
     spans = [("half_line", t, math.inf) for t in t_samples]
     spans += [("finite_interval", t, r) for i, t in enumerate(ts) for r in ts[i + 1:]]
     rows = []
-    max_err = 0.0
     for identity, t, r in spans:
         for mu in mu_samples:
             if r == math.inf and not np.real(mu) > 0:
                 continue
             lhs = _span_integral(t, r, mu, p.alpha, c)
             rhs = closed(t, mu) - closed(r, mu)
-            e = abs(lhs - rhs)
-            max_err = max(max_err, e)
             rows.append({"check": identity, "t": float(t),
                          "r": math.nan if r == math.inf else float(r),
                          "mu_re": complex(mu).real, "mu_im": complex(mu).imag,
-                         "lhs": lhs, "rhs": rhs, "abs_error": e})
+                         "lhs": lhs, "rhs": rhs, "abs_error": abs(lhs - rhs)})
+    max_err = max((r["abs_error"] for r in rows), default=0.0)
     return {"skipped": False, "rows": rows, "max_error": max_err}
 
 
@@ -455,7 +453,6 @@ def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, 
     mu1 = B + k1.A_plus
     mu2 = B - k1.A_minus
     rows = []
-    max_err = 0.0
     for t in t_values:
         phase_t = np.exp(-1j * c * math.exp(-p.alpha * t))
         for r in r_values:
@@ -466,12 +463,25 @@ def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, 
                     * _span_integral(t, r, mu2, p.alpha, c)
             lhs = 1j * c * p.alpha * lhs
             rhs = k1_eval(t, r, k1)
-            err = abs(lhs - rhs)
-            max_err = max(max_err, err)
             rows.append({"check": "composition", "t": float(t), "r": float(r),
                          "mu_re": kernel.lam.real, "mu_im": kernel.lam.imag,
-                         "lhs": lhs, "k1": rhs, "abs_error": err})
+                         "lhs": lhs, "k1": rhs, "abs_error": abs(lhs - rhs)})
+    max_err = max((r["abs_error"] for r in rows), default=0.0)
     return {"skipped": False, "rows": rows, "max_error": max_err}
+
+
+# the resolvent suite's CSV columns; emit writes no other key a row carries
+RESOLVENT_COLUMNS = ("check", "k", "q", "alpha", "lambda_re", "lambda_im", "value", "bound",
+                     "passed")
+
+
+def resolvent_row(check: str, k: int, params: VortexParams, lam, value, bound, passed: bool,
+                  **extra) -> dict:
+    """One row of the resolvent suite's CSV at params' q and alpha; ``lam=None``
+    (no spectral point) writes NaN for both of its parts."""
+    lam = complex(math.nan, math.nan) if lam is None else complex(lam)
+    cells = (check, k, params.q, params.alpha, lam.real, lam.imag, value, bound, passed)
+    return {**dict(zip(RESOLVENT_COLUMNS, cells)), **extra}
 
 
 def resolvent_bound_check(lambda_values, params: VortexParams, k_max: int,
@@ -485,7 +495,6 @@ def resolvent_bound_check(lambda_values, params: VortexParams, k_max: int,
     p = params
     rng = np.random.default_rng(seed)
     rows = []
-    M_emp = 0.0
     gam_max = contraction_bound(p, 1) if k_max >= 1 else 0.0
     for lam in lambda_values:
         lam = complex(lam)
@@ -498,15 +507,11 @@ def resolvent_bound_check(lambda_values, params: VortexParams, k_max: int,
                 raw = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
                 G = ModeFunction(k, grid, raw)
                 sol = solve_mode(G, lam, p)
-                ratio = lq_norm(sol.U, p.q) / lq_norm(G, p.q)
-                worst = max(worst, ratio)
-            M_emp = max(M_emp, worst * (lam.real - p.a0))
-            rows.append({"check": "norm_ratio", "k": k, "q": p.q, "alpha": p.alpha,
-                         "lambda_re": lam.real, "lambda_im": lam.imag,
-                         "value": worst, "bound": bound, "passed": bool(worst <= bound)})
+                worst = max(worst, lq_norm(sol.U, p.q) / lq_norm(G, p.q))
+            rows.append(resolvent_row("norm_ratio", k, p, lam, worst, bound, bool(worst <= bound)))
     return {
         "rows": rows,
-        "M_empirical": M_emp,
+        "M_empirical": max((r["value"] * (r["lambda_re"] - p.a0) for r in rows), default=0.0),
         "M_alpha_bound": 1.0 / (1.0 - gam_max),
         "passed": all(r["passed"] for r in rows),
     }

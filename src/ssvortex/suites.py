@@ -22,6 +22,7 @@ from .homogeneous import MISMATCH_THRESHOLD, NO_INTEGRABLE, shoot_batch
 from .modes import KernelK1, LogGrid, ModeFunction, _Phi1Plan, lq_norm_samples
 from .params import VortexParams, _number
 from .resolvent import (
+    RESOLVENT_COLUMNS,
     ConvergenceError,
     KernelK2,
     ResolventSolution,
@@ -31,6 +32,7 @@ from .resolvent import (
     contraction_bound,
     ode_residual,
     resolvent_bound_check,
+    resolvent_row,
     solve_mode,
     verify_kernel_composition,
     verify_neat_identities,
@@ -139,19 +141,13 @@ def _summary(name: str, cfg: RunConfig, checks: list, **extra) -> dict:
 
 def suite_identities(cfg: RunConfig) -> tuple[dict, list, list]:
     p = cfg.params
-    a0 = p.a0
     t_samples = list(np.linspace(-2.0, 3.0, 5))
     mu_samples = [0.5, 1.0, 2.0, 3.75]
     neat = verify_neat_identities(t_samples, mu_samples, p, k=1)
 
     lattice = list(np.linspace(-2.0, 2.5, 10))
-    comp_sets = [
-        {"k": 1, "lam": a0 + 0.5},
-        {"k": 2, "lam": a0 + 1.0 + 1.0j},
-        {"k": 3, "lam": a0 + 0.5 - 0.5j},
-    ]
-    comp_reports = [verify_kernel_composition(lattice, lattice, p, cs["k"], cs["lam"])
-                    for cs in comp_sets]
+    comp_reports = [verify_kernel_composition(lattice, lattice, p, k, p.a0 + off)
+                    for k, off in ((1, 0.5), (2, 1.0 + 1.0j), (3, 0.5 - 0.5j))]
     rows = neat["rows"] + [r for rep in comp_reports for r in rep["rows"]]
     max_neat = neat["max_error"]
     max_comp = max(rep["max_error"] for rep in comp_reports)
@@ -175,51 +171,46 @@ def suite_identities(cfg: RunConfig) -> tuple[dict, list, list]:
 # resolvent
 # --------------------------------------------------------------------------
 
+def _lattice(cfg: RunConfig) -> list:
+    """The lattice checks' vortices, one per YOUNG_LATTICE entry, at cfg's beta."""
+    return [VortexParams(alpha=alpha, beta=cfg.params.beta, m=2, q=q)
+            for q, alpha in YOUNG_LATTICE]
+
+
+def _check(name: str, rows: list, **summary) -> dict:
+    """A check that passes exactly when each of its rows does."""
+    return {"name": name, **summary, "passed": all(r["passed"] for r in rows)}
+
+
 def _young_checks(cfg: RunConfig) -> tuple[list, list]:
     """Largest ||Phi(x)||_q / ||x||_q of K1 and K2 over young_batch white-noise
     draws, one plan per kernel applied to each draw in turn."""
-    rows = []
-    worst_phi1 = 0.0
-    worst_phi2 = 0.0
     rng = np.random.default_rng(cfg.seed + 1)
     grid = LogGrid(-YOUNG_T, YOUNG_T, YOUNG_N)
 
-    def worst_ratio(plan, q):
+    def young_row(check, k, p, lam, plan, bound):
         # each draw's real part is drawn before its imaginary part
-        worst = 0.0
-        for re, im in rng.standard_normal((cfg.young_batch, 2, grid.n)):
-            x = re + 1j * im
-            worst = max(worst, lq_norm_samples(plan(x), grid.h, q) / lq_norm_samples(x, grid.h, q))
-        return worst
+        draws = (re + 1j * im for re, im in rng.standard_normal((cfg.young_batch, 2, grid.n)))
+        worst = max(lq_norm_samples(plan(x), grid.h, p.q) / lq_norm_samples(x, grid.h, p.q)
+                    for x in draws)
+        return resolvent_row(check, k, p, lam, worst, bound, worst <= bound * (1.0 + 1e-6))
 
-    for q, alpha in YOUNG_LATTICE:
-        p = VortexParams(alpha=alpha, beta=cfg.params.beta, m=2, q=q)
+    rows = []
+    for p in _lattice(cfg):
         for k in LATTICE_K:
-            kernel = KernelK1(k, q, 2)
-            bound = 2.0 / kernel.A_minus
-            worst = worst_ratio(_Phi1Plan(grid, kernel), q)
-            ratio = worst / bound
-            worst_phi1 = max(worst_phi1, ratio)
-            rows.append({"check": "young_phi1", "k": k, "q": q, "alpha": alpha,
-                         "lambda_re": math.nan, "lambda_im": math.nan,
-                         "value": worst, "bound": bound,
-                         "passed": worst <= bound * (1.0 + 1e-6)})
+            kernel = KernelK1(k, p.q, p.m)
+            rows.append(young_row("young_phi1", k, p, None, _Phi1Plan(grid, kernel),
+                                  2.0 / kernel.A_minus))
         for off in LAMBDA_OFFSETS_YOUNG:
-            lam = p.a0 + off
-            k2 = KernelK2(p, 1, lam)
-            bound = 1.0 / k2.B.real
-            worst = worst_ratio(_ScanPlan(grid, alpha, k2.B, k2.phase_amplitude), q)
-            worst_phi2 = max(worst_phi2, worst / bound)
-            rows.append({"check": "young_phi2", "k": 1, "q": q, "alpha": alpha,
-                         "lambda_re": lam, "lambda_im": 0.0,
-                         "value": worst, "bound": bound,
-                         "passed": worst <= bound * (1.0 + 1e-6)})
-    checks = [
-        {"name": "young_phi1_lattice", "worst_ratio_to_bound": worst_phi1,
-         "passed": worst_phi1 <= 1.0 + 1e-6},
-        {"name": "young_phi2_lattice", "worst_ratio_to_bound": worst_phi2,
-         "passed": worst_phi2 <= 1.0 + 1e-6},
-    ]
+            k2 = KernelK2(p, 1, p.a0 + off)
+            rows.append(young_row("young_phi2", 1, p, k2.lam,
+                                  _ScanPlan(grid, p.alpha, k2.B, k2.phase_amplitude),
+                                  1.0 / k2.B.real))
+    checks = []
+    for kind in ("young_phi1", "young_phi2"):
+        own = [r for r in rows if r["check"] == kind]
+        checks.append(_check(f"{kind}_lattice", own,
+                             worst_ratio_to_bound=max(r["value"] / r["bound"] for r in own)))
     return checks, rows
 
 
@@ -243,25 +234,15 @@ def _reduced_picard(G: ModeFunction, lam: complex, params: VortexParams) -> Reso
 
 
 def _contraction_checks(cfg: RunConfig) -> tuple[list, list]:
-    rows = []
-    gammas_ok = True
-    worst_gamma = 0.0
-    for q, alpha in YOUNG_LATTICE:
-        p = VortexParams(alpha=alpha, beta=cfg.params.beta, m=2, q=q)
-        for k in LATTICE_K:
-            g = contraction_bound(p, k)
-            worst_gamma = max(worst_gamma, g)
-            gammas_ok = gammas_ok and g < 1.0
-            rows.append({"check": "gamma", "k": k, "q": q, "alpha": alpha,
-                         "lambda_re": math.nan, "lambda_im": math.nan,
-                         "value": g, "bound": 1.0, "passed": g < 1.0})
     # iteration budget certified on the map that gamma describes (the reduced,
     # K1-shortcut map)
-    iter_ok = True
     grid = LogGrid(-20.0, 20.0, 2**14 + 1)
     gauss = np.exp(-grid.nodes**2).astype(complex)
-    for q, alpha in YOUNG_LATTICE:
-        p = VortexParams(alpha=alpha, beta=cfg.params.beta, m=2, q=q)
+    gamma_rows, iter_rows = [], []
+    for p in _lattice(cfg):
+        for k in LATTICE_K:
+            g = contraction_bound(p, k)
+            gamma_rows.append(resolvent_row("gamma", k, p, None, g, 1.0, g < 1.0))
         for k in (1, 2, 4, 8):
             g = contraction_bound(p, k)
             budget = int(math.ceil(math.log(resolvent.PICARD_TOL) / math.log(g))) + 1
@@ -275,16 +256,11 @@ def _contraction_checks(cfg: RunConfig) -> tuple[list, list]:
                 except ConvergenceError as exc:
                     # a Picard run that broke off certifies nothing, however few steps it took
                     steps, ok = len(exc.history), False
-                iter_ok = iter_ok and ok
-                rows.append({"check": "picard_iterations", "k": k, "q": q, "alpha": alpha,
-                             "lambda_re": p.a0 + off, "lambda_im": 0.0,
-                             "value": steps, "bound": budget, "passed": ok})
-    checks = [
-        {"name": "contraction_factor_below_one", "worst_gamma": worst_gamma,
-         "passed": gammas_ok},
-        {"name": "picard_iteration_budget", "passed": iter_ok},
-    ]
-    return checks, rows
+                iter_rows.append(resolvent_row("picard_iterations", k, p, p.a0 + off,
+                                               steps, budget, ok))
+    return [_check("contraction_factor_below_one", gamma_rows,
+                   worst_gamma=max(r["value"] for r in gamma_rows)),
+            _check("picard_iteration_budget", iter_rows)], gamma_rows + iter_rows
 
 
 def _residual_checks(cfg: RunConfig) -> tuple[list, list]:
@@ -293,32 +269,25 @@ def _residual_checks(cfg: RunConfig) -> tuple[list, list]:
     grid = LogGrid(-FINE_T, FINE_T, cfg.fine_n)
     gauss = np.exp(-grid.nodes**2).astype(complex)
     tol = resolvent.RESIDUAL_TOL
-    worst = 0.0
-    min_zone = 1.0
     for lam in cfg.probe_lambdas():
         for k in (0, 1, 2):
             G = ModeFunction(k, grid, gauss)
             sol = solve_mode(G, lam, p)
             res, frac = ode_residual(sol.U, G, lam, p)
-            worst = max(worst, res)
-            min_zone = min(min_zone, frac)
-            rows.append({"check": "residual", "k": k, "q": p.q, "alpha": p.alpha,
-                         "lambda_re": lam.real, "lambda_im": lam.imag,
-                         "value": res, "bound": tol, "passed": res <= tol})
+            rows.append(resolvent_row("residual", k, p, lam, res, tol, res <= tol,
+                                      zone_fraction=frac))
     # the residual is measured only on the resolvable zone (see ode_residual)
-    checks = [{"name": "ode_residuals", "worst_residual": worst,
-               "min_zone_fraction": min_zone,
-               "tolerance": tol, "passed": worst <= tol}]
-    return checks, rows
+    return [_check("ode_residuals", rows, worst_residual=max(r["value"] for r in rows),
+                   min_zone_fraction=min(r["zone_fraction"] for r in rows),
+                   tolerance=tol)], rows
 
 
 def suite_resolvent(cfg: RunConfig) -> tuple[dict, list, list]:
-    p = cfg.params
     young_checks, young_rows = _young_checks(cfg)
     contr_checks, contr_rows = _contraction_checks(cfg)
     resid_checks, resid_rows = _residual_checks(cfg)
     bound = resolvent_bound_check(
-        cfg.probe_lambdas(), p, min(cfg.k_max, 3),
+        cfg.probe_lambdas(), cfg.params, min(cfg.k_max, 3),
         grid=LogGrid(-NORM_T, NORM_T, cfg.norm_n),
         batch=cfg.bound_batch, seed=cfg.seed + 2,
     )
@@ -326,9 +295,8 @@ def suite_resolvent(cfg: RunConfig) -> tuple[dict, list, list]:
         {"name": "resolvent_norm_bound", "M_empirical": bound["M_empirical"],
          "M_alpha_bound": bound["M_alpha_bound"], "passed": bound["passed"]},
     ]
-    cols = ["check", "k", "q", "alpha", "lambda_re", "lambda_im", "value", "bound", "passed"]
     return (_summary("resolvent", cfg, checks),
-            young_rows + contr_rows + resid_rows + bound["rows"], cols)
+            young_rows + contr_rows + resid_rows + bound["rows"], list(RESOLVENT_COLUMNS))
 
 
 # --------------------------------------------------------------------------
@@ -388,22 +356,16 @@ def suite_spectrum(cfg: RunConfig) -> tuple[dict, list, list]:
 def suite_shooting(cfg: RunConfig) -> tuple[dict, list, list]:
     p = cfg.params
     a0 = p.a0
-    lam_res = [a0 + off for off in cfg.shoot_offsets]
-    lam_ims = list(cfg.shoot_imags)
-    tasks = [(0, complex(a0 + 1.0, 0.0))]
-    for k in cfg.shoot_k:
-        for lr in lam_res:
-            for li in lam_ims:
-                tasks.append((k, complex(lr, li)))
+    tasks = [(0, complex(a0 + 1.0, 0.0))] + [
+        (k, complex(a0 + off, li))
+        for k in cfg.shoot_k for off in cfg.shoot_offsets for li in cfg.shoot_imags]
     results = shoot_batch(p, tasks)
     rows = [{"k": r.k, "re_lambda": r.lam.real, "im_lambda": r.lam.imag,
              "mismatch": r.mismatch, "verdict": r.verdict, "note": r.note} for r in results]
-    ok = all(r.verdict == NO_INTEGRABLE for r in results)
-    min_mismatch = min(r.mismatch for r in results)
     summary = _summary("shooting", cfg, [{
         "name": "no_integrable_homogeneous_solution",
-        "min_mismatch": min_mismatch, "threshold": MISMATCH_THRESHOLD,
-        "passed": ok}])
+        "min_mismatch": min(r.mismatch for r in results), "threshold": MISMATCH_THRESHOLD,
+        "passed": all(r.verdict == NO_INTEGRABLE for r in results)}])
     return summary, rows, ["k", "re_lambda", "im_lambda", "mismatch", "verdict", "note"]
 
 

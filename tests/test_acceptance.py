@@ -219,19 +219,9 @@ def test_criterion_9_appendix_parameters_and_series(cfg):
                  ok, f"max defect {max(defects):.3e}")
 
 
-def test_criterion_10_determinism(tmp_path):
-    def make(name):
-        return RunConfig(
-            params=P, suites=("identities", "resolvent", "semigroup", "spectrum", "shooting"),
-            k_max=1, seed=99, out_dir=str(tmp_path / name),
-            young_batch=2, bound_batch=1, fine_n=4097,
-            norm_n=1025, scan_n=128, scan_t=8.0, evolve_n=256, tau_end=2.0,
-            lambda_offsets=(0.5, 1.0),
-            shoot_k=(1,), shoot_offsets=(1.0,), shoot_imags=(0.0,),
-        )
-
-    run(make("r1"), log=lambda *a: None)
-    run(make("r2"), log=lambda *a: None)
+def test_criterion_10_determinism(tmp_path, small_all_config):
+    run(small_all_config("r1"), log=lambda *a: None)
+    run(small_all_config("r2"), log=lambda *a: None)
     names = sorted(os.listdir(tmp_path / "r1"))
     same = names == sorted(os.listdir(tmp_path / "r2")) and all(
         filecmp.cmp(tmp_path / "r1" / n, tmp_path / "r2" / n, shallow=False) for n in names

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -259,18 +260,6 @@ def test_shooting_csv_carries_the_note(tmp_path):
     assert rows[1]["note"] == ""
 
 
-def _small_all_config(tmp_path, out_name):
-    return RunConfig(
-        params=VortexParams(alpha=0.5, beta=1.0),
-        suites=("identities", "resolvent", "semigroup", "spectrum", "shooting"),
-        k_max=1, seed=99, out_dir=str(tmp_path / out_name),
-        young_batch=2, bound_batch=1, fine_n=4097,
-        norm_n=1025, scan_n=128, scan_t=8.0, evolve_n=256, tau_end=2.0,
-        lambda_offsets=(0.5, 1.0),
-        shoot_k=(1,), shoot_offsets=(1.0,), shoot_imags=(0.0,),
-    )
-
-
 def test_iteration_budget_needs_picard_to_finish(monkeypatch):
     # a Picard run that breaks off at its step cap certifies nothing, however
     # few steps it took: each row fails at the cap, and the suite goes on
@@ -308,16 +297,74 @@ def test_young_checks_match_one_draw_at_a_time():
     np.testing.assert_allclose([r["value"] for r in rows], want, rtol=1e-12, atol=0)
 
 
-def test_residual_check_reports_min_zone_fraction(tmp_path):
-    cfg = _small_all_config(tmp_path, "z")
+def test_residual_check_reports_min_zone_fraction(small_all_config):
+    cfg = small_all_config("z")
     checks, rows = _residual_checks(cfg)
     frac = checks[0]["min_zone_fraction"]
     # the k >= 1 solves leave the fast-phase far left out of the zone
     assert 0.0 < frac < 1.0
+    assert frac == min(r["zone_fraction"] for r in rows)
     assert len(rows) == 3 * len(cfg.lambda_offsets)
 
 
-def test_cli_all_writes_every_report(tmp_path):
+def test_residual_check_fails_on_a_nan_residual(small_all_config, monkeypatch):
+    # a row that measured nothing fails, and so does its check: a running max
+    # from 0.0 would skip the NaN and pass
+    real = suites.ode_residual
+    calls = []
+
+    def one_nan(U, G, lam, params):
+        calls.append(None)
+        res, frac = real(U, G, lam, params)
+        return (math.nan if len(calls) == 2 else res), frac
+
+    monkeypatch.setattr(suites, "ode_residual", one_nan)
+    # at fine_n = 2^15+1 each residual passes unless it is replaced
+    cfg = small_all_config("z", lambda_offsets=(1.0,), fine_n=2**15 + 1)
+    checks, rows = _residual_checks(cfg)
+    assert [r["passed"] for r in rows] == [True, False, True]
+    assert not checks[0]["passed"]
+
+
+def test_resolvent_summary_is_read_off_its_rows(small_all_config):
+    # every check in resolvent.json is a reduction over its own rows of
+    # resolvent.csv, and passes exactly when each of them passes
+    cfg = small_all_config("r", suites=("resolvent",))
+    assert run(cfg, log=lambda *a: None) == 1
+    with open(os.path.join(cfg.out_dir, "resolvent.json")) as fh:
+        report = json.load(fh)
+    with open(os.path.join(cfg.out_dir, "resolvent.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    a0 = report["params"]["a0"]
+
+    def value(r):
+        return float(r["value"])
+
+    summary = {  # check -> (its rows' kind, summary key, reduction over one row)
+        "young_phi1_lattice": ("young_phi1", "worst_ratio_to_bound",
+                               lambda r: value(r) / float(r["bound"])),
+        "young_phi2_lattice": ("young_phi2", "worst_ratio_to_bound",
+                               lambda r: value(r) / float(r["bound"])),
+        "contraction_factor_below_one": ("gamma", "worst_gamma", value),
+        "picard_iteration_budget": ("picard_iterations", None, None),
+        "ode_residuals": ("residual", "worst_residual", value),
+        "resolvent_norm_bound": ("norm_ratio", "M_empirical",
+                                 lambda r: value(r) * (float(r["lambda_re"]) - a0)),
+    }
+    checks = {c["name"]: c for c in report["checks"]}
+    assert set(checks) == set(summary)
+    assert {r["check"] for r in rows} == {kind for kind, _, _ in summary.values()}
+    for name, (kind, key, of_row) in summary.items():
+        own = [r for r in rows if r["check"] == kind]
+        assert checks[name]["passed"] == all(r["passed"] == "true" for r in own), name
+        if key is not None:
+            assert checks[name][key] == max(of_row(r) for r in own), name
+    assert report["passed"] == all(c["passed"] for c in checks.values())
+    # on this config's coarse fine_n a residual row fails, so both verdicts occur
+    assert not checks["ode_residuals"]["passed"] and checks["young_phi1_lattice"]["passed"]
+
+
+def test_cli_all_writes_every_report(tmp_path, small_all_config):
     # criterion 10's config as a config file: `ssvortex all` runs the five
     # suites (it exits 1: the identities shortcuts, and the residuals on its
     # coarse fine_n, fail)
@@ -338,6 +385,7 @@ shoot_offsets = 1.0
 shoot_imags = 0.0
 """)
     out = tmp_path / "out"
+    assert build_config(parse_config_file(cfg), str(out), suites.SUITES) == small_all_config("out")
     assert main(["all", "--config", cfg, "--out", str(out)]) == 1
     assert sorted(os.listdir(out)) == sorted(
         f"{name}.{ext}" for name in suites.SUITES for ext in ("csv", "json"))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -97,6 +99,33 @@ def test_lq_norm_samples_q2_overflow_is_inf():
     big = np.full(g.n, 1e200 + 1e200j)
     with np.errstate(over="ignore"):
         assert lq_norm_samples(big, g.h, 2.0) == np.inf
+
+
+def test_lq_norm_samples_large_q_does_not_underflow():
+    # at q = 200 (the critical line q = 2/alpha at alpha = 0.01), |x|**q is 0 in
+    # double precision for every |x| below 0.02, so an unscaled sum reads 0
+    g = LogGrid(-20.0, 20.0, 4097)
+    x = np.full(g.n, 0.01 + 0.01j)
+    norm = lq_norm_samples(x, g.h, 200.0)
+    assert type(norm) is float
+    assert norm == pytest.approx(abs(x[0]) * (g.h * (g.n - 1)) ** (1 / 200), rel=1e-12)
+    # where nothing underflows, the scaling changes only the rounding
+    y = np.random.default_rng(3).standard_normal(g.n) + 0.5j
+    w = np.abs(y) ** 3
+    plain = (g.h * (w.sum() - 0.5 * (w[0] + w[-1]))) ** (1 / 3)
+    assert lq_norm_samples(y, g.h, 3.0) == pytest.approx(plain, rel=1e-15)
+    assert lq_norm_samples(np.zeros(g.n), g.h, 200.0) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e300])
+def test_lq_norm_samples_large_q_keeps_non_finite(bad):
+    # Picard detects an overflowed iterate by its norm, so a non-finite sample
+    # must give a non-finite norm (and warn of nothing) after the max|x| scaling;
+    # a finite one that |x|**q would overflow now gives a finite norm
+    g = LogGrid(-10.0, 10.0, 257)
+    x = np.full(g.n, 0.5 + 0j)
+    x[7] = bad
+    assert math.isfinite(lq_norm_samples(x, g.h, 200.0)) == math.isfinite(bad)
 
 
 def test_second_order_relation_zero_and_root():

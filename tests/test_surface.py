@@ -84,13 +84,8 @@ def test_public_dataclass_fields():
         assert [f.name for f in dataclasses.fields(getattr(ssvortex, name))] == fields, name
 
 
-def test_suite_csv_headers(tmp_path):
-    # criterion 10's config
-    cfg = suites.RunConfig(
-        k_max=1, seed=99, out_dir=str(tmp_path), young_batch=2, bound_batch=1, fine_n=4097,
-        norm_n=1025, scan_n=128, scan_t=8.0, evolve_n=256, tau_end=2.0,
-        lambda_offsets=(0.5, 1.0), shoot_k=(1,), shoot_offsets=(1.0,), shoot_imags=(0.0,))
-    suites.run(cfg, log=lambda *a: None)
+def test_suite_csv_headers(tmp_path, small_all_config):
+    suites.run(small_all_config("out"), log=lambda *a: None)
     expected = {
         "identities": "check,t,r,mu_re,mu_im,abs_error",
         "resolvent": "check,k,q,alpha,lambda_re,lambda_im,value,bound,passed",
@@ -99,5 +94,5 @@ def test_suite_csv_headers(tmp_path):
         "shooting": "k,re_lambda,im_lambda,mismatch,verdict,note",
     }
     for name, header in expected.items():
-        with (tmp_path / f"{name}.csv").open() as fh:
+        with (tmp_path / "out" / f"{name}.csv").open() as fh:
             assert fh.readline() == header + "\n", name
