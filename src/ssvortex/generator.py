@@ -17,9 +17,11 @@ diagonal, and the coupling through the K1 recurrences of ``modes._Phi1Plan``.
 Time stepping runs on it.  The dense matrix of the same operator,
 ``GeneratorMatrix.dense()``, is built fresh on each call: by the eigenvalue
 scan, which hands it to LAPACK to overwrite, and by the tests as the oracle of
-``apply``.  It is built in place, Fortran-ordered, the coupling in blocks of
-rows, so its peak memory is the result plus one block and the eigensolve needs
-no second copy.
+``apply``.  It is built in place, Fortran-ordered, the coupling in blocks of 16
+rows, so its peak memory is the result plus one block's temporaries (about
+1 MiB at n = 2048) and the eigensolve needs no second copy.  The eigensolve's
+finite check reads LAPACK's max |entry| (zlange) instead of allocating an n x n
+mask, so the scan's peak is one matrix plus LAPACK's workspace.
 
 A mode with the K1 block is solved by ``scipy.linalg.eigvals`` (LAPACK's
 zgeev: balance, Hessenberg reduction, QR iteration).  A mode without it (k = 0
@@ -57,8 +59,9 @@ DRIFT_EDGES = (
 )
 
 
-# rows of the K1 coupling that ``dense`` builds at a time
-_ENTRY_BLOCK_ROWS = 128
+# rows of the K1 coupling that ``dense`` builds at a time: its temporaries are
+# a few 16 x n arrays, small beside the n x n result
+_ENTRY_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,9 +95,11 @@ class GeneratorMatrix:
 
     def dense(self) -> np.ndarray:
         """A new dense complex matrix of the operator (n x n, Fortran order, so
-        LAPACK can work on it without a copy), built in place in row blocks
-        (peak: the result plus one block).  Each entry is ``(1/alpha) * (c/h)``,
-        then ``+= diag``, then ``+= coup_i * ((h K_ij) w_j)``."""
+        LAPACK can work on it without a copy), built in place in blocks of
+        ``_ENTRY_BLOCK_ROWS`` rows (peak: the result plus one block's
+        temporaries).  Each entry is ``(1/alpha) * (c/h)``, then ``+= diag``,
+        then ``+= coup_i * ((h K_ij) w_j)``, so the block size does not change
+        its bytes."""
         p = self.params
         n, h = self.grid.n, self.grid.h
         L = np.zeros((n, n), dtype=complex, order="F")
@@ -271,6 +276,16 @@ def _zhseqr(H: np.ndarray, lwork: int) -> tuple[np.ndarray, int]:
     return w, ints[-1].value
 
 
+def _max_abs_entry(A: np.ndarray) -> float:
+    """LAPACK's zlange('M'), the largest |entry| of the complex A.  It is NaN or
+    inf whenever an entry has a NaN or infinite part, and then this raises the
+    ValueError of ``np.asarray_chkfinite``, without that check's n x n mask."""
+    anrm = zlange("M", A)
+    if not math.isfinite(anrm):
+        raise ValueError("array must not contain infs or NaNs")
+    return anrm
+
+
 def _hessenberg_eigvals(A: np.ndarray) -> np.ndarray:
     """The eigenvalues ``eigvals(A, overwrite_a=True)`` returns, with the same
     bytes, for a Fortran-ordered complex A that is upper Hessenberg with a real
@@ -286,9 +301,8 @@ def _hessenberg_eigvals(A: np.ndarray) -> np.ndarray:
     in ``eigvals``; an A that zgeev would scale or that balancing permutes
     raises RuntimeError, since zgeev's path differs there.
     """
-    A = np.asarray_chkfinite(A)
     n = A.shape[0]
-    anrm = zlange("M", A)
+    anrm = _max_abs_entry(A)
     if 0.0 < anrm < _SMLNUM or anrm > 1.0 / _SMLNUM:
         raise RuntimeError(f"max |entry| {anrm:.3g} is outside the range zgeev leaves unscaled")
     A, lo, hi, _, info = zgebal(A, scale=1, permute=1, overwrite_a=1)
@@ -306,6 +320,18 @@ def _hessenberg_eigvals(A: np.ndarray) -> np.ndarray:
             f"eig algorithm (zhseqr) did not converge (only eigenvalues with order >= {info} "
             "have converged)")
     return w
+
+
+def _mode_eigvals(gen: GeneratorMatrix) -> np.ndarray:
+    """The eigenvalues of ``gen.dense()``, which LAPACK overwrites; the matrix
+    is released on return, before the next mode's is built."""
+    A = gen.dense()
+    # without K1 the matrix is the drift band plus a diagonal: upper
+    # Hessenberg with a real subdiagonal, so zgeev's reduction is a no-op
+    if gen.plan is None:
+        return _hessenberg_eigvals(A)
+    _max_abs_entry(A)
+    return eigvals(A, overwrite_a=True, check_finite=False)
 
 
 def eig_scan(k_values, params: VortexParams, grid: LogGrid) -> dict:
@@ -333,12 +359,7 @@ def eig_scan(k_values, params: VortexParams, grid: LogGrid) -> dict:
         entry = {"k": int(k)}
         gen = assemble_generator(k, p, grid)
         try:
-            # without K1 the matrix is the drift band plus a diagonal: upper
-            # Hessenberg with a real subdiagonal, so zgeev's reduction is a no-op
-            if gen.plan is None:
-                ev = _hessenberg_eigvals(gen.dense())
-            else:
-                ev = eigvals(gen.dense(), overwrite_a=True)
+            ev = _mode_eigvals(gen)
         except (np.linalg.LinAlgError, ValueError) as exc:  # no convergence; inf or NaN
             entry["failed"] = str(exc)
             modes.append(entry)

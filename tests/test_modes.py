@@ -273,6 +273,30 @@ def test_phi1_plan_near_its_young_bound():
                 assert ratio == pytest.approx(row_sum, rel=1e-2), k
 
 
+def test_phi1_plan_row_sums_on_the_young_grid():
+    # K1 > 0, so the plan applied to ones is its row-sum vector, and the largest
+    # entry is its infinity norm.  At the centre node that is the trapezoid row
+    # sum h (1 + 1/expm1(A+ h) + 1/expm1(A- h)).  It stays below the continuous
+    # Young bound 2/A- on every lattice kernel and exceeds it once m k h
+    # reaches about 0.6, so larger k needs a finer grid than the Young grid
+    g = LogGrid(-YOUNG_T, YOUNG_T, YOUNG_N)
+    ones = np.ones(g.n, dtype=complex)
+
+    def ratio_to_bound(m, k, q):
+        ker = KernelK1(k, q, m)
+        sums = _Phi1Plan(g, ker)(ones)
+        centre = g.h * (1.0 + 1.0 / math.expm1(ker.A_plus * g.h)
+                        + 1.0 / math.expm1(ker.A_minus * g.h))
+        assert sums[g.n // 2] == pytest.approx(centre, rel=1e-8), (m, k, q)
+        return np.abs(sums).max() / (2.0 / ker.A_minus)
+
+    ratios = {(q, k): ratio_to_bound(2, k, q) for q, _ in YOUNG_LATTICE for k in LATTICE_K}
+    assert max(ratios, key=ratios.get) == (2.0, 8)
+    assert ratios[2.0, 8] == pytest.approx(0.9488, abs=1e-4)
+    assert ratio_to_bound(2, 16, 2.0) == pytest.approx(1.0010, abs=1e-4)
+    assert ratio_to_bound(6, 8, 2.0) == pytest.approx(1.0503, abs=1e-4)
+
+
 def test_phi1_zero():
     g = LogGrid(-5.0, 5.0, 65)
     z = ModeFunction(1, g, np.zeros(g.n))

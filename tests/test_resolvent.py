@@ -369,7 +369,8 @@ def test_picard_steps_at_large_q():
     # before lq_norm_samples scaled by max|x|, so Picard stopped after one step
     # with update 0.0 and ode_residual read 0.0, measuring nothing.  Now the full
     # map takes 5 steps and the reduced one 7.  The residual reads 1.59e-5 on this
-    # coarse grid, above RESIDUAL_TOL; that is recorded here, not asserted.
+    # coarse grid, above RESIDUAL_TOL: grid error, which the next test shows
+    # falling at second order below RESIDUAL_TOL on finer grids.
     p = VortexParams(alpha=0.01, beta=1.0, m=2, q=2.0 / 0.01)
     G = gaussian(LogGrid(-20.0, 20.0, 4097))
     lam = p.a0 + 1.0
@@ -377,6 +378,19 @@ def test_picard_steps_at_large_q():
     assert sol.iterations > 1 and min(sol.update_history) > 0.0
     assert _reduced_picard(G, lam, p).iterations > 1
     assert ode_residual(sol.U, G, lam, p)[0] > 0.0
+
+
+def test_ode_residual_at_large_q_is_second_order_grid_error():
+    # the q = 200 solve above: ode_residual reads 1.585e-5, 9.907e-7 and
+    # 6.192e-8 at n = 4097, 16385 and 65537 (observed order 2.000)
+    p = VortexParams(alpha=0.01, beta=1.0, m=2, q=2.0 / 0.01)
+    lam = p.a0 + 1.0
+    residuals = []
+    for n in (16385, 65537):
+        G = gaussian(LogGrid(-20.0, 20.0, n))
+        residuals.append(ode_residual(solve_mode(G, lam, p).U, G, lam, p)[0])
+    assert math.log(residuals[0] / residuals[1], 4.0) >= 1.8
+    assert residuals[1] <= resolvent.RESIDUAL_TOL
 
 
 # (alpha, beta, m, q, k, lambda - a0) beyond the default vortex: the critical
