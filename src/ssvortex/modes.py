@@ -15,9 +15,13 @@ is inverted by convolution with the two-sided exponential kernel K1, realizing
 the mode-k inverse Laplacian with the unique integrable tail constants.  Being a
 two-sided exponential, K1's trapezoid convolution is exactly a backward
 first-order recurrence over j >= i (diagonal included) plus a forward one over
-j < i, with the trapezoid weights folded in, each three in-place passes of
-``_Recurrence``.  ``_Phi1Plan`` builds both once per (grid, kernel), so a call
-makes 7 passes; the K2 scans of ``resolvent`` run on the same ``_Recurrence``.
+j < i, with the trapezoid weights folded in.  ``_Recurrence`` solves each in
+three passes: a multiply by its factor into the result, then its ``sweep``, a
+cumulative sum and a multiply in place.  ``_Phi1Plan`` builds both once per
+(grid, kernel), so a call makes 7 passes, the seventh adding the forward part.
+The K2 scans of ``resolvent`` run on the same ``_Recurrence``, with its factor
+folded into their panel weights: a linear-panel scan makes 5 passes, two
+multiplies and an add for the panel sums and the sweep's two.
 """
 
 from __future__ import annotations
@@ -119,9 +123,15 @@ def lq_norm(fn: ModeFunction, q: float) -> float:
 
 def _fd4(y: np.ndarray, h: float) -> np.ndarray:
     """First derivative: 4th-order centered inside, 2nd order at the two end
-    points on each side (one-sided at the ends, centered one point in)."""
+    points on each side (one-sided at the ends, centered one point in).  Built
+    in place in its result, with no full-length temporary."""
     d = np.empty_like(y)
-    d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
+    mid = d[2:-2]
+    np.subtract(y[3:-1], y[1:-3], out=mid)
+    mid *= 8.0
+    mid += y[:-4]
+    mid -= y[4:]
+    mid /= 12 * h
     d[0] = (-3 * y[0] + 4 * y[1] - y[2]) / (2 * h)
     d[1] = (y[2] - y[0]) / (2 * h)
     d[-2] = (y[-1] - y[-3]) / (2 * h)
@@ -181,9 +191,13 @@ class _Recurrence:
     when one panel decays faster.  Within a block S is cp times the cumulative
     sum of w P / cp, seeded by the value S_hi just above the block.  cp is
     scaled by a power of two (exactly) so that neither it nor w / cp leaves
-    the doubles.  The factors w / cp and cp depend on D and w only and are
-    built once, in reversed order, so that a call makes three passes per
-    block (multiply, cumulative sum, multiply) in place on its output.
+    the doubles.  Both depend on D and w only and are built once: ``factor``
+    holds w / cp in natural order (one entry per panel), each block its cp in
+    reversed order.  A call writes ``factor`` * P into its output of shape
+    (npan,), a new array or ``out``, and runs ``sweep`` on it, the cumulative
+    sum, seed and multiply by cp in place: three passes per block.  A caller
+    that folds ``factor`` into its own weights (``resolvent._ScanPlan``) writes
+    the products itself and runs ``sweep`` alone.
     """
 
     def __init__(self, D: np.ndarray, decay_per_panel: float, weight=None):
@@ -194,25 +208,29 @@ class _Recurrence:
         npan = D.shape[0]
         seg = npan if decay_per_panel <= 0 else max(1, int(300.0 / decay_per_panel))
         self.npan = npan
+        self.factor = np.empty(npan, dtype=np.result_type(D, float if weight is None else weight))
         self.blocks = []
         for hi in range(npan, 0, -seg):
             lo = max(0, hi - seg)
             rcp = np.cumprod(D[lo:hi][::-1])
             balance = 2.0 ** (-math.frexp(abs(rcp[-1]))[1] // 2)
             rcp *= balance
-            rinv = (1.0 if weight is None else weight[lo:hi][::-1]) / rcp
-            self.blocks.append((lo, hi, rinv, rcp, 1.0 / balance))
+            np.divide(1.0 if weight is None else weight[lo:hi], rcp[::-1], out=self.factor[lo:hi])
+            self.blocks.append((lo, hi, rcp, 1.0 / balance))
 
-    def __call__(self, P: np.ndarray) -> np.ndarray:
-        S = np.empty(self.npan + 1, dtype=complex)
-        S[self.npan] = 0.0
-        for lo, hi, rinv, rcp, seed in self.blocks:
+    def sweep(self, S: np.ndarray) -> None:
+        """Turn S = factor * P, of shape (npan,), into the solution in place."""
+        for lo, hi, rcp, seed in self.blocks:
             T = S[lo:hi][::-1]
-            np.multiply(P[lo:hi][::-1], rinv, out=T)
             np.cumsum(T, out=T)
             if hi < self.npan:
                 T += seed * S[hi]
             T *= rcp
+
+    def __call__(self, P: np.ndarray, out=None) -> np.ndarray:
+        S = np.empty(self.npan, dtype=complex) if out is None else out
+        np.multiply(P, self.factor, out=S)
+        self.sweep(S)
         return S
 
 
@@ -221,7 +239,8 @@ class _Phi1Plan:
     trapezoid weights), as a backward recurrence over j >= i (decay e^{-A- h},
     diagonal term included) plus a forward one over j < i (decay e^{-A+ h}),
     each with h w folded in and built once per (grid, kernel).  A call makes 7
-    passes (three per recurrence, one add)."""
+    passes (three per recurrence, one add) and holds the forward part's n - 1
+    entries beside its result."""
 
     def __init__(self, grid: LogGrid, kernel: KernelK1):
         n, h = grid.n, grid.h
@@ -229,14 +248,15 @@ class _Phi1Plan:
         # x -> sum_{j >= i} e^{-A- h (j - i)} scale_j x_j
         self.backward = _Recurrence(np.full(n, math.exp(-kernel.A_minus * h)),
                                     kernel.A_minus * h, scale)
-        # x[::-1][1:] -> sum_{j < i} e^{-A+ h (i - j)} scale_j x_j, reversed
+        # x[::-1][1:] -> sum_{j < i} e^{-A+ h (i - j)} scale_j x_j for i >= 1, reversed
         d = math.exp(-kernel.A_plus * h)
         self.forward = _Recurrence(np.full(n - 1, d), kernel.A_plus * h, d * scale[:-1][::-1])
 
-    def __call__(self, samples: np.ndarray) -> np.ndarray:
+    def __call__(self, samples: np.ndarray, out=None) -> np.ndarray:
+        """The convolution of samples of shape (n,), written into ``out`` if given."""
         x = np.asarray(samples)
-        out = self.backward(x)[:-1]
-        out += self.forward(x[::-1][1:])[::-1]
+        out = self.backward(x, out)
+        out[1:] += self.forward(x[::-1][1:])[::-1]
         return out
 
 

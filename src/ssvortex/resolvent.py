@@ -157,12 +157,15 @@ class _ScanPlan:
     (``wi`` for the panel's left sample, ``wj`` for its right one, and for
     ``order=2`` ``wk`` for the next sample) and the recurrence blocks of the
     panel factors D = e^{-icL - Bh}, L = e^{-alpha t_i} - e^{-alpha t_{i+1}}.
-    For c != 0, L is a fixed multiple of either end's w = e^{-alpha t}, so
-    ``wi`` and ``wj`` are ``_osc_weights``' gb and ga scaled in place by one
-    number each, and D is its panel phase scaled in place, so the plan keeps
-    four complex arrays: wi, wj and the recurrence's two factors.  Applying the plan to samples g of shape (n,)
-    forms the panel integrals P = wi g_i + wj g_{i+1} [+ wk g_{i+2}] and runs
-    the recurrence S_i = P_i + D_i S_{i+1}.
+    For c != 0, L is a fixed multiple of either end's w = e^{-alpha t}, so the
+    weights are ``_osc_weights``' gb and ga scaled in place by one number each,
+    and D is its panel phase scaled in place.  The recurrence's factor 1 / cp
+    is then folded into the weights, so they give the products that its
+    ``sweep`` takes, and the plan keeps three complex arrays: wi, wj and the
+    recurrence's cp.  Applying the plan to samples g of shape (n,) writes the
+    folded panel sums wi g_i + wj g_{i+1} [+ wk g_{i+2}] into its output (a
+    new array, or ``out``, which must not overlap g) and sweeps it in place:
+    five passes for linear panels.
 
     ``order=2`` (quadratic panel interpolation) is supported for c == 0 only.
     """
@@ -199,14 +202,24 @@ class _ScanPlan:
             self.wi, self.wj = gb, ga
             D *= ebh
         self.recurrence = _Recurrence(D, B.real * h)
-
-    def __call__(self, samples) -> np.ndarray:
-        g = np.asarray(samples, dtype=complex)
-        P = self.wi * g[:-1]
-        P += self.wj * g[1:]
+        # the weights take over the recurrence's w / cp, which it then no longer keeps
+        fold, self.recurrence.factor = self.recurrence.factor, None
+        self.wi *= fold
+        self.wj *= fold
         if self.wk is not None:
-            P[:-1] += self.wk * g[2:]
-        return self.recurrence(P)
+            self.wk *= fold[:-1]
+
+    def __call__(self, samples, out=None) -> np.ndarray:
+        g = np.asarray(samples, dtype=complex)
+        S = np.empty(g.shape, dtype=complex) if out is None else out
+        panel = S[:-1]
+        np.multiply(self.wi, g[:-1], out=panel)
+        panel += self.wj * g[1:]
+        if self.wk is not None:
+            panel[:-1] += self.wk * g[2:]
+        self.recurrence.sweep(panel)
+        S[-1] = 0.0
+        return S
 
 
 def apply_phi2(fn: ModeFunction, kernel: KernelK2) -> ModeFunction:
@@ -237,6 +250,11 @@ def ode_residual(U: ModeFunction, G: ModeFunction, lam: complex, params: VortexP
     h * max(phase rate, 1) <= RESIDUAL_ZONE_THETA; beyond it no pointwise
     stencil can resolve the oscillation.  Returns (residual, zone_fraction);
     with no resolvable node the residual is inf, so the check fails.
+
+    The K1 coupling is built first, while no other full-length array is live;
+    the phase, the gauged samples and their derivative follow, each written in
+    place, so the call holds at most about five complex arrays of the grid's
+    length beside its inputs.
     """
     p = params
     k = U.k
@@ -245,31 +263,32 @@ def ode_residual(U: ModeFunction, G: ModeFunction, lam: complex, params: VortexP
     h = U.grid.h
     c = KernelK2(p, k, lam).phase_amplitude
     decay = np.exp(-p.alpha * t)
-    # e^{ic e^{-alpha t}} from cos and sin: cheaper than a complex exp
+    zone = h * np.maximum(np.abs(c) * p.alpha * decay, 1.0) <= RESIDUAL_ZONE_THETA
+    zone[:2] = False
+    zone[-2:] = False
+    if not zone.any():
+        return math.inf, 0.0
+    coupling = 0.0
+    if k >= 1:
+        coupling = psi_from_U(U, p).samples * (
+            1j * p.m * k * p.alpha * (2.0 - p.alpha) * p.beta * decay)
+    # e^{ic e^{-alpha t}} from cos and sin, cheaper than a complex exp; the
+    # argument is formed in the real part
     phase = np.empty(t.shape, dtype=complex)
-    arg = c * decay
-    np.cos(arg, out=phase.real)
-    np.sin(arg, out=phase.imag)
+    np.multiply(decay, c, out=phase.real)
+    np.sin(phase.real, out=phase.imag)
+    np.cos(phase.real, out=phase.real)
     W = phase * U.samples
     r = _fd4(W, h)
     r *= 1.0 / p.alpha
     W *= p.a0 - lam
     r += W
     r *= np.conjugate(phase, out=phase)  # |phase| = 1: divide by multiplying by the conjugate
-    if k >= 1:
-        coupling = 1j * p.m * k * p.alpha * (2.0 - p.alpha) * p.beta * decay
-        coupling *= psi_from_U(U, p).samples
-        r -= coupling
+    r -= coupling
     r -= G.samples
-    rate = np.maximum(np.abs(c) * p.alpha * decay, 1.0)
-    zone = h * rate <= RESIDUAL_ZONE_THETA
-    zone[:2] = False
-    zone[-2:] = False
-    if not zone.any():
-        return math.inf, 0.0
-    rz = np.where(zone, r, 0.0)
+    r[~zone] = 0.0
     gn = lq_norm_samples(G.samples, h, p.q)
-    rn = lq_norm_samples(rz, h, p.q)
+    rn = lq_norm_samples(r, h, p.q)
     if gn == 0.0:
         rel = 0.0 if rn == 0.0 else math.inf
     else:
@@ -309,7 +328,8 @@ def solve_k0(G: ModeFunction, lam: complex, params: VortexParams) -> ResolventSo
     """Closed-form k = 0 resolvent: U = -alpha * (exponential kernel) * G."""
     kernel = KernelK2(params, 0, lam)
     plan = _ScanPlan(G.grid, params.alpha, kernel.B, 0.0, order=2)
-    out = -params.alpha * plan(G.samples)
+    out = plan(G.samples)
+    out *= -params.alpha
     return ResolventSolution(U=G.with_samples(out), iterations=1,
                              method="direct", update_history=[])
 
@@ -317,12 +337,14 @@ def solve_k0(G: ModeFunction, lam: complex, params: VortexParams) -> ResolventSo
 def _picard(tmap, U0: np.ndarray, G: ModeFunction, q: float) -> ResolventSolution:
     """Picard U <- U0 + tmap(U) from U = U0 on G's grid, run on the increment
     (d <- tmap(d), U += d, update ||d|| / ||U||), so a step forms no difference
-    array.  Raises ConvergenceError at the first non-finite update or after
-    PICARD_MAX_ITER steps."""
+    array.  ``_picard`` owns U0 and accumulates U in its buffer, so a caller
+    hands it a fresh array that nothing else reads.  ``tmap`` may write
+    its result into its argument's buffer, as the full map does, or return a
+    new array, as the K1-shortcut map does.  Raises ConvergenceError at the
+    first non-finite update or after PICARD_MAX_ITER steps."""
     h = G.grid.h
     history: list[float] = []
-    U = U0.copy()
-    d = U0
+    U, d = U0, U0.copy()
     for _ in range(PICARD_MAX_ITER):
         d = tmap(d)
         U += d
@@ -333,6 +355,9 @@ def _picard(tmap, U0: np.ndarray, G: ModeFunction, q: float) -> ResolventSolutio
         if not math.isfinite(upd):
             raise ConvergenceError("Picard iterates overflowed", history)
         if upd < PICARD_TOL:
+            # the result copies U; freed first, the increment's buffer can take
+            # that copy instead of the heap growing for it
+            del d
             return ResolventSolution(U=G.with_samples(U), iterations=len(history),
                                      method="picard", update_history=history)
     raise ConvergenceError(f"Picard did not converge in {PICARD_MAX_ITER} steps", history)
@@ -346,7 +371,11 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams) -> Resolvent
     current iterate and integrates the first-order ODE exactly, so the limit
     satisfies the ODE to quadrature accuracy.  After U0 the map's factor
     coef * e^{-alpha t} is folded into the solve's own K2 panel weights, so a
-    step is one K1 plan call and one scan (``_picard`` iterates it).
+    step is one K1 plan call into a buffer kept for the whole solve and one scan
+    into the increment's own buffer (``_picard`` iterates it); a step allocates
+    one temporary.  At its peak the solve holds about nine complex arrays of the
+    grid's length: the two plans (five), U, the increment, the K1 result and
+    that temporary (K1's forward part, then the scan's panel product).
     """
     k = G.k
     if k == 0:
@@ -356,14 +385,20 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams) -> Resolvent
     grid = G.grid
     phi1 = _Phi1Plan(grid, KernelK1(k, p.q, p.m))
     scan = _ScanPlan(grid, p.alpha, kernel.B, kernel.phase_amplitude)
-    U0 = -p.alpha * scan(G.samples)
+    U0 = scan(G.samples)
+    U0 *= -p.alpha
     # the map is coef * Phi2(e^{-alpha t} y); with U0 formed, s = coef * e^{-alpha t}
     # is folded into the scan's panel weights
     s = 1j * p.beta * p.alpha**2 * (2.0 - p.alpha) / 2.0 * np.exp(-p.alpha * grid.nodes)
     scan.wi *= s[:-1]
     scan.wj *= s[1:]
     del s  # freed before the loop, so the fold adds nothing to the solve's peak memory
-    return _picard(lambda x: scan(phi1(x)), U0, G, p.q)
+    # every step writes its K1 result into this one buffer: made afresh in each
+    # step, it and the step's temporary would be freed together at the top of
+    # the heap, where glibc returns them to the kernel, and each next step
+    # would fault their pages in again
+    y = np.empty(grid.n, dtype=complex)
+    return _picard(lambda x: scan(phi1(x, y), out=x), U0, G, p.q)
 
 
 # --------------------------------------------------------------------------

@@ -267,11 +267,15 @@ def _residual_checks(cfg: RunConfig) -> tuple[list, list]:
     p = cfg.params
     rows = []
     grid = LogGrid(-FINE_T, FINE_T, cfg.fine_n)
-    gauss = np.exp(-grid.nodes**2).astype(complex)
     tol = resolvent.RESIDUAL_TOL
     for lam in cfg.probe_lambdas():
         for k in (0, 1, 2):
-            G = ModeFunction(k, grid, gauss)
+            # ModeFunction copies its samples, so a Gaussian kept across solves
+            # would sit beside each G: one is built for each solve instead
+            G = ModeFunction(k, grid, np.exp(-grid.nodes**2))
+            # `sol` stays bound while the next solve runs: freed first, it lowers
+            # the peak by about one array, but glibc trims the heap and the next
+            # solve faults its pages in afresh, which takes longer
             sol = solve_mode(G, lam, p)
             res, frac = ode_residual(sol.U, G, lam, p)
             rows.append(resolvent_row("residual", k, p, lam, res, tol, res <= tol,

@@ -1,9 +1,6 @@
 import dataclasses
 import math
 import os
-import subprocess
-import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,18 +196,11 @@ def test_entries_match_one_shot_formula_on_scan_grid():
 
 
 @pytest.mark.parametrize("k, bound", [(0, 1.1), (1, 1.05)])
-def test_entries_peak_memory(k, bound):
-    # numpy reports its buffers to tracemalloc; the build holds the n x n
-    # result and one 16-row block of temporaries (1.00x and 1.02x measured,
-    # against 1.50x and 3.06x for the one-shot formula)
+def test_entries_peak_memory(k, bound, traced):
+    # the build holds the n x n result and one 16-row block of temporaries
+    # (1.00x and 1.02x measured, against 1.50x and 3.06x for the one-shot formula)
     gen = assemble_generator(k, P, LogGrid(-12.0, 12.0, 2048))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        gen.dense()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(gen.dense)
     assert peak <= bound * 16 * gen.grid.n**2
 
 
@@ -354,15 +344,7 @@ def test_eig_scan_probes_every_flagged_cluster(monkeypatch):
     assert sorted(pr["lambda"].imag for pr in mode["probes"]) == sorted(planted.imag)
 
 
-def _run_isolated(code: str) -> str:
-    # a fresh interpreter at one OpenBLAS/OpenMP thread; returns its stdout
-    src = os.path.dirname(os.path.dirname(generator.__file__))
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout
-
-
-def test_eig_scan_eigenvalues_match_numpy_bytes():
+def test_eig_scan_eigenvalues_match_numpy_bytes(isolated):
     # eig_scan lets scipy's zgeev overwrite the matrix; the pinned spectrum
     # values (bench/reference.json's max_re) were made by numpy's eigvals on a
     # copy.  At one BLAS thread the two give the same bytes; at two threads
@@ -386,7 +368,7 @@ for n in (128, 256, 512):
         ref = np.linalg.eigvals(assemble_generator(k, p, g).dense())
         print(n, k, p.alpha, ev.tobytes() == ref.tobytes())
 """
-    lines = _run_isolated(code).split("\n")[:-1]
+    lines = isolated(code).split("\n")[:-1]
     assert len(lines) == 18
     assert all(line.endswith("True") for line in lines), lines
 
@@ -402,7 +384,7 @@ def test_k1_free_eigenvalues_match_scipy_bytes(p, k, n):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
 @pytest.mark.parametrize("ks", [[0], [1], [0, 1]], ids=lambda ks: ",".join(map(str, ks)))
-def test_eig_scan_peak_memory(ks):
+def test_eig_scan_peak_memory(ks, isolated):
     # the eigensolve works on the one matrix that dense() builds, with no n x n
     # temporary beside it: peak growth 1.16x, 1.23x and 1.22x of 16 n^2 bytes
     # measured for [0], [1] and [0,1], against over 2x when LAPACK gets a
@@ -420,7 +402,7 @@ before = hwm_kib()
 eig_scan({ks}, DEFAULT_PARAMS, LogGrid(-12.0, 12.0, 1024))
 print(hwm_kib() - before)
 """
-    growth = 1024 * int(_run_isolated(code))
+    growth = 1024 * int(isolated(code))
     assert growth <= 1.35 * 16 * 1024**2, growth / (16 * 1024**2)
 
 

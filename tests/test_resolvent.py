@@ -1,5 +1,5 @@
 import math
-import tracemalloc
+import os
 import warnings
 
 import numpy as np
@@ -36,7 +36,7 @@ from ssvortex.resolvent import (
 )
 from ssvortex.suites import _reduced_picard
 
-from oracles import k2_eval
+from oracles import k2_eval, linear_panel_weights, quadratic_panel_weights
 
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)  # a0 = -1
 
@@ -181,13 +181,13 @@ def test_scan_plan_far_right_matches_sequential_recurrence(offset, magnitude):
     D = np.exp(-1j * c * (w[:-1] - w[1:]) - B * g.h)
     out = apply_phi2(ModeFunction(1, g, x), kernel).samples
     assert np.all(np.isfinite(out))
-    np.testing.assert_allclose(out, sequential(plan.wi * x[:-1] + plan.wj * x[1:], D),
-                               rtol=1e-13, atol=0)
+    wi, wj = linear_panel_weights(g, P.alpha, B, c)
+    np.testing.assert_allclose(out, sequential(wi * x[:-1] + wj * x[1:], D), rtol=1e-13, atol=0)
 
-    # solve_k0's quadratic panels on the same recurrence
-    k0 = _ScanPlan(g, P.alpha, B, 0.0, order=2)  # B does not depend on k
-    Pn = k0.wi * x[:-1] + k0.wj * x[1:]
-    Pn[:-1] += k0.wk * x[2:]
+    # solve_k0's quadratic panels on the same recurrence (B does not depend on k)
+    wi, wj, wk = quadratic_panel_weights(g, B)
+    Pn = wi * x[:-1] + wj * x[1:]
+    Pn[:-1] += wk * x[2:]
     U = solve_k0(ModeFunction(0, g, x), lam, P).U.samples
     want = -P.alpha * sequential(Pn, np.full(g.n - 1, np.exp(-B * g.h)))
     np.testing.assert_allclose(U, want, rtol=1e-13, atol=0)
@@ -210,31 +210,80 @@ def test_scan_plan_multiple_blocks_match_sequential_recurrence():
     x = np.random.default_rng(9).standard_normal(g.n) + 0j
     w = np.exp(-P.alpha * g.nodes)
     D = np.exp(-1j * c * (w[:-1] - w[1:]) - B * h)
-    Pn = plan.wi * x[:-1] + plan.wj * x[1:]
+    wi, wj = linear_panel_weights(g, P.alpha, B, c)
+    Pn = wi * x[:-1] + wj * x[1:]
     want = np.zeros(g.n, dtype=complex)
     for i in range(g.n - 2, -1, -1):
         want[i] = Pn[i] + D[i] * want[i + 1]
     np.testing.assert_allclose(plan(x), want, rtol=1e-13, atol=0)
 
 
-def test_scan_plan_build_memory():
+def test_scan_plan_build_memory(traced):
     # the c != 0 build writes its weights and panel phase in place: its peak
-    # stays under 7.5 complex arrays of the grid's length, and the plan keeps
-    # exactly four: wi, wj and the recurrence's two factors, no view into a
-    # larger buffer
+    # stays under 7.5 complex arrays of the grid's length (5.24 measured), and
+    # the plan keeps exactly three, wi and wj with the recurrence's 1 / cp
+    # folded in and its cp, no view into a larger buffer (4.0 before the fold)
     g = LogGrid(-25.0, 25.0, 2**17 + 1)
     g.nodes  # cached on the grid, not part of the plan
     B = KernelK2(P, 1, 0.5).B
-    tracemalloc.start()
-    try:
-        plan = _ScanPlan(g, P.alpha, B, 2.0)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    plan, held, peak = traced(_ScanPlan, g, P.alpha, B, 2.0)
     assert len(plan.recurrence.blocks) == 1
     unit = 16 * g.n
     assert peak / unit <= 7.5
-    assert held / unit == pytest.approx(4.0, abs=0.01)
+    assert held / unit == pytest.approx(3.0, abs=0.01)
+
+
+# the residual suite's fine grid
+FINE = LogGrid(-25.0, 25.0, 2**17 + 1)
+
+
+def test_solve_mode_peak_memory(traced):
+    # the two plans hold five complex arrays of the grid's length; a step adds
+    # U, the increment (the scan writes into it), the K1 result buffer and one
+    # temporary: 9.07 measured, against 12.0 with unfolded weights, a panel
+    # array and a fresh output in every scan, and U0 live through the loop
+    G = gaussian(FINE)
+    sol, _, peak = traced(solve_mode, G, P.a0 + 0.1, P)
+    assert sol.iterations == 15
+    assert peak / (16 * FINE.n) <= 9.5
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="Linux process accounting")
+def test_warm_solve_does_not_fault_its_arrays_in_again(isolated):
+    # a Picard step writes its K1 result into a buffer that the solve keeps, so
+    # the step frees only its one temporary.  Made afresh in each step, the K1
+    # result would be freed with that temporary at the top of the heap, glibc
+    # would return both to the kernel, and every step would fault about 1,000
+    # pages back in: 14,880-19,232 per warm solve measured so, 0 now
+    code = """
+import resource
+import numpy as np
+from ssvortex.modes import LogGrid, ModeFunction
+from ssvortex.params import VortexParams
+from ssvortex.resolvent import solve_mode
+P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)
+g = LogGrid(-25.0, 25.0, 2**17 + 1)
+G = ModeFunction(1, g, np.exp(-g.nodes**2))
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sol = solve_mode(G, P.a0 + 0.1, P)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    faults = [int(v) for v in isolated(code).split()]
+    # the third solve runs on the heap the first two left: fewer pages than
+    # one complex array of the grid's length
+    assert faults[-1] < 16 * (2**17 + 1) // 4096, faults
+
+
+def test_ode_residual_peak_memory(traced):
+    # the coupling is built first; then the phase, the gauged samples and their
+    # derivative, written in place: 4.63 measured, 9.06 with temporaries
+    G = gaussian(FINE)
+    lam = P.a0 + 0.1
+    U = solve_mode(G, lam, P).U
+    (res, _), _, peak = traced(ode_residual, U, G, lam, P)
+    assert res <= resolvent.RESIDUAL_TOL
+    assert peak / (16 * FINE.n) <= 5.0
 
 
 def test_solve_k0_closed_form():
@@ -493,6 +542,60 @@ def test_solve_mode_dense_matches_picard():
     np.testing.assert_allclose(a.update_history, history, rtol=1e-10, atol=HISTORY_ATOL)
 
 
+def allocating_picard(G, lam, p):
+    """The full map's Picard run as ``solve_mode`` stops it, every stage a fresh
+    array: d <- coef Phi2(e^{-alpha t} Phi1(d)), U <- U + d from d = U = U0,
+    through ``apply_phi1`` and ``apply_phi2``.  Returns U and the step count."""
+    k1, k2 = KernelK1(G.k, p.q, p.m), KernelK2(p, G.k, lam)
+    coef = 1j * p.beta * p.alpha**2 * (2.0 - p.alpha) / 2.0
+    decay = np.exp(-p.alpha * G.grid.nodes)
+    h = G.grid.h
+    U = d = -p.alpha * apply_phi2(G, k2).samples
+    for step in range(1, resolvent.PICARD_MAX_ITER + 1):
+        y = decay * apply_phi1(G.with_samples(d), k1).samples
+        d = coef * apply_phi2(G.with_samples(y), k2).samples
+        U = U + d
+        if lq_norm_samples(d, h, p.q) / lq_norm_samples(U, h, p.q) < PICARD_TOL:
+            return U, step
+    raise AssertionError("the oracle did not converge")
+
+
+@pytest.mark.parametrize("p, k, offset", [
+    pytest.param(P, 1, 0.1, id="default"),
+    pytest.param(VortexParams(alpha=0.5, beta=-1.0, m=2, q=4.0), 1, 1.0, id="negative-beta"),
+    pytest.param(VortexParams(alpha=2.0 / 3.0, beta=1.0, m=3, q=3.0), 2, 0.5 - 0.5j, id="q3"),
+])
+def test_solve_mode_matches_allocating_picard(p, k, offset):
+    # the in-place step with coef e^{-alpha t} and the recurrence factor folded
+    # into the scan's weights against the unfused, allocating map
+    g = LogGrid(-25.0, 25.0, 2**14 + 1)
+    G = gaussian(g, k=k)
+    lam = p.a0 + offset
+    sol = solve_mode(G, lam, p)
+    U, steps = allocating_picard(G, lam, p)
+    assert sol.iterations == steps
+    assert np.abs(sol.U.samples - U).max() <= 1e-12 * np.abs(U).max()
+    assert solve_mode(G, lam, p).U.samples.tobytes() == sol.U.samples.tobytes()
+
+
+def test_solves_leave_their_callers_arrays_alone():
+    # _picard accumulates U in U0's buffer and the full map's scan writes into
+    # the increment: neither may reach an array the caller passed in or holds,
+    # such as an earlier solve's U
+    g = LogGrid(-15.0, 15.0, 1025)
+    raw = np.exp(-g.nodes**2) + 0j
+    kept = raw.copy()
+    G = ModeFunction(1, g, raw)
+    for solve in (solve_mode, _reduced_picard):
+        first = solve(G, 0.5, P)
+        before = first.U.samples.copy()
+        second = solve(G, 0.5, P)
+        assert first.U.samples.tobytes() == before.tobytes() == second.U.samples.tobytes()
+        assert not np.shares_memory(first.U.samples, second.U.samples)
+        assert not np.shares_memory(second.U.samples, G.samples)
+    assert G.samples.tobytes() == kept.tobytes() == raw.tobytes()
+
+
 @pytest.mark.parametrize("q, alpha, k", [(2.5, 0.8, 2), (3.0, 2.0 / 3.0, 4)])
 def test_solve_mode_reduced_map_matches_plain_picard(q, alpha, k):
     # two points of the contraction check's lattice, on its grid and data
@@ -729,7 +832,13 @@ def test_picard_overflow_raises(monkeypatch):
 
     def scaled(grid, kernel):
         plan = real(grid, kernel)
-        return lambda x: 50.0 * plan(x)
+
+        def call(x, out=None):  # the plan's call, the result buffer included
+            y = plan(x, out)
+            y *= 50.0
+            return y
+
+        return call
 
     monkeypatch.setattr(resolvent, "_Phi1Plan", scaled)
     G = gaussian(LogGrid(-15.0, 15.0, 257))
