@@ -9,16 +9,7 @@ from .generator import (
     growth_fit,
     stable_dt,
 )
-from .homogeneous import (
-    Homo2Params,
-    ShootingResult,
-    homo2_defect,
-    homo2_params,
-    hyp2f2_regularized,
-    q_frak,
-    shoot_batch,
-    shoot_homogeneous,
-)
+from .homogeneous import ShootingResult, shoot_batch, shoot_homogeneous
 from .modes import (
     KernelK1,
     LogGrid,
@@ -46,13 +37,12 @@ from .resolvent import (
 from .suites import RunConfig, emit, run
 
 __all__ = [
-    "ConvergenceError", "EvolutionTrace", "GeneratorMatrix", "Homo2Params",
-    "KernelK1", "KernelK2", "LogGrid", "ModeFunction", "ResolventSolution",
-    "RunConfig", "ShootingResult", "VortexParams", "apply_phi1", "apply_phi2",
-    "assemble_generator", "contraction_bound", "eig_scan", "emit", "evolve",
-    "growth_fit", "homo2_defect", "homo2_params", "hyp2f2_regularized", "k1_eval",
-    "lq_norm", "ode_residual", "phi1_matrix", "psi_from_U", "q_frak",
-    "resolvent_bound_check", "run", "shoot_batch", "shoot_homogeneous", "solve_k0",
-    "solve_mode", "stable_dt", "verify_kernel_composition", "verify_neat_identities",
+    "ConvergenceError", "EvolutionTrace", "GeneratorMatrix", "KernelK1", "KernelK2",
+    "LogGrid", "ModeFunction", "ResolventSolution", "RunConfig", "ShootingResult",
+    "VortexParams", "apply_phi1", "apply_phi2", "assemble_generator", "contraction_bound",
+    "eig_scan", "emit", "evolve", "growth_fit", "k1_eval", "lq_norm", "ode_residual",
+    "phi1_matrix", "psi_from_U", "resolvent_bound_check", "run", "shoot_batch",
+    "shoot_homogeneous", "solve_k0", "solve_mode", "stable_dt", "verify_kernel_composition",
+    "verify_neat_identities",
 ]
 __version__ = "0.1.0"

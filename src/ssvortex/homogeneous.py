@@ -1,14 +1,4 @@
-"""Homogeneous-equation analysis: hypergeometric parameters, series evaluation,
-and two-sided shooting.
-
-After the substitution z = -2ik r^{-alpha} (amplitude normalized to beta = 1,
-symmetry fold m = 2), the homogeneous mode equation becomes a third-order ODE
-whose regular-at-zero branch is the regularized hypergeometric series
-2F~2(a1, a2; b1, b2; z) with
-
-    a1 = -2k/alpha - q#,  a2 = -2k/alpha + q#,
-    b1 = (alpha - 4k)/alpha,  b2 = (2 - 2k + alpha*lambda)/alpha,
-    q# = sqrt(alpha^2 - 2*alpha + 4k^2)/alpha.
+"""Homogeneous-equation analysis by two-sided shooting.
 
 Whether any solution of the original equation is q-integrable is decided
 numerically on its first-order form y' = A(t) y.  The two-dimensional manifold
@@ -35,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sp
 from scipy.integrate import solve_ivp
 
 from .modes import KernelK1
@@ -51,104 +40,6 @@ SHOOT_RTOL = 1e-8
 # the left side is integrated from t = -SHOOT_SPAN and the right side from
 # t = SHOOT_SPAN, both to the matching point t = 0
 SHOOT_SPAN = 12.0
-# term budget of the 2F2 series
-SERIES_MAX_TERMS = 800
-
-
-def q_frak(alpha: float, k: int) -> float:
-    return math.sqrt(alpha * alpha - 2.0 * alpha + 4.0 * k * k) / alpha
-
-
-@dataclass(frozen=True)
-class Homo2Params:
-    """Hypergeometric parameter bundle for the transformed third-order ODE."""
-
-    a1: complex
-    a2: complex
-    b1: complex
-    b2: complex
-    q_frak: float
-
-
-def homo2_params(params: VortexParams, k: int, lam: complex) -> Homo2Params:
-    """Parameter choice (amplitude normalized to 1); the form holds for m = 2 only."""
-    if k < 1:
-        raise ValueError("the transformed equation is defined for k >= 1")
-    if params.m != 2:
-        raise ValueError("the hypergeometric form is derived for m = 2")
-    alpha = params.alpha
-    qf = q_frak(alpha, k)
-    return Homo2Params(
-        a1=-2.0 * k / alpha - qf,
-        a2=-2.0 * k / alpha + qf,
-        b1=(alpha - 4.0 * k) / alpha,
-        b2=(2.0 - 2.0 * k + alpha * complex(lam)) / alpha,
-        q_frak=qf,
-    )
-
-
-class SeriesError(RuntimeError):
-    """Raised when the hypergeometric series fails to converge in budget."""
-
-
-def hyp2f2_regularized(a1, a2, b1, b2, z):
-    """Regularized series sum_n (a1)_n (a2)_n z^n / (n! Gamma(b1+n) Gamma(b2+n)).
-
-    Entire in the lower parameters: nonpositive-integer b's contribute zero
-    reciprocal-gamma factors until the pole region is passed.  Stops once the
-    term magnitude stays below 1e-16 of the partial sum for 3 consecutive
-    terms.
-    """
-    z = complex(z)
-    if z == 0:
-        return sp.rgamma(b1) * sp.rgamma(b2)
-    if abs(z) > 50.0:
-        raise SeriesError(f"|z| = {abs(z):.3g} beyond the supported term budget")
-    total = 0.0 + 0.0j
-    poch = 1.0 + 0.0j
-    zn = 1.0 + 0.0j
-    consec = 0
-    n_min = int(max(8.0, -np.real(b1), -np.real(b2), 2.0 * abs(z))) + 4
-    for n in range(SERIES_MAX_TERMS):
-        term = poch * zn * sp.rgamma(b1 + n) * sp.rgamma(b2 + n)
-        total += term
-        if n >= n_min:
-            if abs(term) < 1e-16 * max(abs(total), 1e-300):
-                consec += 1
-                if consec >= 3:
-                    break
-            else:
-                consec = 0
-        poch *= (a1 + n) * (a2 + n) / (n + 1.0)
-        zn *= z
-    else:
-        raise SeriesError(f"series did not settle within {SERIES_MAX_TERMS} terms at z = {z}")
-    return total
-
-
-def homo2_defect(p: Homo2Params, z_values) -> float:
-    """Max relative defect of the third-order ODE for the series branch.
-
-    The z-derivatives are exact: the j-th one is (a1)_j (a2)_j times the series
-    with every parameter raised by j (DLMF 16.3.1).  Each defect is normalized
-    by the largest of the four ODE terms so the metric is scale-free.
-    """
-    worst = 0.0
-    for z in np.atleast_1d(z_values):
-        z = complex(z)
-        w = []
-        poch = 1.0
-        for j in range(4):
-            w.append(poch * hyp2f2_regularized(p.a1 + j, p.a2 + j, p.b1 + j, p.b2 + j, z))
-            poch *= (p.a1 + j) * (p.a2 + j)
-        w0, d1, d2, d3 = w
-        t1 = z * z * d3
-        t2 = z * (1.0 - z + p.b1 + p.b2) * d2
-        t3 = (p.b1 * p.b2 - z * (p.a1 + p.a2 + 1.0)) * d1
-        t4 = -p.a1 * p.a2 * w0
-        scale = max(abs(t1), abs(t2), abs(t3), abs(t4), 1e-300)
-        worst = max(worst, abs(t1 + t2 + t3 + t4) / scale)
-    return worst
 
 
 @dataclass

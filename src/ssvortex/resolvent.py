@@ -338,10 +338,9 @@ def _picard(tmap, U0: np.ndarray, G: ModeFunction, q: float) -> ResolventSolutio
     """Picard U <- U0 + tmap(U) from U = U0 on G's grid, run on the increment
     (d <- tmap(d), U += d, update ||d|| / ||U||), so a step forms no difference
     array.  ``_picard`` owns U0 and accumulates U in its buffer, so a caller
-    hands it a fresh array that nothing else reads.  ``tmap`` may write
-    its result into its argument's buffer, as the full map does, or return a
-    new array, as the K1-shortcut map does.  Raises ConvergenceError at the
-    first non-finite update or after PICARD_MAX_ITER steps."""
+    hands it a fresh array that nothing else reads.  ``tmap`` writes its
+    result into its argument's buffer and returns it.  Raises ConvergenceError
+    at the first non-finite update or after PICARD_MAX_ITER steps."""
     h = G.grid.h
     history: list[float] = []
     U, d = U0, U0.copy()

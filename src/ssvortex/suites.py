@@ -224,13 +224,8 @@ def _reduced_picard(G: ModeFunction, lam: complex, params: VortexParams) -> Reso
     U0 = -p.alpha * apply_phi2(G, KernelK2(p, k, lam)).samples
     phi1 = _Phi1Plan(G.grid, KernelK1(k, p.q, p.m))
     coef = p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k)
-
-    def tmap(x):
-        y = phi1(x)
-        y *= coef
-        return y
-
-    return _picard(tmap, U0, G, p.q)
+    y = np.empty(G.grid.n, dtype=complex)  # the K1 result of every step, as in solve_mode
+    return _picard(lambda x: np.multiply(phi1(x, y), coef, out=x), U0, G, p.q)
 
 
 def _contraction_checks(cfg: RunConfig) -> tuple[list, list]:

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ssvortex.homogeneous import homo2_defect, homo2_params
 from ssvortex.modes import KernelK1, LogGrid, k1_eval
 from ssvortex.params import VortexParams
 from ssvortex.resolvent import (
@@ -44,7 +43,7 @@ from ssvortex.suites import (
     suite_spectrum,
 )
 
-from oracles import k2_eval
+from oracles import homo2_defect, homo2_params, k2_eval
 
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)  # a0 = -1
 

@@ -6,20 +6,12 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from ssvortex import homogeneous
-from ssvortex.homogeneous import (
-    INCONCLUSIVE,
-    NO_INTEGRABLE,
-    SeriesError,
-    homo2_defect,
-    homo2_params,
-    hyp2f2_regularized,
-    q_frak,
-    shoot_batch,
-    shoot_homogeneous,
-)
+from ssvortex.homogeneous import INCONCLUSIVE, NO_INTEGRABLE, shoot_batch, shoot_homogeneous
 from ssvortex.modes import KernelK1
 from ssvortex.params import VortexParams
 from ssvortex.suites import RunConfig
+
+from oracles import SeriesError, homo2_defect, homo2_params, hyp2f2_regularized, q_frak
 
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)  # a0 = -1
 _P_NEG = VortexParams(alpha=0.5, beta=-1.0, m=3, q=4.0)

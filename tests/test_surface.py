@@ -5,6 +5,8 @@ results of some of them; its own smoke test is not part of this suite, so a
 rename that breaks it shows here first.  The signatures, the fields of the
 public result types and every suite's CSV header are pinned so that a new
 solver option, a changed field or a changed column shows up as a test diff.
+Every public function but `shoot_homogeneous` is one that a full run calls: a
+form only the tests use belongs in `tests/oracles.py`.
 """
 
 import dataclasses
@@ -12,6 +14,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import sys
 
 import ssvortex
 from ssvortex import suites
@@ -43,15 +46,35 @@ def test_traced_names_resolve():
 
 def test_public_names():
     assert sorted(ssvortex.__all__) == [
-        "ConvergenceError", "EvolutionTrace", "GeneratorMatrix", "Homo2Params",
-        "KernelK1", "KernelK2", "LogGrid", "ModeFunction", "ResolventSolution",
-        "RunConfig", "ShootingResult", "VortexParams", "apply_phi1", "apply_phi2",
-        "assemble_generator", "contraction_bound", "eig_scan", "emit", "evolve",
-        "growth_fit", "homo2_defect", "homo2_params", "hyp2f2_regularized", "k1_eval",
-        "lq_norm", "ode_residual", "phi1_matrix", "psi_from_U", "q_frak",
-        "resolvent_bound_check", "run", "shoot_batch", "shoot_homogeneous", "solve_k0",
-        "solve_mode", "stable_dt", "verify_kernel_composition", "verify_neat_identities",
+        "ConvergenceError", "EvolutionTrace", "GeneratorMatrix", "KernelK1", "KernelK2",
+        "LogGrid", "ModeFunction", "ResolventSolution", "RunConfig", "ShootingResult",
+        "VortexParams", "apply_phi1", "apply_phi2", "assemble_generator", "contraction_bound",
+        "eig_scan", "emit", "evolve", "growth_fit", "k1_eval", "lq_norm", "ode_residual",
+        "phi1_matrix", "psi_from_U", "resolvent_bound_check", "run", "shoot_batch",
+        "shoot_homogeneous", "solve_k0", "solve_mode", "stable_dt", "verify_kernel_composition",
+        "verify_neat_identities",
     ]
+
+
+def test_every_public_function_runs_in_the_pipeline(small_all_config):
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        suites.run(small_all_config("out"), log=lambda *a: None)
+    finally:
+        sys.setprofile(previous)
+    # bench/tracing.py hooks shoot_homogeneous; the suites batch through shoot_batch
+    hooked = {"shoot_homogeneous"}
+    unused = [name for name in ssvortex.__all__ if name not in hooked
+              and inspect.isfunction(obj := getattr(ssvortex, name))
+              and obj.__code__ not in called]
+    assert unused == []
 
 
 def test_solver_signatures():
@@ -78,7 +101,6 @@ def test_public_dataclass_fields():
         "EvolutionTrace": ["times", "norms", "fitted_rate", "steps"],
         "ShootingResult": ["lam", "k", "mismatch", "verdict", "note"],
         "ModeFunction": ["k", "grid", "samples"],
-        "Homo2Params": ["a1", "a2", "b1", "b2", "q_frak"],
     }
     for name, fields in expected.items():
         assert [f.name for f in dataclasses.fields(getattr(ssvortex, name))] == fields, name
