@@ -4,7 +4,8 @@ Usage:
     ssvortex <verify|resolvent|semigroup|spectrum|shoot|all> [--config FILE] [--out DIR]
 
 The config file is a flat list of `key = value` lines (# starts a comment).
-Values are parsed as int, float, complex, or comma-separated lists thereof.
+Values are parsed as int, float, complex, or comma-separated lists thereof; a
+value in matching quotes is one literal string, `#` and `,` included.
 The subcommand picks the suites, the file sets every other run input, and
 `--out` overrides the file's `out`.  Exit codes: 0 all suites passed,
 1 at least one check failed, 2 usage or configuration error.
@@ -40,14 +41,38 @@ class ConfigError(ValueError):
     pass
 
 
+def _split_line(text: str) -> list:
+    """``text`` up to its first ``#`` outside quotes, cut at every ``,`` outside
+    quotes; an unclosed quote raises ConfigError."""
+    parts, start, quote = [], 0, None
+    for i, ch in enumerate(text):
+        if quote:
+            quote = None if ch == quote else quote
+        elif ch in "'\"":
+            quote = ch
+        elif ch in ",#":
+            parts.append(text[start:i])
+            start = i + 1
+            if ch == "#":
+                return parts
+    if quote:
+        raise ConfigError(f"unbalanced {quote} quote")
+    parts.append(text[start:])
+    return parts
+
+
 def _parse_scalar(text: str):
     text = text.strip()
+    if len(text) >= 2 and text[0] in "'\"" and text[-1] == text[0] and text[0] not in text[1:-1]:
+        return text[1:-1]
+    if "'" in text or '"' in text:
+        raise ConfigError(f"a quote must open and close a whole value, got {text!r}")
     for cast in (int, float, complex):
         try:
             return cast(text)
         except ValueError:
             continue
-    return text.strip("'\"")
+    return text
 
 
 def parse_config_file(path: str) -> dict:
@@ -61,25 +86,27 @@ def parse_config_file(path: str) -> dict:
     out = {}
     set_on = {}
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in set_on:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {set_on[key]}")
+        try:
+            parts = _split_line(raw)
+            if len(parts) == 1 and not parts[0].strip():
+                continue
+            key, eq, first = parts[0].partition("=")
+            key = key.strip()
+            if not eq:
+                raise ConfigError(f"expected 'key = value', got {raw.strip()!r}")
+            if key not in _CONFIG_KEYS:
+                raise ConfigError(f"unknown key {key!r}")
+            if key in set_on:
+                raise ConfigError(f"key {key!r} already set on line {set_on[key]}")
+            if len(parts) > 1:
+                out[key] = tuple(_parse_scalar(v) for v in [first, *parts[1:]] if v.strip())
+            elif first.strip().lower() in ("", "none"):
+                out[key] = ()
+            else:
+                out[key] = _parse_scalar(first)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
         set_on[key] = lineno
-        val = val.strip()
-        if val == "" or val.lower() == "none":
-            out[key] = ()
-        elif "," in val:
-            out[key] = tuple(_parse_scalar(v) for v in val.split(",") if v.strip())
-        else:
-            out[key] = _parse_scalar(val)
     return out
 
 
@@ -94,7 +121,11 @@ def build_config(file_values: dict, out, suites) -> RunConfig:
     pkw = {key: merged.pop(key) for key in _PARAM_KEYS & merged.keys()}
     params = replace(DEFAULT_PARAMS, **pkw)
     if "out" in merged:
-        merged["out_dir"] = str(merged.pop("out"))
+        out_dir = merged.pop("out")
+        # an empty or listed `out` would name a directory after a tuple's repr
+        if isinstance(out_dir, tuple) or not str(out_dir):
+            raise ConfigError(f"out must be one non-empty path, got {out_dir!r}")
+        merged["out_dir"] = str(out_dir)
     return RunConfig(params=params, suites=tuple(suites), **merged)
 
 

@@ -146,6 +146,46 @@ def test_cli_out_flag_overrides_config_file(tmp_path):
     assert not (tmp_path / "from_file").exists()
 
 
+ONE_SHOOTING_POINT = "shoot_k = 1\nshoot_offsets = 1.0\nshoot_imags = 0.0\n"
+
+
+@pytest.mark.parametrize("path", ["runs/#3", "runs/a,b"])
+@pytest.mark.parametrize("quote", ["'", '"'])
+def test_quoted_value_is_one_literal_string(tmp_path, monkeypatch, path, quote):
+    # inside quotes `#` starts no comment and `,` makes no tuple: unquoted, the
+    # first would be cut to `runs/` and the second run into a directory named
+    # after the tuple's repr
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path / "c.cfg", f"out = {quote}{path}{quote}  # a comment, with a comma\n"
+                + ONE_SHOOTING_POINT)
+    assert parse_config_file(cfg)["out"] == path
+    assert main(["shoot", "--config", cfg]) == 0
+    assert (tmp_path / path / "shooting.csv").is_file()
+
+
+@pytest.mark.parametrize("line", ["out = 'runs/#3", 'out = "runs', "out = runs'", "out = 'a'b",
+                                  "lambda_offsets = 0.5, '1.0"])
+def test_cli_exit_2_on_unbalanced_quote(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path / "c.cfg", f"{line}\n" + ONE_SHOOTING_POINT)
+    with pytest.raises(ConfigError, match="c.cfg:1: .*quote"):
+        parse_config_file(cfg)
+    assert main(["shoot", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.cfg"]
+
+
+@pytest.mark.parametrize("line", ["out =", "out = none", "out = ''", "out = a, b"])
+def test_cli_exit_2_on_out_that_is_not_one_path(tmp_path, monkeypatch, capsys, line):
+    # each of these once named the output directory after a tuple's repr, or
+    # after nothing
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path / "c.cfg", f"{line}\n" + ONE_SHOOTING_POINT)
+    assert main(["shoot", "--config", cfg]) == 2
+    assert "out must be one non-empty path" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.cfg"]
+
+
 def test_cli_suites_is_not_a_config_key(tmp_path, capsys):
     # the subcommand alone picks the suites
     cfg = write(tmp_path / "c.cfg", "suites = identities\n")

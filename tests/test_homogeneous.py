@@ -249,6 +249,25 @@ def test_shifted_flow_keeps_states_bounded(case, monkeypatch):
     assert max(largest) <= 2.0
 
 
+def test_flows_get_contiguous_coefficients(monkeypatch):
+    # the right-hand side sums A0 and A1 on every call; a transposed view as
+    # the adjoint's A1 made each of those sums strided and the left flow slower
+    real = homogeneous._flow_to_zero
+    seen = {}
+
+    def recording(A0, A1, alpha, y0, t_start, side):
+        seen[side] = (A0, A1)
+        return real(A0, A1, alpha, y0, t_start, side)
+
+    monkeypatch.setattr(homogeneous, "_flow_to_zero", recording)
+    shoot_batch(P, [(1, complex(P.a0 + 1.0, 0.5)), (2, complex(P.a0 + 4.0, -1.0))])
+    assert sorted(seen) == ["left", "right"]
+    for side, coefficients in seen.items():
+        for name, A in zip(("A0", "A1"), coefficients):
+            assert A.shape == (2, 3, 3)
+            assert A.flags.c_contiguous, f"{side} {name} is not C-contiguous"
+
+
 @pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
 def test_shoot_batch_matches_single_task(case):
     p, tasks = AGREEMENT_CASES[case]
