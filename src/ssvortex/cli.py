@@ -116,7 +116,9 @@ def build_config(file_values: dict, out, suites) -> RunConfig:
     # ROADMAP item 5 deletes this line together with that one
     if _number("workers", merged.pop("workers", 1), integer=True) != 1:
         raise ConfigError("workers: the only accepted value is 1")
-    if out:  # no `--out` (None, or `{}` from bench/worker.py) keeps the file's `out`
+    # a `--out` string, even an empty one, overrides the file's `out`; no
+    # `--out` (None, or `{}` from bench/worker.py) keeps it
+    if isinstance(out, str):
         merged["out"] = out
     pkw = {key: merged.pop(key) for key in _PARAM_KEYS & merged.keys()}
     params = replace(DEFAULT_PARAMS, **pkw)

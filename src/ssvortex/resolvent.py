@@ -151,12 +151,15 @@ def _exp_moments(Beff: complex, h: float):
 
 class _ScanPlan:
     """Backward K2 scan S_i = int_{t_i}^{t_max} e^{ic(e^{-alpha s} - e^{-alpha t_i})}
-    e^{B(t_i - s)} g(s) ds on every grid node.
+    e^{B(t_i - s)} g(s) ds of ``kernel`` on every grid node.
 
-    Everything that does not depend on g is built once: the per-panel weights
-    (``wi`` for the panel's left sample, ``wj`` for its right one, and for
-    ``order=2`` ``wk`` for the next sample) and the recurrence blocks of the
-    panel factors D = e^{-icL - Bh}, L = e^{-alpha t_i} - e^{-alpha t_{i+1}}.
+    The kernel picks the panel rule: the radial kernel (k = 0, no phase, the
+    whole of ``solve_k0``) gets quadratic panels, and every k >= 1 kernel linear
+    ones, which keep the pointwise majorant and take ``solve_mode``'s fold of
+    the map factor.  Everything that does not depend on g is built once: the
+    per-panel weights (``wi`` for the panel's left sample, ``wj`` for its right
+    one, and for quadratic panels ``wk`` for the next) and the recurrence blocks of
+    the panel factors D = e^{-icL - Bh}, L = e^{-alpha t_i} - e^{-alpha t_{i+1}}.
     For c != 0, L is a fixed multiple of either end's w = e^{-alpha t}, so the
     weights are ``_osc_weights``' gb and ga scaled in place by one number each,
     and D is its panel phase scaled in place.  The recurrence's factor 1 / cp
@@ -166,11 +169,10 @@ class _ScanPlan:
     folded panel sums wi g_i + wj g_{i+1} [+ wk g_{i+2}] into its output (a
     new array, or ``out``, which must not overlap g) and sweeps it in place:
     five passes for linear panels.
-
-    ``order=2`` (quadratic panel interpolation) is supported for c == 0 only.
     """
 
-    def __init__(self, grid: LogGrid, alpha: float, B: complex, c: float, order: int = 1):
+    def __init__(self, grid: LogGrid, kernel: KernelK2):
+        alpha, B, c = kernel.params.alpha, kernel.B, kernel.phase_amplitude
         h = grid.h
         npan = grid.n - 1
         self.wk = None
@@ -178,17 +180,13 @@ class _ScanPlan:
             M0, M1, M2 = _exp_moments(B, h)
             self.wi = np.full(npan, M0 - M1 / h)
             self.wj = np.full(npan, M1 / h)
-            if order == 2:
+            if kernel.k == 0:
                 # quadratic panels except the last, which stays linear
                 self.wi[:-1] = (M2 - 3 * h * M1 + 2 * h * h * M0) / (2 * h * h)
                 self.wj[:-1] = (2 * h * M1 - M2) / (h * h)
                 self.wk = np.full(npan - 1, (M2 - h * M1) / (2 * h * h))
-            elif order != 1:
-                raise ValueError("order must be 1 or 2")
             D = np.full(npan, np.exp(-B * h), dtype=complex)
         else:
-            if order != 1:
-                raise ValueError("quadratic panels are implemented for the c == 0 path only")
             # a panel's phase rate is c (wb - wa), wb and wa = e^{-alpha t} at its ends
             w = np.exp(-alpha * grid.nodes)
             gb, ga, D = _osc_weights(c * (w[:-1] - w[1:]))
@@ -223,14 +221,14 @@ class _ScanPlan:
 
 
 def apply_phi2(fn: ModeFunction, kernel: KernelK2) -> ModeFunction:
-    """Integrate K2(t, s) against the samples.
+    """Integrate K2(t, s) against the samples with the kernel's own scan plan.
 
-    The linear panel interpolation preserves the pointwise majorant property:
-    |apply_phi2(G)| <= apply_phi2 of |G| with the phase removed.
+    For k >= 1 the linear panel interpolation preserves the pointwise majorant
+    property: |apply_phi2(G)| <= apply_phi2 of |G| with the phase removed.  A
+    k = 0 kernel gets ``solve_k0``'s quadratic panels, so -alpha times the result
+    is ``solve_k0``'s U; no pipeline call passes k = 0 here.
     """
-    p = kernel.params
-    plan = _ScanPlan(fn.grid, p.alpha, kernel.B, kernel.phase_amplitude)
-    return fn.with_samples(plan(fn.samples))
+    return fn.with_samples(_ScanPlan(fn.grid, kernel)(fn.samples))
 
 
 # --------------------------------------------------------------------------
@@ -326,9 +324,7 @@ def contraction_bound(params: VortexParams, k: int) -> float:
 
 def solve_k0(G: ModeFunction, lam: complex, params: VortexParams) -> ResolventSolution:
     """Closed-form k = 0 resolvent: U = -alpha * (exponential kernel) * G."""
-    kernel = KernelK2(params, 0, lam)
-    plan = _ScanPlan(G.grid, params.alpha, kernel.B, 0.0, order=2)
-    out = plan(G.samples)
+    out = _ScanPlan(G.grid, KernelK2(params, 0, lam))(G.samples)
     out *= -params.alpha
     return ResolventSolution(U=G.with_samples(out), iterations=1,
                              method="direct", update_history=[])
@@ -383,7 +379,7 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams) -> Resolvent
     kernel = KernelK2(p, k, lam)
     grid = G.grid
     phi1 = _Phi1Plan(grid, KernelK1(k, p.q, p.m))
-    scan = _ScanPlan(grid, p.alpha, kernel.B, kernel.phase_amplitude)
+    scan = _ScanPlan(grid, kernel)
     U0 = scan(G.samples)
     U0 *= -p.alpha
     # the map is coef * Phi2(e^{-alpha t} y); with U0 formed, s = coef * e^{-alpha t}
@@ -423,20 +419,21 @@ def _span_integral(t: float, r: float, mu: complex, alpha: float, c: float) -> c
     return _wquad(mu / alpha, c, math.exp(-alpha * r), math.exp(-alpha * t)) / alpha
 
 
-def verify_neat_identities(t_samples, mu_samples, params: VortexParams, k: int) -> dict:
+def verify_neat_identities(t_samples, mu_samples, params: VortexParams, k: int) -> list:
     """Compare the oscillatory tail/interval integrals with their closed-form shortcuts.
 
     The shortcut values (1/(i c alpha)) e^{i c e^{-alpha t}} e^{-mu t} (and the
     two-point difference for the finite interval) are the rapid-phase limits of
-    the true integrals; the report records the actual absolute errors.  The
-    shortcut is the boundary term of one integration by parts in s, so the error
-    is exactly the remainder -(mu/(i c alpha)) int e^{i c e^{-alpha s} - mu s} ds
-    over the same range.
+    the true integrals; each returned row records one actual absolute error,
+    and with no phase (c = 0) there are none.  The shortcut is the boundary
+    term of one integration by parts in s, so the error is exactly the
+    remainder -(mu/(i c alpha)) int e^{i c e^{-alpha s} - mu s} ds over the
+    same range.
     """
     p = params
     c = p.m * k * p.beta
     if c == 0.0:
-        return {"skipped": True, "rows": [], "max_error": math.nan}
+        return []
     pref = 1.0 / (1j * c * p.alpha)
 
     def closed(x, mu):
@@ -459,21 +456,20 @@ def verify_neat_identities(t_samples, mu_samples, params: VortexParams, k: int) 
                          "r": math.nan if r == math.inf else float(r),
                          "mu_re": complex(mu).real, "mu_im": complex(mu).imag,
                          "lhs": lhs, "rhs": rhs, "abs_error": abs(lhs - rhs)})
-    max_err = max((r["abs_error"] for r in rows), default=0.0)
-    return {"skipped": False, "rows": rows, "max_error": max_err}
+    return rows
 
 
-def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, lam: complex) -> dict:
+def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, lam: complex) -> list:
     """Measure the defect of the kernel-composition collapse
 
         i*c*alpha * int K2(t, s) e^{-alpha s} K1(s, r) ds  vs  K1(t, r).
 
     The s-integral is evaluated by adaptive quadrature to a relative tolerance
     (substitution w = e^{-alpha s}); the collapse to K1 holds only in the
-    rapid-phase limit, and the report records the pointwise absolute errors over
-    the (t, r) lattice.  Integration by parts in s gives the exact defect
-    int_t^inf K2(t, s) (kappa(s) - B) K1(s, r) ds, with kappa = -A+ for s > r
-    and A- for s < r.
+    rapid-phase limit, and the rows record the pointwise absolute errors over
+    the (t, r) lattice (none with no phase, c = 0).  Integration by parts in s
+    gives the exact defect int_t^inf K2(t, s) (kappa(s) - B) K1(s, r) ds, with
+    kappa = -A+ for s > r and A- for s < r.
     """
     p = params
     if k < 1:
@@ -481,7 +477,7 @@ def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, 
     kernel = KernelK2(p, k, lam)
     c = kernel.phase_amplitude
     if c == 0.0:
-        return {"skipped": True, "rows": [], "max_error": math.nan}
+        return []
     k1 = KernelK1(k, p.q, p.m)
     B = kernel.B
     mu1 = B + k1.A_plus
@@ -500,8 +496,7 @@ def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, 
             rows.append({"check": "composition", "t": float(t), "r": float(r),
                          "mu_re": kernel.lam.real, "mu_im": kernel.lam.imag,
                          "lhs": lhs, "k1": rhs, "abs_error": abs(lhs - rhs)})
-    max_err = max((r["abs_error"] for r in rows), default=0.0)
-    return {"skipped": False, "rows": rows, "max_error": max_err}
+    return rows
 
 
 # the resolvent suite's CSV columns; emit writes no other key a row carries

@@ -92,8 +92,8 @@ COMPOSITION_SETS = [(1, P.a0 + 0.5), (2, P.a0 + 1.0 + 1.0j), (3, P.a0 + 0.5 - 0.
 
 
 def _composition_worst(p, lattice):
-    return max(verify_kernel_composition(lattice, lattice, p, k, lam)["max_error"]
-               for k, lam in COMPOSITION_SETS)
+    return max(row["abs_error"] for k, lam in COMPOSITION_SETS
+               for row in verify_kernel_composition(lattice, lattice, p, k, lam))
 
 
 def test_criterion_3_kernel_composition_identity(cfg):
@@ -106,10 +106,9 @@ def test_criterion_3_kernel_composition_identity(cfg):
     lattice = list(np.linspace(-2.0, 2.5, 10))
     worst_identity = 0.0
     for k, lam in COMPOSITION_SETS:
-        rep = verify_kernel_composition(lattice, lattice, P, k, lam)
         ker = KernelK2(P, k, lam)
         k1 = KernelK1(k, P.q, P.m)
-        for row in rep["rows"]:
+        for row in verify_kernel_composition(lattice, lattice, P, k, lam):
             t, r = row["t"], row["r"]
 
             def integrand(s, kappa):
@@ -137,11 +136,11 @@ def test_criterion_4_integration_identities(cfg):
     # R is computed here by direct s-space quadrature.
     t_samples = list(np.linspace(-2.0, 3.0, 5))
     mu_samples = [0.5, 1.0, 2.0, 3.75]
-    rep = verify_neat_identities(t_samples, mu_samples, P, 1)
-    n_points = len(rep["rows"])
+    rows = verify_neat_identities(t_samples, mu_samples, P, 1)
+    n_points = len(rows)
     c = P.m * P.beta
     worst_identity = 0.0
-    for row in rep["rows"]:
+    for row in rows:
         mu = complex(row["mu_re"], row["mu_im"])
         upper = np.inf if row["check"] == "half_line" else row["r"]
         rem = -(mu / (1j * c * P.alpha)) * _cquad(
@@ -149,8 +148,8 @@ def test_criterion_4_integration_identities(cfg):
         worst_identity = max(worst_identity, abs(row["lhs"] - (row["rhs"] + rem)))
     # (b) the shortcut alone is the rapid-phase limit: its error must collapse
     err10, err100 = (
-        verify_neat_identities(t_samples, mu_samples,
-                               VortexParams(alpha=0.5, beta=beta, m=2, q=2.0), 1)["max_error"]
+        max(row["abs_error"] for row in verify_neat_identities(
+            t_samples, mu_samples, VortexParams(alpha=0.5, beta=beta, m=2, q=2.0), 1))
         for beta in (10.0, 100.0))
     ok = n_points >= 20 and worst_identity <= 1e-8 and err100 <= err10 / 4.0
     assert _line(4, "tail/interval integrals equal shortcut plus remainder within 1e-8;"

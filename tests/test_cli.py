@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -23,6 +24,9 @@ from ssvortex.suites import (
     emit,
     run,
 )
+
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def write(path, text):
@@ -113,12 +117,14 @@ def test_cli_exit_2_on_empty_sample_set(tmp_path, capsys, line):
     "m = 2.5", "k_max = 1.5", "young_batch = 1.5", "seed = 1+1j", "tau_end = 1+1j",
     "shoot_k = 1, 2.5", "shoot_imags = 1+1j", "scan_n = 8192", "fine_n = 8", "lambdas = -0.5+0j", "out_dir = x",
     "seed = -5", "scan_t = 0", "tau_end = -1", "shoot_offsets = -0.5",
-    "beta = nan", "beta = inf", "beta = 1+1j"])
+    "beta = nan", "beta = inf", "beta = 1+1j",
+    "lambda_offsets = inf", "lambda_offsets = 0.5, 1+nanj", "lambda_offsets = 1+infj"])
 def test_cli_exit_2_on_invalid_value(tmp_path, capsys, line):
     # a non-integral integer, a complex or non-finite real, a grid the dense eigensolve or
     # the log grid refuses, a key that is not a run input, a negative seed, an
-    # empty scan span or evolution time, and a shooting point not right of a0
-    # are all rejected before any suite runs
+    # empty scan span or evolution time, a shooting point not right of a0 and a
+    # probe offset with an infinite or NaN part (once a crash in the resolvent
+    # suite's solves) are all rejected before any suite runs
     cfg = write(tmp_path / "c.cfg", f"{line}\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
@@ -184,6 +190,35 @@ def test_cli_exit_2_on_out_that_is_not_one_path(tmp_path, monkeypatch, capsys, l
     assert main(["shoot", "--config", cfg]) == 2
     assert "out must be one non-empty path" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["c.cfg"]
+
+
+def test_cli_exit_2_on_empty_out_flag(tmp_path, monkeypatch, capsys):
+    # an empty `--out` once fell back to the file's `out`, here the default ./out
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path / "c.cfg", ONE_SHOOTING_POINT)
+    assert main(["shoot", "--config", cfg, "--out", ""]) == 2
+    assert "out must be one non-empty path" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.cfg"]
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("_bench_workloads",
+                                                  os.path.join(BENCH, "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["measured", "tiny"])
+def test_every_benchmark_config_builds(tmp_path, tiny):
+    # the benchmark's worker builds every invocation's RunConfig this way, with
+    # `{}` for the absent `--out`, so a config check it trips shows here first
+    workloads = _workloads()
+    for name in workloads.WORKLOADS:
+        (tmp_path / name).mkdir()
+        for inv in workloads.write_configs(name, 0, str(tmp_path / name), tiny=tiny):
+            cfg = build_config(parse_config_file(inv["config"]), {}, (inv["suite"],))
+            assert (cfg.suites, cfg.out_dir) == ((inv["suite"],), inv["out_dir"])
 
 
 def test_cli_suites_is_not_a_config_key(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,7 +118,8 @@ def test_phi2_pointwise_majorant():
     fn = ModeFunction(1, g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
     ker = KernelK2(P, 1, 0.25 + 0.7j)
     lhs = np.abs(apply_phi2(fn, ker).samples)
-    rhs = _ScanPlan(g, P.alpha, complex(ker.B.real), 0.0)(np.abs(fn.samples)).real
+    flat = KernelK2(replace(P, beta=0.0), 1, ker.lam.real)  # no phase, B = Re(ker.B)
+    rhs = _ScanPlan(g, flat)(np.abs(fn.samples)).real
     assert np.all(lhs <= rhs * (1 + 1e-12) + 1e-14)
 
 
@@ -139,20 +141,24 @@ def test_osc_weights_match_quadrature():
 
 def test_scan_plan_reuse_is_bit_identical():
     g = LogGrid(-15.0, 15.0, 2001)
-    B = KernelK2(P, 1, 0.25 + 0.7j).B
+    kernel = KernelK2(P, 1, 0.25 + 0.7j)
     rng = np.random.default_rng(7)
     x1, x2 = (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n) for _ in range(2))
-    plan = _ScanPlan(g, P.alpha, B, 2.0)
+    plan = _ScanPlan(g, kernel)
     a1, a2 = plan(x1), plan(x2)
-    np.testing.assert_array_equal(a1, _ScanPlan(g, P.alpha, B, 2.0)(x1))
-    np.testing.assert_array_equal(a2, _ScanPlan(g, P.alpha, B, 2.0)(x2))
+    np.testing.assert_array_equal(a1, _ScanPlan(g, kernel)(x1))
+    np.testing.assert_array_equal(a2, _ScanPlan(g, kernel)(x2))
 
 
-def test_scan_plan_rejects_unsupported_combinations():
-    g = LogGrid(-10.0, 10.0, 501)
-    B = KernelK2(P, 1, 0.5).B
-    with pytest.raises(ValueError, match="quadratic"):
-        _ScanPlan(g, P.alpha, B, 2.0, order=2)
+def test_phi2_of_the_radial_kernel_is_solve_k0():
+    # the plan takes its panel rule from the kernel: at k = 0 apply_phi2 scans
+    # with solve_k0's quadratic panels, bit for bit, as well as with a complex
+    # lambda and a negative beta
+    g = LogGrid(-15.0, 15.0, 1025)
+    G = gaussian(g, k=0)
+    for p, lam in ((P, 0.5), (VortexParams(alpha=0.8, beta=-1.0, m=3, q=2.5), 1.0 - 2.0j)):
+        want = -p.alpha * apply_phi2(G, KernelK2(p, 0, lam)).samples
+        assert solve_k0(G, lam, p).U.samples.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("offset, magnitude", [
@@ -175,7 +181,7 @@ def test_scan_plan_far_right_matches_sequential_recurrence(offset, magnitude):
 
     kernel = KernelK2(P, 1, lam)
     B, c = kernel.B, kernel.phase_amplitude
-    plan = _ScanPlan(g, P.alpha, B, c)
+    plan = _ScanPlan(g, kernel)
     assert len(plan.recurrence.blocks) == g.n - 1
     w = np.exp(-P.alpha * g.nodes)
     D = np.exp(-1j * c * (w[:-1] - w[1:]) - B * g.h)
@@ -205,7 +211,7 @@ def test_scan_plan_multiple_blocks_match_sequential_recurrence():
     g = LogGrid(-10.0, 10.0, 201)
     kernel = KernelK2(P, 1, 60.0)
     B, c, h = kernel.B, kernel.phase_amplitude, g.h
-    plan = _ScanPlan(g, P.alpha, B, c)
+    plan = _ScanPlan(g, kernel)
     assert len(plan.recurrence.blocks) == 3
     x = np.random.default_rng(9).standard_normal(g.n) + 0j
     w = np.exp(-P.alpha * g.nodes)
@@ -225,8 +231,7 @@ def test_scan_plan_build_memory(traced):
     # folded in and its cp, no view into a larger buffer (4.0 before the fold)
     g = LogGrid(-25.0, 25.0, 2**17 + 1)
     g.nodes  # cached on the grid, not part of the plan
-    B = KernelK2(P, 1, 0.5).B
-    plan, held, peak = traced(_ScanPlan, g, P.alpha, B, 2.0)
+    plan, held, peak = traced(_ScanPlan, g, KernelK2(P, 1, 0.5))
     assert len(plan.recurrence.blocks) == 1
     unit = 16 * g.n
     assert peak / unit <= 7.5
@@ -388,7 +393,8 @@ def _manufactured(grid, t0, lam, k=1, sign=0):
 # ode_residual does not track these errors (ROADMAP item 10).  At t0 = -6 and
 # n = 2^13+1 it reads 1.35e-10 against the 1.06e-5 error: it does not see the
 # far left, where the Gaussian sits.  For e^{-ic e^{-at}} it reads 2e-16, 2.4e-8
-# and 1.4e-5 on the three grids, above RESIDUAL_TOL on the most accurate one.
+# and 1.4e-5 on the three grids, above RESIDUAL_TOL on the most accurate one
+# (test_ode_residual_on_the_finest_manufactured_phase_case).
 MANUFACTURED = [
     pytest.param(0.0, 1, 0, 0.1, (3e-5, 2e-6), id="0.0"),
     pytest.param(-6.0, 1, 0, 0.1, (3e-5, 2e-6), id="-6.0"),
@@ -411,6 +417,15 @@ def test_solve_mode_manufactured_smooth_solution(t0, k, sign, offset, bounds):
     assert errors[0] <= bounds[0] and errors[1] <= bounds[1]
     # h falls by 4 between the grids
     assert math.log(errors[0] / errors[1], 4.0) >= 1.8
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the residual reads 1.4e-5 on the"
+                   " most accurate phase case; it should pass once K1 is phase-aware (10 (d))")
+def test_ode_residual_on_the_finest_manufactured_phase_case():
+    # the "-6.0-phase-minus" case of MANUFACTURED on the residual suite's fine grid
+    lam = P.a0 + 0.5 + 2j
+    _, G = _manufactured(FINE, -6.0, lam, k=2, sign=-1)
+    assert ode_residual(solve_mode(G, lam, P).U, G, lam, P)[0] <= resolvent.RESIDUAL_TOL
 
 
 def test_picard_steps_at_large_q():
@@ -526,10 +541,8 @@ def test_solve_mode_dense_matches_picard():
     g = LogGrid(-18.0, 18.0, 2049)
     G = gaussian(g)
     a = solve_mode(G, 0.5, P)
-    kernel = KernelK2(P, 1, 0.5)
-    B, c = kernel.B, kernel.phase_amplitude
     coef = 1j * P.beta * P.alpha**2 * (2.0 - P.alpha) / 2.0
-    scan = _ScanPlan(g, P.alpha, B, c)
+    scan = _ScanPlan(g, KernelK2(P, 1, 0.5))
     w = np.exp(-P.alpha * g.nodes)
     M = w[:, None] * phi1_matrix(g, KernelK1(1, P.q, P.m))
     T = coef * np.stack([scan(col) for col in M.T], axis=1)
@@ -675,9 +688,8 @@ def test_neat_identity_report_oracle_values():
     # frozen oracle: at (k=1, beta=1, alpha=0.5, mu=1, t=0) the true integral is
     # 2*int_0^1 e^{2iw} w^2 dw = e^{2i}(1 - i/2) - i/2, while the shortcut claims
     # -i e^{2i}; their distance is 0.89374...
-    rep = verify_neat_identities([0.0], [1.0], P, 1)
-    assert not rep["skipped"]
-    row = [r for r in rep["rows"] if r["check"] == "half_line"][0]
+    rows = verify_neat_identities([0.0], [1.0], P, 1)
+    row = [r for r in rows if r["check"] == "half_line"][0]
     lhs_exact = np.exp(2j) * (1 - 0.5j) - 0.5j
     rhs_claim = -1j * np.exp(2j)
     assert row["lhs"] == pytest.approx(lhs_exact, abs=1e-9)
@@ -686,15 +698,14 @@ def test_neat_identity_report_oracle_values():
 
 
 def test_neat_identity_finite_interval_empty():
-    rep = verify_neat_identities([0.5], [1.0], P, 1)
+    rows = verify_neat_identities([0.5], [1.0], P, 1)
     # single t-sample: no (t, r) pairs, so no finite-interval rows
-    assert all(r["check"] == "half_line" for r in rep["rows"])
+    assert rows and all(r["check"] == "half_line" for r in rows)
 
 
 def test_neat_identity_skipped_for_beta_zero():
     p0 = VortexParams(alpha=0.5, beta=0.0, m=2, q=2.0)
-    rep = verify_neat_identities([0.0], [1.0], p0, 1)
-    assert rep["skipped"]
+    assert verify_neat_identities([0.0], [1.0], p0, 1) == []
 
 
 def test_quadrature_self_convergence():
@@ -742,7 +753,7 @@ def test_wquad_matches_closed_form(n, c, w_lo, w_hi):
 def test_composition_report_values():
     # w-substituted evaluation cross-checked against direct oscillatory quadrature
     lam = 0.5
-    rep = verify_kernel_composition([1.0, -1.0], [-1.0, 1.0], P, 1, lam)
+    rows = verify_kernel_composition([1.0, -1.0], [-1.0, 1.0], P, 1, lam)
     ker = KernelK2(P, 1, lam)
     k1 = KernelK1(1, P.q, 2)
 
@@ -753,18 +764,19 @@ def test_composition_report_values():
             return k2_eval(t, s, ker) * np.exp(-P.alpha * s) * k1v
         return 2j * P.alpha * cquad(integrand, t, 60.0)
 
-    for row in rep["rows"]:
+    assert len(rows) == 4
+    for row in rows:
         t, r = row["t"], row["r"]
         assert row["lhs"] == pytest.approx(direct(t, r), rel=1e-6, abs=1e-9)
         expect_k1 = np.exp(-3 * (t - r)) if t >= r else np.exp(1 * (t - r))
         assert row["k1"] == pytest.approx(expect_k1, rel=1e-12)
     # the collapse misses K1 by a sizable amount at these parameters
-    assert rep["max_error"] > 1e-2
+    assert max(row["abs_error"] for row in rows) > 1e-2
 
 
 def test_composition_requires_beta_and_k():
     p0 = VortexParams(alpha=0.5, beta=0.0, m=2, q=2.0)
-    assert verify_kernel_composition([0.0], [0.0], p0, 1, 0.5)["skipped"]
+    assert verify_kernel_composition([0.0], [0.0], p0, 1, 0.5) == []
     with pytest.raises(ValueError):
         verify_kernel_composition([0.0], [0.0], P, 0, 0.5)
 
