@@ -25,6 +25,7 @@ view makes every one of those sums strided.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -139,6 +140,8 @@ def shoot_batch(params: VortexParams, tasks: list[tuple[int, complex]]) -> list[
     p = params
     tasks = [(k, complex(lam)) for k, lam in tasks]
     for _, lam in tasks:
+        if not cmath.isfinite(lam):
+            raise ValueError(f"lambda must be finite, got {lam}")
         if not lam.real > p.a0:
             raise ValueError(f"Re(lambda) must exceed a0 = {p.a0:.6g}")
     # the radial mode is first-order: its homogeneous solution grows like

@@ -44,9 +44,10 @@ class LogGrid:
     n: int
 
     def __post_init__(self):
+        for name in ("t_min", "t_max", "n"):
+            object.__setattr__(self, name, _number(name, getattr(self, name), name == "n"))
         if not self.t_min < self.t_max:
             raise ValueError("t_min must be < t_max")
-        object.__setattr__(self, "n", _number("n", self.n, integer=True))
         if self.n < 16:
             raise ValueError("grid needs an integer n >= 16")
 

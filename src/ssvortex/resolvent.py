@@ -27,6 +27,7 @@ the ``verify_*`` checks below quantify the discrepancy between the two.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -68,6 +69,8 @@ class KernelK2:
         object.__setattr__(self, "lam", complex(self.lam))
         if int(self.k) != self.k or self.k < 0:
             raise ValueError("k must be a nonnegative integer")
+        if not cmath.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam}")
         if not self.lam.real > self.params.a0:
             raise ValueError(
                 f"Re(lambda) = {self.lam.real:.6g} must exceed a0 = {self.params.a0:.6g}"

@@ -186,7 +186,7 @@ def test_criterion_7_spectrum_scan(cfg):
     worst = max(m["max_re"] for m in modes if "max_re" in m)
     flagged = sum(m.get("n_flagged", 0) for m in modes)
     ok = summary["passed"]
-    assert _line(7, "no eigenvalue right of a0+0.05 survives the resolvent probe",
+    assert _line(7, "no eigenvalue right of a0+0.05",
                  ok, f"max Re {worst:.3f}, flagged {flagged}")
 
 

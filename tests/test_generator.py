@@ -8,7 +8,7 @@ import scipy.linalg
 from scipy.integrate import quad
 from scipy.linalg.lapack import zgebal, zlange
 
-from ssvortex import generator, resolvent
+from ssvortex import generator
 from ssvortex.generator import (
     assemble_generator,
     eig_scan,
@@ -298,50 +298,18 @@ def test_eig_scan_refinement_converges_left_of_a0():
     assert max(res) <= P.a0 + 0.05
 
 
-def test_eig_scan_flag_left_of_a0_raises(monkeypatch):
-    # a flag lies right of a0 + EPS_DISC; with an artificially negative
-    # threshold a flag left of a0 reaches the probe solve, which rejects it
-    # instead of passing it silently
-    monkeypatch.setattr(generator, "EPS_DISC", -90.0)
-    monkeypatch.setattr(generator, "PROBE_GRID", LogGrid(-18.0, 18.0, 2**14 + 1))
-    g = LogGrid(-8.0, 8.0, 256)
-    with pytest.raises(ValueError, match="a0"):
-        eig_scan([1], P, g)
-
-
-def test_eig_scan_probe_judged_by_residual_tol(monkeypatch):
-    # no grid tried puts an eigenvalue right of a0, so plant one at a0 + 0.5:
-    # the probe solve there has a residual near 2e-7, resolved under the
-    # default RESIDUAL_TOL = 1e-6 and a survivor under 1e-12
-    a0 = P.a0
-    monkeypatch.setattr(generator, "eigvals", lambda a, **kw: np.array([a0 + 0.5 + 0j]))
-    monkeypatch.setattr(generator, "PROBE_GRID", LogGrid(-25.0, 25.0, 2**16 + 1))
-    g = LogGrid(-8.0, 8.0, 64)
-    rep = eig_scan([1], P, g)
-    (probe,) = rep["modes"][0]["probes"]
-    assert probe["lambda"] == a0 + 0.5
-    assert 0.0 < probe["residual"] < 1e-6
-    assert probe["resolved"] and not rep["modes"][0]["survivors"]
-    assert rep["passed"]
-    monkeypatch.setattr(resolvent, "RESIDUAL_TOL", 1e-12)
-    strict = eig_scan([1], P, g)
-    (probe,) = strict["modes"][0]["probes"]
-    assert not probe["resolved"]
-    assert strict["modes"][0]["survivors"] == [a0 + 0.5]
-    assert not strict["passed"]
-
-
-def test_eig_scan_probes_every_flagged_cluster(monkeypatch):
-    # seventeen planted flags right of a0, 0.5 apart: each is its own cluster
-    # and gets its own probe
-    planted = P.a0 + 0.5 + 0.5j * np.arange(17)
-    monkeypatch.setattr(generator, "eigvals", lambda a, **kw: planted)
-    monkeypatch.setattr(generator, "PROBE_GRID", LogGrid(-15.0, 15.0, 2**11 + 1))
-    rep = eig_scan([1], P, LogGrid(-8.0, 8.0, 64))
-    mode = rep["modes"][0]
-    assert mode["n_flagged"] == 17
-    assert len(mode["probes"]) == 17
-    assert sorted(pr["lambda"].imag for pr in mode["probes"]) == sorted(planted.imag)
+@pytest.mark.parametrize("offset, flags", [(0.5, 1), (-0.5, 0)])
+@pytest.mark.parametrize("k, eigensolve", [(0, "_hessenberg_eigvals"), (1, "eigvals")])
+def test_eig_scan_fails_on_a_flag(monkeypatch, k, eigensolve, offset, flags):
+    # no grid tried puts an eigenvalue right of a0, so plant one on the mode's
+    # eigensolve path: a flag fails the scan, with nothing to excuse it
+    planted = np.array([P.a0 - 3.0, P.a0 + offset], dtype=complex)
+    monkeypatch.setattr(generator, eigensolve, lambda a, **kw: planted)
+    rep = eig_scan([k], P, LogGrid(-8.0, 8.0, 64))
+    (mode,) = rep["modes"]
+    assert mode["max_re"] == P.a0 + offset
+    assert mode["n_flagged"] == flags
+    assert rep["passed"] is (flags == 0)
 
 
 def test_eig_scan_eigenvalues_match_numpy_bytes(isolated):
@@ -509,11 +477,3 @@ def test_dense_is_built_fresh_in_fortran_order():
     assert a.flags.f_contiguous and a.dtype == complex
     assert not np.shares_memory(a, b)
     assert a.tobytes() == b.tobytes()
-
-
-def test_dedupe_flags():
-    from ssvortex.generator import _dedupe_flags
-    pts = np.array([1.0 + 0j, 1.05 + 0j, 3.0 + 1j, 3.05 + 1.01j, -2.0 + 0j])
-    kept = _dedupe_flags(pts, radius=0.3)
-    assert len(kept) == 3
-    assert kept[0] == pytest.approx(3.05 + 1.01j)  # strongest real part first

@@ -130,12 +130,20 @@ def test_shoot_k0_analytic():
     assert r.mismatch == 1.0
 
 
-def test_shoot_rejects_lambda_left_of_a0():
+def test_shoot_rejects_lambda_left_of_a0(monkeypatch):
     with pytest.raises(ValueError):
         shoot_homogeneous(P, 1, -1.5)
     # one bad point rejects the whole batch before anything is integrated
     with pytest.raises(ValueError):
         shoot_batch(P, [(1, complex(P.a0 + 1.0)), (2, complex(P.a0 - 0.5))])
+    # so does a lambda with an infinite or NaN part, which never ends an integration
+    def integrate(*args, **kwargs):
+        raise AssertionError("shoot_batch integrated a batch with a non-finite lambda")
+
+    monkeypatch.setattr(homogeneous, "solve_ivp", integrate)
+    for lam in (complex(1.0, math.nan), math.inf, complex(1.0, math.inf), math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            shoot_batch(P, [(1, complex(P.a0 + 1.0)), (1, lam)])
 
 
 def test_shoot_k1_no_integrable_solution():

@@ -35,6 +35,9 @@ def test_grid_validation():
         LogGrid(-1.0, 1.0, 8)
     with pytest.raises(ValueError):
         LogGrid(-1.0, 1.0, 16.5)
+    for ends in ((-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0), (-1.0, math.nan)):
+        with pytest.raises(ValueError, match="must be a real number"):
+            LogGrid(*ends, 64)
     # an integral float is normalized to an int
     g16 = LogGrid(-1, 1, 16.0)
     assert type(g16.n) is int and g16.n == 16 and g16.nodes.size == 16

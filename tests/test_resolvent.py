@@ -58,6 +58,13 @@ def test_kernel_k2_domain():
         KernelK2(P, 1, -1.0)  # on the line
     with pytest.raises(ValueError):
         KernelK2(P, 1, -1.5)
+    # a lambda with an infinite or NaN part is refused before any plan is built
+    g = LogGrid(-8.0, 8.0, 257)
+    for k in (0, 1):
+        G = ModeFunction(k, g, np.exp(-g.nodes**2))
+        for lam in (complex(1.0, math.nan), math.inf, complex(1.0, math.inf), math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                solve_mode(G, lam, P)
 
 
 def test_k2_eval_values():

@@ -16,8 +16,10 @@ import inspect
 import os
 import sys
 
+import numpy as np
+
 import ssvortex
-from ssvortex import suites
+from ssvortex import generator, suites
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -118,3 +120,15 @@ def test_suite_csv_headers(tmp_path, small_all_config):
     for name, header in expected.items():
         with (tmp_path / "out" / f"{name}.csv").open() as fh:
             assert fh.readline() == header + "\n", name
+
+
+def test_spectrum_mode_entry_keys(monkeypatch, small_all_config):
+    # the tracer reads these entries; k = 1's eigensolve is made not to converge
+    def no_convergence(a, **kw):
+        raise np.linalg.LinAlgError("eig algorithm did not converge")
+
+    monkeypatch.setattr(generator, "eigvals", no_convergence)
+    summary, _, _ = suites.suite_spectrum(small_all_config("out"))
+    solved, failed = summary["checks"][0]["modes"]
+    assert set(solved) == {"k", "max_re", "n_flagged"}
+    assert set(failed) == {"k", "failed"}
