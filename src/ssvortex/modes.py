@@ -15,13 +15,13 @@ is inverted by convolution with the two-sided exponential kernel K1, realizing
 the mode-k inverse Laplacian with the unique integrable tail constants.  Being a
 two-sided exponential, K1's trapezoid convolution is exactly a backward
 first-order recurrence over j >= i (diagonal included) plus a forward one over
-j < i, with the trapezoid weights folded in.  ``_Recurrence`` solves each in
-three passes: a multiply by its factor into the result, then its ``sweep``, a
-cumulative sum and a multiply in place.  ``_Phi1Plan`` builds both once per
-(grid, kernel), so a call makes 7 passes, the seventh adding the forward part.
-The K2 scans of ``resolvent`` run on the same ``_Recurrence``, with its factor
-folded into their panel weights: a linear-panel scan makes 5 passes, two
-multiplies and an add for the panel sums and the sweep's two.
+j < i, with the trapezoid weights folded in.  A ``_Recurrence`` holds only its
+blocks; its caller keeps its weight over their cumulative product (``fold``),
+multiplies by it and runs ``sweep``, a cumulative sum and a multiply in place.
+``_Phi1Plan`` builds both once per (grid, kernel), so a call makes 7 passes,
+the seventh adding the forward part.  The K2 scans of ``resolvent`` run on the
+same ``_Recurrence``, with its fold in their panel weights: a linear-panel scan
+makes 5 passes, two multiplies and an add for the panel sums and the sweep's two.
 """
 
 from __future__ import annotations
@@ -184,24 +184,21 @@ MAX_PANEL_DECAY = 700.0
 
 
 class _Recurrence:
-    """Solve S_i = w_i P_i + D_i S_{i+1} (i < npan, S_npan = 0) for a fixed D and
-    weight w (1 if None) and any right-hand side P of shape (npan,).
+    """Solve S_i = w_i P_i + D_i S_{i+1} (i < npan, S_npan = 0) for a fixed D
+    and any weight w and right-hand side P of shape (npan,).
 
     The panels are split into blocks over which the cumulative product cp of D
     falls by at most e^{300} (decay_per_panel = -log|D|), or into single panels
     when one panel decays faster.  Within a block S is cp times the cumulative
     sum of w P / cp, seeded by the value S_hi just above the block.  cp is
     scaled by a power of two (exactly) so that neither it nor w / cp leaves
-    the doubles.  Both depend on D and w only and are built once: ``factor``
-    holds w / cp in natural order (one entry per panel), each block its cp in
-    reversed order.  A call writes ``factor`` * P into its output of shape
-    (npan,), a new array or ``out``, and runs ``sweep`` on it, the cumulative
-    sum, seed and multiply by cp in place: three passes per block.  A caller
-    that folds ``factor`` into its own weights (``resolvent._ScanPlan``) writes
-    the products itself and runs ``sweep`` alone.
+    the doubles.  The recurrence holds only its blocks, each with its cp in
+    reversed order, built once from D.  A caller keeps ``fold(w)`` = w / cp,
+    writes the products ``fold(w)`` * P itself and runs ``sweep`` on them: the
+    cumulative sum, seed and multiply by cp, in place block by block.
     """
 
-    def __init__(self, D: np.ndarray, decay_per_panel: float, weight=None):
+    def __init__(self, D: np.ndarray, decay_per_panel: float):
         if decay_per_panel > MAX_PANEL_DECAY:
             raise ValueError(
                 f"decay of {decay_per_panel:.4g} per grid panel exceeds {MAX_PANEL_DECAY:g}:"
@@ -209,18 +206,24 @@ class _Recurrence:
         npan = D.shape[0]
         seg = npan if decay_per_panel <= 0 else max(1, int(300.0 / decay_per_panel))
         self.npan = npan
-        self.factor = np.empty(npan, dtype=np.result_type(D, float if weight is None else weight))
         self.blocks = []
         for hi in range(npan, 0, -seg):
             lo = max(0, hi - seg)
             rcp = np.cumprod(D[lo:hi][::-1])
             balance = 2.0 ** (-math.frexp(abs(rcp[-1]))[1] // 2)
             rcp *= balance
-            np.divide(1.0 if weight is None else weight[lo:hi], rcp[::-1], out=self.factor[lo:hi])
             self.blocks.append((lo, hi, rcp, 1.0 / balance))
 
+    def fold(self, weight=1.0) -> np.ndarray:
+        """w / cp in natural order, of shape (npan,), for a scalar or (npan,) ``weight``."""
+        w = np.broadcast_to(weight, (self.npan,))
+        out = np.empty(self.npan, dtype=np.result_type(self.blocks[0][2], w))
+        for lo, hi, rcp, _ in self.blocks:
+            np.divide(w[lo:hi], rcp[::-1], out=out[lo:hi])
+        return out
+
     def sweep(self, S: np.ndarray) -> None:
-        """Turn S = factor * P, of shape (npan,), into the solution in place."""
+        """Turn S = fold(w) * P, of shape (npan,), into the solution in place."""
         for lo, hi, rcp, seed in self.blocks:
             T = S[lo:hi][::-1]
             np.cumsum(T, out=T)
@@ -228,36 +231,34 @@ class _Recurrence:
                 T += seed * S[hi]
             T *= rcp
 
-    def __call__(self, P: np.ndarray, out=None) -> np.ndarray:
-        S = np.empty(self.npan, dtype=complex) if out is None else out
-        np.multiply(P, self.factor, out=S)
-        self.sweep(S)
-        return S
-
 
 class _Phi1Plan:
     """Trapezoid K1 convolution sum_j y_j K1(t_i - t_j), y = h w x (w the
     trapezoid weights), as a backward recurrence over j >= i (decay e^{-A- h},
     diagonal term included) plus a forward one over j < i (decay e^{-A+ h}),
-    each with h w folded in and built once per (grid, kernel).  A call makes 7
-    passes (three per recurrence, one add) and holds the forward part's n - 1
-    entries beside its result."""
+    each built once per (grid, kernel) with h w in its fold (``bw``, ``fw``).
+    A call makes 7 passes (three per recurrence, one add) and holds the
+    forward part's n - 1 entries beside its result."""
 
     def __init__(self, grid: LogGrid, kernel: KernelK1):
         n, h = grid.n, grid.h
         scale = h * _trapezoid_weights(n)
         # x -> sum_{j >= i} e^{-A- h (j - i)} scale_j x_j
-        self.backward = _Recurrence(np.full(n, math.exp(-kernel.A_minus * h)),
-                                    kernel.A_minus * h, scale)
+        self.backward = _Recurrence(np.full(n, math.exp(-kernel.A_minus * h)), kernel.A_minus * h)
+        self.bw = self.backward.fold(scale)
         # x[::-1][1:] -> sum_{j < i} e^{-A+ h (i - j)} scale_j x_j for i >= 1, reversed
         d = math.exp(-kernel.A_plus * h)
-        self.forward = _Recurrence(np.full(n - 1, d), kernel.A_plus * h, d * scale[:-1][::-1])
+        self.forward = _Recurrence(np.full(n - 1, d), kernel.A_plus * h)
+        self.fw = self.forward.fold(d * scale[:-1][::-1])
 
     def __call__(self, samples: np.ndarray, out=None) -> np.ndarray:
         """The convolution of samples of shape (n,), written into ``out`` if given."""
         x = np.asarray(samples)
-        out = self.backward(x, out)
-        out[1:] += self.forward(x[::-1][1:])[::-1]
+        out = np.empty(x.shape, dtype=complex) if out is None else out
+        self.backward.sweep(np.multiply(x, self.bw, out=out))
+        f = np.multiply(x[::-1][1:], self.fw, out=np.empty(x.shape[0] - 1, dtype=complex))
+        self.forward.sweep(f)
+        out[1:] += f[::-1]
         return out
 
 

@@ -21,8 +21,8 @@ cannot be resolved pointwise on wide grids).
 The fixed-point map uses the kernel above, so its fixed point satisfies the ODE
 to quadrature accuracy.  The K1-shortcut map (the bare K1 convolution scaled by
 alpha*(2-alpha)/(2mk), exact only in the rapid-phase limit c -> inf) is iterated
-only by the contraction certificate in ``suites``, through the same Picard loop;
-the ``verify_*`` checks below quantify the discrepancy between the two.
+only for the contraction certificate in ``suites``, by ``_reduced_picard`` on
+the same Picard loop; the ``verify_*`` checks below quantify the discrepancy.
 """
 
 from __future__ import annotations
@@ -165,10 +165,10 @@ class _ScanPlan:
     the panel factors D = e^{-icL - Bh}, L = e^{-alpha t_i} - e^{-alpha t_{i+1}}.
     For c != 0, L is a fixed multiple of either end's w = e^{-alpha t}, so the
     weights are ``_osc_weights``' gb and ga scaled in place by one number each,
-    and D is its panel phase scaled in place.  The recurrence's factor 1 / cp
-    is then folded into the weights, so they give the products that its
-    ``sweep`` takes, and the plan keeps three complex arrays: wi, wj and the
-    recurrence's cp.  Applying the plan to samples g of shape (n,) writes the
+    and D is its panel phase scaled in place.  The recurrence's ``fold()`` =
+    1 / cp is then multiplied into the weights, so they give the products that
+    its ``sweep`` takes, and the plan keeps three complex arrays: wi, wj and
+    the recurrence's cp.  Applying the plan to samples g of shape (n,) writes the
     folded panel sums wi g_i + wj g_{i+1} [+ wk g_{i+2}] into its output (a
     new array, or ``out``, which must not overlap g) and sweeps it in place:
     five passes for linear panels.
@@ -203,8 +203,7 @@ class _ScanPlan:
             self.wi, self.wj = gb, ga
             D *= ebh
         self.recurrence = _Recurrence(D, B.real * h)
-        # the weights take over the recurrence's w / cp, which it then no longer keeps
-        fold, self.recurrence.factor = self.recurrence.factor, None
+        fold = self.recurrence.fold()
         self.wi *= fold
         self.wj *= fold
         if self.wk is not None:
@@ -397,6 +396,20 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams) -> Resolvent
     # would fault their pages in again
     y = np.empty(grid.n, dtype=complex)
     return _picard(lambda x: scan(phi1(x, y), out=x), U0, G, p.q)
+
+
+def _reduced_picard(G: ModeFunction, lam: complex, params: VortexParams) -> ResolventSolution:
+    """Picard on the K1-shortcut map U <- U0 + alpha(2-alpha)/(2mk) Phi1(U),
+    U0 = -alpha Phi2(G), whose factor ``contraction_bound`` bounds.  Its fixed
+    point leaves an ODE defect at moderate phase rates, so it certifies the
+    iteration budget, not a solve."""
+    p = params
+    k = G.k
+    U0 = -p.alpha * apply_phi2(G, KernelK2(p, k, lam)).samples
+    phi1 = _Phi1Plan(G.grid, KernelK1(k, p.q, p.m))
+    coef = p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k)
+    y = np.empty(G.grid.n, dtype=complex)  # the K1 result of every step, as in solve_mode
+    return _picard(lambda x: np.multiply(phi1(x, y), coef, out=x), U0, G, p.q)
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,6 @@ identical code paths.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import json
 import math
@@ -20,16 +19,14 @@ import numpy as np
 from . import resolvent
 from .generator import SCAN_N_MAX, assemble_generator, eig_scan, evolve
 from .homogeneous import MISMATCH_THRESHOLD, NO_INTEGRABLE, shoot_batch
-from .modes import KernelK1, LogGrid, ModeFunction, _Phi1Plan, lq_norm_samples
+from .modes import MAX_PANEL_DECAY, KernelK1, LogGrid, ModeFunction, _Phi1Plan, lq_norm_samples
 from .params import VortexParams, _number
 from .resolvent import (
     RESOLVENT_COLUMNS,
     ConvergenceError,
     KernelK2,
-    ResolventSolution,
-    _picard,
+    _reduced_picard,
     _ScanPlan,
-    apply_phi2,
     contraction_bound,
     ode_residual,
     resolvent_bound_check,
@@ -118,13 +115,16 @@ class RunConfig:
         lambdas = self.probe_lambdas()
         if not lambdas:
             raise ValueError("no probe points: set lambda_offsets")
-        if not all(map(cmath.isfinite, lambdas)):
-            raise ValueError(
-                f"every lambda_offsets entry must be finite, got {self.lambda_offsets}")
-        bad = [z for z in lambdas if not z.real > self.params.a0]
-        if bad:
-            raise ValueError(
-                f"every probe point needs Re(lambda) > a0 = {self.params.a0:.6g}; got {bad}")
+        # each probe point is a K2 kernel's lambda (finite, right of a0), and a K2
+        # scan's recurrence must resolve its decay Re B * h per fine or norm grid panel
+        try:
+            reB = max(KernelK2(self.params, 0, z).B.real for z in lambdas)
+        except ValueError as exc:
+            raise ValueError(f"lambda_offsets: {exc}") from None
+        h = max(LogGrid(-FINE_T, FINE_T, self.fine_n).h, LogGrid(-NORM_T, NORM_T, self.norm_n).h)
+        if reB * h > MAX_PANEL_DECAY:
+            raise ValueError(f"lambda_offsets: a probe point decays by {reB * h:.4g} per panel"
+                             f" of the fine or norm grid, beyond {MAX_PANEL_DECAY:g}")
 
     def probe_lambdas(self):
         return tuple(complex(self.params.a0 + off) for off in self.lambda_offsets)
@@ -215,23 +215,7 @@ def _young_checks(cfg: RunConfig) -> tuple[list, list]:
     return checks, rows
 
 
-def _reduced_picard(G: ModeFunction, lam: complex, params: VortexParams) -> ResolventSolution:
-    """Picard on the K1-shortcut map U <- U0 + alpha(2-alpha)/(2mk) Phi1(U),
-    U0 = -alpha Phi2(G), whose factor ``contraction_bound`` bounds.  Its fixed
-    point leaves an ODE defect at moderate phase rates, so it certifies the
-    iteration budget, not a solve."""
-    p = params
-    k = G.k
-    U0 = -p.alpha * apply_phi2(G, KernelK2(p, k, lam)).samples
-    phi1 = _Phi1Plan(G.grid, KernelK1(k, p.q, p.m))
-    coef = p.alpha * (2.0 - p.alpha) / (2.0 * p.m * k)
-    y = np.empty(G.grid.n, dtype=complex)  # the K1 result of every step, as in solve_mode
-    return _picard(lambda x: np.multiply(phi1(x, y), coef, out=x), U0, G, p.q)
-
-
 def _contraction_checks(cfg: RunConfig) -> tuple[list, list]:
-    # iteration budget certified on the map that gamma describes (the reduced,
-    # K1-shortcut map)
     grid = LogGrid(-20.0, 20.0, 2**14 + 1)
     gauss = np.exp(-grid.nodes**2).astype(complex)
     gamma_rows, iter_rows = [], []

@@ -130,6 +130,25 @@ def test_cli_exit_2_on_invalid_value(tmp_path, capsys, line):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["norm_n = 1025", "fine_n = 1025"])
+def test_cli_exit_2_on_probe_point_the_grids_cannot_resolve(tmp_path, capsys, grid):
+    # at lambda = a0 + 1e5 a K2 scan decays by alpha * 1e5 * h = 2441 per panel of
+    # a 1025-point grid, past MAX_PANEL_DECAY; `resolvent` once ran its residual
+    # solves and then died in the norm-bound check, with no resolvent.json
+    cfg = write(tmp_path / "c.cfg", f"lambda_offsets = 1e5\n{grid}\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "lambda_offsets" in err
+
+
+def test_build_config_accepts_a_probe_point_at_the_panel_decay_limit():
+    # offset 28672 decays by exactly 700 per panel of a 1025-point grid (h = 50/1024)
+    cfg = build_config({"lambda_offsets": 28672.0, "norm_n": 1025}, None, ("resolvent",))
+    assert cfg.lambda_offsets == (28672.0,)
+    with pytest.raises(ValueError, match="lambda_offsets"):
+        build_config({"lambda_offsets": 28673.0, "norm_n": 1025}, None, ("resolvent",))
+
+
 def test_build_config_normalizes_types():
     # integral floats are ints, ints of real fields are floats, scalars of tuple
     # keys are 1-tuples

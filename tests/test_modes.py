@@ -5,10 +5,12 @@ import pytest
 from scipy.integrate import trapezoid
 
 from ssvortex.modes import (
+    MAX_PANEL_DECAY,
     KernelK1,
     LogGrid,
     ModeFunction,
     _Phi1Plan,
+    _Recurrence,
     apply_phi1,
     k1_eval,
     lq_norm,
@@ -232,6 +234,34 @@ def test_phi1_rejects_a_grid_too_coarse_for_the_kernel():
     g = LogGrid(-40.0, 40.0, 16)
     with pytest.raises(ValueError, match="too coarse"):
         apply_phi1(ModeFunction(66, g, np.ones(g.n)), KernelK1(66, 2.0, 2))
+
+
+# decay per panel 0.01: one block; 40: blocks of 7 panels; 300 to 700: single panels
+@pytest.mark.parametrize("decay, nblocks", [(0.01, 1), (40.0, 29), (300.0, 200), (450.0, 200),
+                                            (MAX_PANEL_DECAY, 200)])
+@pytest.mark.parametrize("weighted", [True, False])
+def test_recurrence_matches_a_sequential_loop(decay, nblocks, weighted):
+    # S_i = w_i P_i + D_i S_{i+1}, S_npan = 0, with |D| = e^{-decay} and random phases
+    npan = 200
+    rng = np.random.default_rng(17)
+    D = np.exp(-decay + 1j * rng.uniform(0.0, 2 * np.pi, npan))
+    w = rng.uniform(0.5, 2.0, npan) if weighted else np.ones(npan)
+    P = rng.standard_normal(npan) + 1j * rng.standard_normal(npan)
+    rec = _Recurrence(D, decay)
+    assert len(rec.blocks) == nblocks
+    S = (rec.fold(w) if weighted else rec.fold()) * P
+    rec.sweep(S)
+    want = np.zeros(npan + 1, dtype=complex)
+    for i in range(npan - 1, -1, -1):
+        want[i] = w[i] * P[i] + D[i] * want[i + 1]
+    # relative to the solution's norm: a single entry can cancel to far below its terms
+    assert np.linalg.norm(S - want[:-1]) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_recurrence_rejects_a_decay_past_the_doubles():
+    D = np.full(8, 1e-300)
+    with pytest.raises(ValueError, match="too coarse"):
+        _Recurrence(D, np.nextafter(MAX_PANEL_DECAY, math.inf))
 
 
 def test_phi1_plan_reuse_leaves_earlier_results():

@@ -25,6 +25,7 @@ from ssvortex.resolvent import (
     ConvergenceError,
     KernelK2,
     _osc_weights,
+    _reduced_picard,
     _ScanPlan,
     apply_phi2,
     contraction_bound,
@@ -35,7 +36,6 @@ from ssvortex.resolvent import (
     verify_kernel_composition,
     verify_neat_identities,
 )
-from ssvortex.suites import _reduced_picard
 
 from oracles import k2_eval, linear_panel_weights, quadratic_panel_weights
 
