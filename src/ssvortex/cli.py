@@ -77,9 +77,9 @@ def _parse_scalar(text: str):
 
 def parse_config_file(path: str) -> dict:
     """Parse `key = value` lines into a config dict, with line-precise errors.
-    The file is read as UTF-8, and each key may be set once."""
+    The file is read as UTF-8 (a leading BOM is skipped), and each key may be set once."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None

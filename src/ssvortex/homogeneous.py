@@ -25,7 +25,6 @@ view makes every one of those sums strided.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .modes import KernelK1
-from .params import VortexParams
+from .params import VortexParams, _spectral_point
 
 NO_INTEGRABLE = "no_integrable_solution"
 INCONCLUSIVE = "inconclusive"
@@ -138,12 +137,7 @@ def shoot_batch(params: VortexParams, tasks: list[tuple[int, complex]]) -> list[
     overflows, each task is rerun alone: only a task failing alone is inconclusive.
     """
     p = params
-    tasks = [(k, complex(lam)) for k, lam in tasks]
-    for _, lam in tasks:
-        if not cmath.isfinite(lam):
-            raise ValueError(f"lambda must be finite, got {lam}")
-        if not lam.real > p.a0:
-            raise ValueError(f"Re(lambda) must exceed a0 = {p.a0:.6g}")
+    tasks = [(k, _spectral_point(p, lam)) for k, lam in tasks]
     # the radial mode is first-order: its homogeneous solution grows like
     # e^{Re(B) t} as t -> +inf, so no nonzero solution is integrable
     results = [ShootingResult(lam=lam, k=0, mismatch=1.0, verdict=NO_INTEGRABLE,

@@ -8,6 +8,7 @@ and azimuthal velocity ``beta*rho**(1-alpha)``.  In the self-similar variables
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,16 @@ def _number(name: str, value, integer: bool):
     if integer:
         return value if isinstance(value, int) else int(x)
     return x
+
+
+def _spectral_point(params: VortexParams, lam) -> complex:
+    """``lam`` as a complex number, finite and right of ``params.a0``, or ValueError."""
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
+    if not lam.real > params.a0:
+        raise ValueError(f"Re(lambda) = {lam.real:.6g} must exceed a0 = {params.a0:.6g}")
+    return lam
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from . import resolvent
 from .generator import SCAN_N_MAX, assemble_generator, eig_scan, evolve
 from .homogeneous import MISMATCH_THRESHOLD, NO_INTEGRABLE, shoot_batch
 from .modes import MAX_PANEL_DECAY, KernelK1, LogGrid, ModeFunction, _Phi1Plan, lq_norm_samples
-from .params import VortexParams, _number
+from .params import VortexParams, _number, _spectral_point
 from .resolvent import (
     RESOLVENT_COLUMNS,
     ConvergenceError,
@@ -97,9 +97,8 @@ class RunConfig:
             raise ValueError(f"unknown suites {unknown}; choose from {SUITES}")
         if self.seed < 0 or self.k_max < 0:
             raise ValueError("seed and k_max must be nonnegative")
-        # shooting points are lambda = a0 + offset, which must lie right of a0
-        if self.scan_t <= 0 or self.tau_end <= 0 or any(off <= 0 for off in self.shoot_offsets):
-            raise ValueError("scan_t, tau_end and every shoot_offsets entry must be positive")
+        if self.scan_t <= 0 or self.tau_end <= 0:
+            raise ValueError("scan_t and tau_end must be positive")
         # a check over no samples would pass vacuously
         if self.young_batch < 1 or self.bound_batch < 1:
             raise ValueError("young_batch and bound_batch must be at least 1")
@@ -108,18 +107,23 @@ class RunConfig:
         # the shooting suite adds the analytic k = 0 row itself
         if any(k < 1 for k in self.shoot_k):
             raise ValueError("every shoot_k entry must be at least 1")
+        # a shooting point must be finite and right of a0 once formed: a0 + 1e-20 is a0
+        try:
+            for lam in self.shoot_lambdas():
+                _spectral_point(self.params, lam)
+        except ValueError as exc:
+            raise ValueError(f"shoot_offsets: {exc}") from None
         if min(self.fine_n, self.norm_n, self.scan_n, self.evolve_n) < 16:
             raise ValueError("every grid needs at least 16 points")
         if self.scan_n > SCAN_N_MAX:
             raise ValueError(f"scan_n = {self.scan_n} exceeds the dense eigensolve cap {SCAN_N_MAX}")
-        lambdas = self.probe_lambdas()
-        if not lambdas:
+        if not self.lambda_offsets:
             raise ValueError("no probe points: set lambda_offsets")
-        # each probe point is a K2 kernel's lambda (finite, right of a0), and a K2
-        # scan's recurrence must resolve its decay Re B * h per fine or norm grid panel
+        # each probe point is a complex number and a K2 kernel's lambda (finite, right of
+        # a0), and a K2 scan's recurrence must resolve its decay Re B * h per grid panel
         try:
-            reB = max(KernelK2(self.params, 0, z).B.real for z in lambdas)
-        except ValueError as exc:
+            reB = max(KernelK2(self.params, 0, z).B.real for z in self.probe_lambdas())
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"lambda_offsets: {exc}") from None
         h = max(LogGrid(-FINE_T, FINE_T, self.fine_n).h, LogGrid(-NORM_T, NORM_T, self.norm_n).h)
         if reB * h > MAX_PANEL_DECAY:
@@ -127,7 +131,11 @@ class RunConfig:
                              f" of the fine or norm grid, beyond {MAX_PANEL_DECAY:g}")
 
     def probe_lambdas(self):
-        return tuple(complex(self.params.a0 + off) for off in self.lambda_offsets)
+        return tuple(self.params.a0 + complex(off) for off in self.lambda_offsets)
+
+    def shoot_lambdas(self):
+        return tuple(complex(self.params.a0 + off, li)
+                     for off in self.shoot_offsets for li in self.shoot_imags)
 
 
 def _summary(name: str, cfg: RunConfig, checks: list, **extra) -> dict:
@@ -266,21 +274,23 @@ def _residual_checks(cfg: RunConfig) -> tuple[list, list]:
                    tolerance=tol)], rows
 
 
+def _bound_checks(cfg: RunConfig) -> tuple[list, list]:
+    """Norm ratios for k <= min(k_max, 3), and M with ratio <= M / (Re lambda - a0)."""
+    p, k_max = cfg.params, min(cfg.k_max, 3)
+    rows = resolvent_bound_check(cfg.probe_lambdas(), p, k_max,
+                                 grid=LogGrid(-NORM_T, NORM_T, cfg.norm_n),
+                                 batch=cfg.bound_batch, seed=cfg.seed + 2)
+    M = max((r["value"] * (r["lambda_re"] - p.a0) for r in rows), default=0.0)
+    return [_check("resolvent_norm_bound", rows, M_empirical=M,
+                   M_alpha_bound=1.0 / (1.0 - contraction_bound(p, min(k_max, 1))))], rows
+
+
 def suite_resolvent(cfg: RunConfig) -> tuple[dict, list, list]:
-    young_checks, young_rows = _young_checks(cfg)
-    contr_checks, contr_rows = _contraction_checks(cfg)
-    resid_checks, resid_rows = _residual_checks(cfg)
-    bound = resolvent_bound_check(
-        cfg.probe_lambdas(), cfg.params, min(cfg.k_max, 3),
-        grid=LogGrid(-NORM_T, NORM_T, cfg.norm_n),
-        batch=cfg.bound_batch, seed=cfg.seed + 2,
-    )
-    checks = young_checks + contr_checks + resid_checks + [
-        {"name": "resolvent_norm_bound", "M_empirical": bound["M_empirical"],
-         "M_alpha_bound": bound["M_alpha_bound"], "passed": bound["passed"]},
-    ]
-    return (_summary("resolvent", cfg, checks),
-            young_rows + contr_rows + resid_rows + bound["rows"], list(RESOLVENT_COLUMNS))
+    parts = [part(cfg) for part in (_young_checks, _contraction_checks, _residual_checks,
+                                    _bound_checks)]
+    checks = [c for own, _ in parts for c in own]
+    rows = [r for _, own in parts for r in own]
+    return _summary("resolvent", cfg, checks), rows, list(RESOLVENT_COLUMNS)
 
 
 # --------------------------------------------------------------------------
@@ -339,10 +349,8 @@ def suite_spectrum(cfg: RunConfig) -> tuple[dict, list, list]:
 
 def suite_shooting(cfg: RunConfig) -> tuple[dict, list, list]:
     p = cfg.params
-    a0 = p.a0
-    tasks = [(0, complex(a0 + 1.0, 0.0))] + [
-        (k, complex(a0 + off, li))
-        for k in cfg.shoot_k for off in cfg.shoot_offsets for li in cfg.shoot_imags]
+    tasks = [(0, complex(p.a0 + 1.0, 0.0))] + [
+        (k, lam) for k in cfg.shoot_k for lam in cfg.shoot_lambdas()]
     results = shoot_batch(p, tasks)
     rows = [{"k": r.k, "re_lambda": r.lam.real, "im_lambda": r.lam.imag,
              "mismatch": r.mismatch, "verdict": r.verdict, "note": r.note} for r in results]

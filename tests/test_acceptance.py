@@ -23,17 +23,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ssvortex.modes import KernelK1, LogGrid, k1_eval
+from ssvortex.modes import KernelK1, k1_eval
 from ssvortex.params import VortexParams
 from ssvortex.resolvent import (
     KernelK2,
-    resolvent_bound_check,
     verify_kernel_composition,
     verify_neat_identities,
 )
 from ssvortex.suites import (
-    NORM_T,
     RunConfig,
+    _bound_checks,
     _contraction_checks,
     _residual_checks,
     _young_checks,
@@ -162,13 +161,11 @@ def test_criterion_5_resolvent_residual_and_bound(cfg):
     checks, rows = _residual_checks(cfg)
     worst = checks[0]["worst_residual"]
     ok_resid = checks[0]["passed"]
-    rep = resolvent_bound_check(cfg.probe_lambdas(), P, 2,
-                                grid=LogGrid(-NORM_T, NORM_T, cfg.norm_n),
-                                batch=cfg.bound_batch, seed=cfg.seed + 2)
-    ok_bound = rep["passed"] and math.isfinite(rep["M_empirical"])
+    (bound,), _ = _bound_checks(cfg)
+    ok_bound = bound["passed"] and math.isfinite(bound["M_empirical"])
     ok = ok_resid and ok_bound
     assert _line(5, "ODE residual < 1e-6 and finite resolvent constant", ok,
-                 f"worst residual {worst:.3e}, M = {rep['M_empirical']:.3f}")
+                 f"worst residual {worst:.3e}, M = {bound['M_empirical']:.3f}")
 
 
 def test_criterion_6_semigroup_rates(cfg):

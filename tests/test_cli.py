@@ -12,9 +12,9 @@ import pytest
 import ssvortex
 from ssvortex import resolvent, suites
 from ssvortex.cli import ConfigError, build_config, main, parse_config_file
-from ssvortex.homogeneous import NO_INTEGRABLE
+from ssvortex.homogeneous import NO_INTEGRABLE, shoot_batch
 from ssvortex.modes import KernelK1, LogGrid, ModeFunction, apply_phi1, lq_norm
-from ssvortex.params import VortexParams
+from ssvortex.params import VortexParams, _spectral_point
 from ssvortex.resolvent import KernelK2, apply_phi2
 from ssvortex.suites import (
     RunConfig,
@@ -88,6 +88,14 @@ def test_cli_exit_2_on_config_that_is_not_utf8(tmp_path, capsys):
     assert err.startswith("config error: ") and "UTF-8" in err
 
 
+def test_parse_config_accepts_a_byte_order_mark(tmp_path):
+    # an editor may save UTF-8 with a BOM, which would otherwise glue onto the first key
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + ONE_SHOOTING_POINT.encode())
+    assert parse_config_file(str(cfg)) == {"shoot_k": 1, "shoot_offsets": 1.0,
+                                           "shoot_imags": 0.0}
+
+
 def test_cli_exit_2_on_bad_config(tmp_path, capsys):
     bad = write(tmp_path / "bad.cfg", "what even\n")
     assert main(["all", "--config", bad]) == 2
@@ -116,7 +124,7 @@ def test_cli_exit_2_on_empty_sample_set(tmp_path, capsys, line):
 @pytest.mark.parametrize("line", [
     "m = 2.5", "k_max = 1.5", "young_batch = 1.5", "seed = 1+1j", "tau_end = 1+1j",
     "shoot_k = 1, 2.5", "shoot_imags = 1+1j", "scan_n = 8192", "fine_n = 8", "lambdas = -0.5+0j", "out_dir = x",
-    "seed = -5", "scan_t = 0", "tau_end = -1", "shoot_offsets = -0.5",
+    "seed = -5", "scan_t = 0", "tau_end = -1", "shoot_offsets = -0.5", "shoot_offsets = 1e-20",
     "beta = nan", "beta = inf", "beta = 1+1j",
     "lambda_offsets = inf", "lambda_offsets = 0.5, 1+nanj", "lambda_offsets = 1+infj"])
 def test_cli_exit_2_on_invalid_value(tmp_path, capsys, line):
@@ -128,6 +136,52 @@ def test_cli_exit_2_on_invalid_value(tmp_path, capsys, line):
     cfg = write(tmp_path / "c.cfg", f"{line}\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "'x'", "1" + "0" * 400],
+                         ids=["word", "quoted", "beyond_double"])
+def test_cli_exit_2_names_a_lambda_offset_that_is_not_a_complex_number(tmp_path, capsys, value):
+    cfg = write(tmp_path / "c.cfg", f"lambda_offsets = 0.5, {value}\n")
+    assert main(["resolvent", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: lambda_offsets: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_shoot_exit_2_on_a_shooting_point_that_rounds_onto_a0(tmp_path, capsys):
+    # a0 + 1e-20 is a0: the offset is positive, the point is not right of a0
+    cfg = write(tmp_path / "c.cfg", "shoot_k = 1\nshoot_offsets = 1e-20\nshoot_imags = 0.0\n")
+    assert main(["shoot", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: shoot_offsets: Re(lambda) = ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("offset", [0.0, -0.5, 1e-20, complex(2.0, math.nan), math.inf, 0.5],
+                         ids=["a0", "left", "rounds_onto_a0", "nan", "inf", "right"])
+def test_one_spectral_point_rule_for_every_caller(offset):
+    # lambda = a0 + offset (a0 = -1) is judged by params._spectral_point alone: the K2
+    # kernel and the shooting batch raise its message, and a config key that forms
+    # points raises it behind the key's name
+    p = VortexParams(alpha=0.5)
+    lam = p.a0 + complex(offset)
+    callers = [("", lambda: KernelK2(p, 1, lam)),
+               ("", lambda: shoot_batch(p, [(1, lam)])),
+               ("lambda_offsets: ",
+                lambda: build_config({"lambda_offsets": offset}, None, ("resolvent",)))]
+    # a shoot_offsets entry is real, and one that is not finite fails as a number first
+    if isinstance(offset, float) and math.isfinite(offset):
+        callers.append(("shoot_offsets: ",
+                        lambda: build_config({"shoot_offsets": offset}, None, ("shooting",))))
+    if offset == 0.5:
+        assert _spectral_point(p, lam) == lam
+        for _, call in callers:
+            call()
+        return
+    with pytest.raises(ValueError) as rule:
+        _spectral_point(p, lam)
+    for prefix, call in callers:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == prefix + str(rule.value)
 
 
 @pytest.mark.parametrize("grid", ["norm_n = 1025", "fine_n = 1025"])
@@ -453,6 +507,12 @@ def test_resolvent_summary_is_read_off_its_rows(small_all_config):
         assert checks[name]["passed"] == all(r["passed"] == "true" for r in own), name
         if key is not None:
             assert checks[name][key] == max(of_row(r) for r in own), name
+    # the a-priori constant is the largest 1/(1 - gamma_k) behind a norm-ratio bound
+    # (alpha/Re B)/(1 - gamma_k), with Re B = 2/q + alpha*(Re lambda - 1)
+    alpha, q = report["params"]["alpha"], report["params"]["q"]
+    assert checks["resolvent_norm_bound"]["M_alpha_bound"] == pytest.approx(max(
+        float(r["bound"]) * (2.0 / q + alpha * (float(r["lambda_re"]) - 1.0)) / alpha
+        for r in rows if r["check"] == "norm_ratio"), rel=1e-12)
     assert report["passed"] == all(c["passed"] for c in checks.values())
     # on this config's coarse fine_n a residual row fails, so both verdicts occur
     assert not checks["ode_residuals"]["passed"] and checks["young_phi1_lattice"]["passed"]

@@ -789,12 +789,11 @@ def test_composition_requires_beta_and_k():
 
 
 def test_resolvent_bound_check_report():
-    rep = resolvent_bound_check([-0.5, 0.0], P, 1,
-                                grid=LogGrid(-20.0, 20.0, 2049), batch=4, seed=0)
-    assert rep["passed"]
-    assert np.isfinite(rep["M_empirical"]) and rep["M_empirical"] > 0
-    ks = {r["k"] for r in rep["rows"]}
-    assert ks == {0, 1}
+    rows = resolvent_bound_check([-0.5, 0.0], P, 1,
+                                 grid=LogGrid(-20.0, 20.0, 2049), batch=4, seed=0)
+    assert [(r["check"], r["k"], r["lambda_re"]) for r in rows] == [
+        ("norm_ratio", k, lam) for lam in (-0.5, 0.0) for k in (0, 1)]
+    assert all(r["passed"] and 0 < r["value"] <= r["bound"] for r in rows)
 
 
 def test_resolvent_ratio_decays_like_inverse_lambda():
