@@ -5,7 +5,9 @@ Usage:
 
 The config file is a flat list of `key = value` lines (# starts a comment).
 Values are parsed as int, float, complex, or comma-separated lists thereof; a
-value in matching quotes is one literal string, `#` and `,` included.
+value in matching quotes is one literal string, `#` and `,` included.  This
+parser is the only code that turns text into numbers: a quoted number stays a
+string, and a numeric key refuses it.
 The subcommand picks the suites, the file sets every other run input, and
 `--out` overrides the file's `out`.  Exit codes: 0 all suites passed,
 1 at least one check failed, 2 usage or configuration error.

@@ -1,12 +1,12 @@
 """Per-mode generator operators, semigroup time stepping, and eigenvalue scans.
 
-The mode-k generator acting on U-samples is
+The mode-k generator acting on U-samples is the operator L_k of ``params``,
 
-    L_k U = (1/alpha) U' + a0 U - i*m*k*beta*e^{-alpha t} U
-            + i*(alpha*(2-alpha)*beta/2)*e^{-alpha t} * Phi1(U),
+    L_k U = (1/alpha) U' + a0 U - i c_k e^{-alpha t} U + i kappa e^{-alpha t} Phi1(U),
 
-where the last term is the stream-function coupling (psi = -Phi1(U)/(2mk)
-eliminated).  The drift (1/alpha) d/dt transports profiles toward decreasing t,
+with its two coefficients read from there (c_k = ``VortexParams.phase_amplitude``,
+kappa = ``VortexParams.coupling``); the last term is the stream-function
+coupling (psi = -Phi1(U)/(2mk) eliminated).  The drift (1/alpha) d/dt transports profiles toward decreasing t,
 so the upwind side is the right neighbourhood and the inflow boundary is the
 right edge (held at zero through the stencil closure).  The mode solves of the
 package satisfy (L_k - lambda) U = G on the same grid, which pins the sign and
@@ -42,7 +42,7 @@ from scipy.linalg import cython_lapack, eigvals
 from scipy.linalg.lapack import zgebal, zgeev_lwork, zlange
 
 from .modes import KernelK1, LogGrid, _Phi1Plan, lq_norm_samples, phi1_matrix
-from .params import VortexParams
+from .params import VortexParams, _mode_index
 
 # Third-order upwind-biased h*d/dt for leftward transport, as (offset,
 # coefficient) pairs.  Interior rows 1..n-3 use DRIFT_INTERIOR; rows 0, n-2 and
@@ -75,8 +75,8 @@ class GeneratorMatrix:
     grid: LogGrid
     params: VortexParams
     drift_scale: float       # 1/(alpha h)
-    diag: np.ndarray         # a0 - i*m*k*beta*e^{-alpha t}
-    coup: np.ndarray | None  # i*alpha*(2-alpha)*beta/2 * e^{-alpha t}
+    diag: np.ndarray         # a0 - i c_k e^{-alpha t}
+    coup: np.ndarray | None  # i kappa e^{-alpha t}
     plan: _Phi1Plan | None
 
     def apply(self, U: np.ndarray) -> np.ndarray:
@@ -120,12 +120,13 @@ class GeneratorMatrix:
 def assemble_generator(k: int, params: VortexParams, grid: LogGrid) -> GeneratorMatrix:
     """Build the mode-k generator operator; O(n)."""
     p = params
+    k = _mode_index(k)
     diag = np.full(grid.n, p.a0, dtype=complex)
     coup = plan = None
     if k > 0 and p.beta != 0.0:
         decay = np.exp(-p.alpha * grid.nodes)
-        diag = p.a0 + -1j * p.m * k * p.beta * decay
-        coup = (1j * p.alpha * (2.0 - p.alpha) * p.beta / 2.0) * decay
+        diag = p.a0 + -1j * p.phase_amplitude(k) * decay
+        coup = (1j * p.coupling) * decay
         plan = _Phi1Plan(grid, KernelK1(k, p.q, p.m))
     return GeneratorMatrix(k=k, grid=grid, params=p, drift_scale=1.0 / (p.alpha * grid.h),
                            diag=diag, coup=coup, plan=plan)
@@ -146,9 +147,8 @@ def stable_dt(gen: GeneratorMatrix) -> float:
     if gen.k > 0 and p.beta != 0.0:
         k1 = KernelK1(gen.k, p.q, p.m)
         e_max = math.exp(-p.alpha * gen.grid.t_min)
-        est += p.m * gen.k * abs(p.beta) * e_max
-        est += 0.5 * p.alpha * (2.0 - p.alpha) * abs(p.beta) * e_max \
-            * (1.0 / k1.A_plus + 1.0 / k1.A_minus)
+        est += abs(p.phase_amplitude(gen.k)) * e_max
+        est += abs(p.coupling) * e_max * (1.0 / k1.A_plus + 1.0 / k1.A_minus)
     return STABLE_DT_SAFETY / est
 
 
@@ -339,8 +339,8 @@ def eig_scan(k_values, params: VortexParams, grid: LogGrid) -> dict:
     a0 = params.a0
     modes = []
     for k in k_values:
-        entry = {"k": int(k)}
         gen = assemble_generator(k, params, grid)
+        entry = {"k": gen.k}
         try:
             ev = _mode_eigvals(gen)
         except (np.linalg.LinAlgError, ValueError) as exc:  # no convergence; inf or NaN

@@ -10,7 +10,9 @@ solutions is eta times exp(int tr A), a scalar that the normalization discards,
 so the adjoint flow need not resolve the fast phase of tr A.)  Both flows are
 shifted by the rate A+ at which both sides grow toward t = 0: that keeps them
 bounded and only scales them by positive factors.  A mismatch above threshold
-certifies that no nontrivial integrable solution exists at that lambda.
+certifies that no nontrivial integrable solution exists at that lambda.  The
+mode system takes its psi rows from each task's ``KernelK1`` and the U row's
+coefficients c_k and kappa of L_k from ``params``, which owns them.
 
 `shoot_batch` integrates many (k, lambda) points at once: the left normals of
 all of them as one stacked system and their right vectors as a second, with
@@ -59,21 +61,23 @@ class _FlowFailed(RuntimeError):
     """Raised when one side of the shooting integration does not finish."""
 
 
-def _system(params: VortexParams, ks: np.ndarray, lams: np.ndarray):
-    """The mode ODE of every task as y' = (M0 + e^{-alpha t} M1) y, with M0 and
-    M1 of shape (tasks, 3, 3)."""
+def _system(params: VortexParams, kernels: list, lams: np.ndarray):
+    """The mode ODE of every task, given by its K1 kernel, as
+    y' = (M0 + e^{-alpha t} M1) y, with M0 and M1 of shape (tasks, 3, 3)."""
     p = params
-    cw = 2.0 - 2.0 / p.q
-    c = p.m * ks * p.beta  # phase amplitude of each task
+    ks = np.array([k1.k for k1 in kernels], dtype=float)
+    a_plus = np.array([k1.A_plus for k1 in kernels])
+    a_minus = np.array([k1.A_minus for k1 in kernels])
     M0 = np.zeros((len(ks), 3, 3), dtype=complex)
     M1 = np.zeros_like(M0)
+    # psi'' = (A+ A-) psi + (A- - A+) psi' + U, the relation K1 inverts
     M0[:, 0, 1] = 1.0
-    M0[:, 1, 0] = -(cw * cw - (p.m * ks) ** 2)
-    M0[:, 1, 1] = -2.0 * cw
+    M0[:, 1, 0] = a_plus * a_minus
+    M0[:, 1, 1] = a_minus - a_plus
     M0[:, 1, 2] = 1.0
     M0[:, 2, 2] = p.alpha * (lams - p.a0)
-    M1[:, 2, 0] = 1j * p.alpha**2 * (2.0 - p.alpha) * c
-    M1[:, 2, 2] = 1j * p.alpha * c
+    M1[:, 2, 0] = 2j * p.alpha * p.coupling * (p.m * ks)
+    M1[:, 2, 2] = 1j * p.alpha * p.phase_amplitude(ks)
     return M0, M1
 
 
@@ -105,8 +109,7 @@ def _flow_to_zero(A0, A1, alpha: float, y0, t_start: float, side: str) -> np.nda
 
 def _mismatches(params: VortexParams, kernels: list, lams: list) -> np.ndarray:
     """Normalized connection determinants at t = 0 of a batch of k >= 1 tasks."""
-    M0, M1 = _system(params, np.array([k1.k for k1 in kernels], dtype=float),
-                     np.array(lams, dtype=complex))
+    M0, M1 = _system(params, kernels, np.array(lams, dtype=complex))
     # left 2-plane spanned by (1, A-, 0) and (0, 0, 1): its normal (A-, -1, 0)
     # follows -M^T and grows at the plane's rate A- + alpha (lambda - a0) - tr M0
     # = A+, the right vector like e^{-A+ t}: both flows are shifted by A+

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import VortexParams, _number
+from .params import VortexParams, _mode_index, _number
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,7 @@ class ModeFunction:
     samples: np.ndarray
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 0:
-            raise ValueError("k must be a nonnegative integer")
+        object.__setattr__(self, "k", _mode_index(self.k))
         s = np.array(self.samples, dtype=complex)
         if s.shape != (self.grid.n,):
             raise ValueError(f"samples must have shape ({self.grid.n},)")
@@ -149,8 +148,7 @@ class KernelK1:
     m: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("K1 is defined for modes k >= 1")
+        object.__setattr__(self, "k", _mode_index(self.k, 1))  # K1 has no radial mode
         if self.A_plus <= 0 or self.A_minus <= 0:
             raise ValueError("kernel decay exponents must be positive")
 
@@ -268,10 +266,9 @@ def apply_phi1(fn: ModeFunction, kernel: KernelK1) -> ModeFunction:
 
 
 def psi_from_U(fn: ModeFunction, params: VortexParams) -> ModeFunction:
-    """Reconstruct psi = -(1/(2mk)) * K1-convolution of U (k = fn.k), the unique
-    integrable solution of the second-order relation (truncated to the grid)."""
+    """Reconstruct psi = -(1/(2mk)) * K1-convolution of U (k = fn.k, at least 1 as
+    ``KernelK1`` requires), the unique integrable solution of the second-order
+    relation (truncated to the grid)."""
     k = fn.k
-    if k < 1:
-        raise ValueError("psi_from_U requires k >= 1 (no stream-function coupling at k = 0)")
     phi = apply_phi1(fn, KernelK1(k, params.q, params.m))
     return phi.with_samples(-1.0 / (2.0 * params.m * k) * phi.samples)

@@ -3,7 +3,15 @@
 The background flow is the radial vortex with vorticity ``beta*(2-alpha)*rho**(-alpha)``
 and azimuthal velocity ``beta*rho**(1-alpha)``.  In the self-similar variables
 ``xi = x * t**(-1/alpha)``, ``tau = log(t)``, with amplitudes ``t*omega`` and
-``t**(1-1/alpha)*v``, it is stationary.
+``t**(1-1/alpha)*v``, it is stationary.  Linearized about it, mode k acts on
+the weighted vorticity samples U(t), t = log r, by
+
+    L_k U = (1/alpha) U' + a0 U - i c_k e^{-alpha t} U + i kappa e^{-alpha t} Phi1(U),
+
+with c_k = m k beta (``VortexParams.phase_amplitude``) and
+kappa = alpha (2 - alpha) beta / 2 (``VortexParams.coupling``); Phi1 is the K1
+convolution of ``modes``.  The generator, the resolvent solve, its residual
+and the shooting system read both coefficients from here.
 """
 
 from __future__ import annotations
@@ -15,9 +23,10 @@ from dataclasses import dataclass
 
 def _number(name: str, value, integer: bool):
     """``value`` as a finite float, or as an int if ``integer`` (an integral
-    float such as 2.0 counts); anything else raises ValueError naming ``name``."""
+    float such as 2.0 counts); anything else, text included (only the config
+    reader parses text), raises ValueError naming ``name``."""
     try:
-        x = float(value)
+        x = math.nan if isinstance(value, str) else float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x) or (integer and not x.is_integer()):
@@ -26,6 +35,14 @@ def _number(name: str, value, integer: bool):
     if integer:
         return value if isinstance(value, int) else int(x)
     return x
+
+
+def _mode_index(k, least: int = 0) -> int:
+    """``k`` as an int of at least ``least`` by ``_number``'s integer rule, or ValueError."""
+    k = _number("k", k, integer=True)
+    if k < least:
+        raise ValueError(f"k must be an integer >= {least}, got {k}")
+    return k
 
 
 def _spectral_point(params: VortexParams, lam) -> complex:
@@ -70,3 +87,12 @@ class VortexParams:
     def a0(self) -> float:
         """Stability exponent 1 - 2/(alpha*q); never positive for valid parameters."""
         return 1.0 - 2.0 / (self.alpha * self.q)
+
+    def phase_amplitude(self, k):
+        """c_k = m k beta, for an int or array ``k``: the phase rate of mode k's operator."""
+        return self.m * k * self.beta
+
+    @property
+    def coupling(self) -> float:
+        """kappa = alpha (2 - alpha) beta / 2: the factor of e^{-alpha t} Phi1(U) in L_k."""
+        return self.alpha * (2.0 - self.alpha) * self.beta / 2.0

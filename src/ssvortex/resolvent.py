@@ -1,16 +1,17 @@
 """Resolvent solves for the linearized vortex operator, one azimuthal mode at a time.
 
-The mode-k resolvent equation in the weighted variable U is the first-order ODE
+The mode-k resolvent equation (L_k - lambda) U = G, with L_k and its
+coefficients c_k and kappa as ``params`` defines and owns them, is in the
+weighted variable U the first-order ODE
 
-    (1/alpha) U' + (a0 - lambda) U - i*m*k*beta*e^{-alpha t} U
-        - i*m*k*alpha*(2-alpha)*beta*e^{-alpha t} psi = G,
+    (1/alpha) U' + (a0 - lambda) U - i c_k e^{-alpha t} U - 2i m k kappa e^{-alpha t} psi = G,
 
-where psi is reconstructed from U by the K1 convolution (see ``modes``).  Each
-Picard step integrates this ODE exactly with the unique integrable-tail constant,
-which amounts to applying the oscillatory kernel
+where psi = -Phi1(U)/(2mk) is reconstructed from U by the K1 convolution (see
+``modes``).  Each Picard step integrates this ODE exactly with the unique
+integrable-tail constant, which amounts to applying the oscillatory kernel
 
     K2(t, s) = exp(-i c e^{-alpha t} + i c e^{-alpha s} + (t - s) B) * chi(s > t),
-    B = 2/q + alpha*(lambda - 1),   c = m*k*beta.
+    B = 2/q + alpha*(lambda - 1),   c = c_k = ``params.phase_amplitude(k)``.
 
 Quadrature: integrals in s are evaluated panel-by-panel after the substitution
 w = e^{-alpha s}, which makes the phase linear in w; the smooth factor is
@@ -45,7 +46,7 @@ from .modes import (
     lq_norm_samples,
     psi_from_U,
 )
-from .params import VortexParams, _spectral_point
+from .params import VortexParams, _mode_index, _spectral_point
 
 
 class ConvergenceError(RuntimeError):
@@ -66,18 +67,12 @@ class KernelK2:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _spectral_point(self.params, self.lam))
-        if int(self.k) != self.k or self.k < 0:
-            raise ValueError("k must be a nonnegative integer")
+        object.__setattr__(self, "k", _mode_index(self.k))
 
     @property
     def B(self) -> complex:
         p = self.params
         return 2.0 / p.q + p.alpha * (self.lam - 1.0)
-
-    @property
-    def phase_amplitude(self) -> float:
-        """Coefficient c in the phase exp(i*c*e^{-alpha t}); equals m*k*beta."""
-        return self.params.m * self.k * self.params.beta
 
 
 # --------------------------------------------------------------------------
@@ -168,7 +163,7 @@ class _ScanPlan:
     """
 
     def __init__(self, grid: LogGrid, kernel: KernelK2):
-        alpha, B, c = kernel.params.alpha, kernel.B, kernel.phase_amplitude
+        alpha, B, c = kernel.params.alpha, kernel.B, kernel.params.phase_amplitude(kernel.k)
         h = grid.h
         npan = grid.n - 1
         self.wk = None
@@ -251,10 +246,10 @@ def ode_residual(U: ModeFunction, G: ModeFunction, lam: complex, params: VortexP
     """
     p = params
     k = U.k
-    lam = complex(lam)
+    lam = _spectral_point(p, lam)
     t = U.grid.nodes
     h = U.grid.h
-    c = KernelK2(p, k, lam).phase_amplitude
+    c = p.phase_amplitude(k)
     decay = np.exp(-p.alpha * t)
     zone = h * np.maximum(np.abs(c) * p.alpha * decay, 1.0) <= RESIDUAL_ZONE_THETA
     zone[:2] = False
@@ -263,8 +258,7 @@ def ode_residual(U: ModeFunction, G: ModeFunction, lam: complex, params: VortexP
         return math.inf, 0.0
     coupling = 0.0
     if k >= 1:
-        coupling = psi_from_U(U, p).samples * (
-            1j * p.m * k * p.alpha * (2.0 - p.alpha) * p.beta * decay)
+        coupling = psi_from_U(U, p).samples * (2j * p.m * k * p.coupling * decay)
     # e^{ic e^{-alpha t}} from cos and sin, cheaper than a complex exp; the
     # argument is formed in the real part
     phase = np.empty(t.shape, dtype=complex)
@@ -379,7 +373,7 @@ def solve_mode(G: ModeFunction, lam: complex, params: VortexParams) -> Resolvent
     U0 *= -p.alpha
     # the map is coef * Phi2(e^{-alpha t} y); with U0 formed, s = coef * e^{-alpha t}
     # is folded into the scan's panel weights
-    s = 1j * p.beta * p.alpha**2 * (2.0 - p.alpha) / 2.0 * np.exp(-p.alpha * grid.nodes)
+    s = 1j * p.alpha * p.coupling * np.exp(-p.alpha * grid.nodes)
     scan.wi *= s[:-1]
     scan.wj *= s[1:]
     del s  # freed before the loop, so the fold adds nothing to the solve's peak memory
@@ -440,7 +434,7 @@ def verify_neat_identities(t_samples, mu_samples, params: VortexParams, k: int) 
     same range.
     """
     p = params
-    c = p.m * k * p.beta
+    c = p.phase_amplitude(k)
     if c == 0.0:
         return []
     pref = 1.0 / (1j * c * p.alpha)
@@ -484,7 +478,7 @@ def verify_kernel_composition(t_values, r_values, params: VortexParams, k: int, 
     if k < 1:
         raise ValueError("composition check requires k >= 1")
     kernel = KernelK2(p, k, lam)
-    c = kernel.phase_amplitude
+    c = p.phase_amplitude(k)
     if c == 0.0:
         return []
     k1 = KernelK1(k, p.q, p.m)

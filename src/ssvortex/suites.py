@@ -119,9 +119,12 @@ class RunConfig:
             raise ValueError(f"scan_n = {self.scan_n} exceeds the dense eigensolve cap {SCAN_N_MAX}")
         if not self.lambda_offsets:
             raise ValueError("no probe points: set lambda_offsets")
-        # each probe point is a complex number and a K2 kernel's lambda (finite, right of
-        # a0), and a K2 scan's recurrence must resolve its decay Re B * h per grid panel
+        # each probe point is a complex number, not text, and a K2 kernel's lambda (finite,
+        # right of a0), and a K2 scan's recurrence must resolve its decay Re B * h per panel
         try:
+            for off in self.lambda_offsets:
+                if isinstance(off, str):
+                    raise TypeError(f"{off!r} is text, not a complex number")
             reB = max(KernelK2(self.params, 0, z).B.real for z in self.probe_lambdas())
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"lambda_offsets: {exc}") from None

@@ -38,7 +38,7 @@ def k2_eval(t, s, kernel: KernelK2):
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     p = kernel.params
-    c = kernel.phase_amplitude
+    c = p.phase_amplitude(kernel.k)
     expo = (
         -1j * c * np.exp(-p.alpha * t)
         + 1j * c * np.exp(-p.alpha * s)

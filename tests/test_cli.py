@@ -126,20 +126,22 @@ def test_cli_exit_2_on_empty_sample_set(tmp_path, capsys, line):
     "shoot_k = 1, 2.5", "shoot_imags = 1+1j", "scan_n = 8192", "fine_n = 8", "lambdas = -0.5+0j", "out_dir = x",
     "seed = -5", "scan_t = 0", "tau_end = -1", "shoot_offsets = -0.5", "shoot_offsets = 1e-20",
     "beta = nan", "beta = inf", "beta = 1+1j",
-    "lambda_offsets = inf", "lambda_offsets = 0.5, 1+nanj", "lambda_offsets = 1+infj"])
+    "lambda_offsets = inf", "lambda_offsets = 0.5, 1+nanj", "lambda_offsets = 1+infj",
+    "k_max = '1'", "shoot_offsets = '0.8'", "lambda_offsets = '0.5'"])
 def test_cli_exit_2_on_invalid_value(tmp_path, capsys, line):
     # a non-integral integer, a complex or non-finite real, a grid the dense eigensolve or
     # the log grid refuses, a key that is not a run input, a negative seed, an
     # empty scan span or evolution time, a shooting point not right of a0 and a
     # probe offset with an infinite or NaN part (once a crash in the resolvent
-    # suite's solves) are all rejected before any suite runs
+    # suite's solves) are all rejected before any suite runs, and so is a quoted
+    # number, which is one literal string
     cfg = write(tmp_path / "c.cfg", f"{line}\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "'x'", "1" + "0" * 400],
-                         ids=["word", "quoted", "beyond_double"])
+@pytest.mark.parametrize("value", ["abc", "'x'", "'0.5'", "1" + "0" * 400],
+                         ids=["word", "quoted", "quoted_number", "beyond_double"])
 def test_cli_exit_2_names_a_lambda_offset_that_is_not_a_complex_number(tmp_path, capsys, value):
     cfg = write(tmp_path / "c.cfg", f"lambda_offsets = 0.5, {value}\n")
     assert main(["resolvent", "--config", cfg, "--out", str(tmp_path / "out")]) == 2

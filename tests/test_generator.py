@@ -8,7 +8,7 @@ import scipy.linalg
 from scipy.integrate import quad
 from scipy.linalg.lapack import zgebal, zlange
 
-from ssvortex import generator
+from ssvortex import generator, homogeneous
 from ssvortex.generator import (
     assemble_generator,
     eig_scan,
@@ -18,7 +18,7 @@ from ssvortex.generator import (
 )
 from ssvortex.modes import KernelK1, LogGrid, ModeFunction, k1_eval, lq_norm_samples, phi1_matrix
 from ssvortex.params import VortexParams
-from ssvortex.resolvent import solve_mode
+from ssvortex.resolvent import RESIDUAL_TOL, KernelK2, ode_residual, solve_mode
 
 P = VortexParams(alpha=0.5, beta=1.0, m=2, q=2.0)  # a0 = -1
 # (alpha, beta, m, q, k) beyond the default vortex, up to k = 8
@@ -72,7 +72,7 @@ def _masked_consistency(gen, sol, G, p, k, lam, theta=0.05):
     g = G.grid
     t = g.nodes
     mism = gen.dense() @ sol.U.samples - lam * sol.U.samples - G.samples
-    rate = np.maximum(abs(p.m * k * p.beta) * p.alpha * np.exp(-p.alpha * t), 1.0)
+    rate = np.maximum(abs(p.phase_amplitude(k)) * p.alpha * np.exp(-p.alpha * t), 1.0)
     zone = g.h * rate <= theta
     zone[:2] = False
     zone[-2:] = False
@@ -97,6 +97,72 @@ def test_generator_resolvent_consistency():
             sol = solve_mode(G, lam, p)
             rel = _masked_consistency(gen, sol, G, p, k, lam)
             assert rel < 1e-4, (p, k, lam, rel)
+
+
+@pytest.mark.parametrize("member, scale, entry", [("coupling", 2.0, 0), ("phase_amplitude", 1.5, 2)])
+def test_every_reader_sees_one_operator(monkeypatch, member, scale, entry):
+    # L_k's coefficients live in VortexParams alone: scaled there, the generator,
+    # the Picard solve, its residual and the shooting system's M1 row all see the
+    # new operator, so the generator and the solve still agree
+    k, lam = 1, P.a0 + 1.0
+    g, fine = LogGrid(-6.0, 10.0, 2049), LogGrid(-6.0, 10.0, 16385)
+    kernels = [KernelK1(k, P.q, P.m)]
+    M1 = homogeneous._system(P, kernels, np.array([lam]))[1][0, 2]
+    own = getattr(VortexParams, member)
+    if member == "coupling":
+        monkeypatch.setattr(VortexParams, member, property(lambda self: scale * own.fget(self)))
+    else:
+        monkeypatch.setattr(VortexParams, member, lambda self, k: scale * own(self, k))
+    G = ModeFunction(k, g, np.exp(-g.nodes**2))
+    assert _masked_consistency(assemble_generator(k, P, g), solve_mode(G, lam, P), G, P, k, lam) < 1e-4
+    G = ModeFunction(k, fine, np.exp(-fine.nodes**2))
+    assert ode_residual(solve_mode(G, lam, P).U, G, lam, P)[0] <= RESIDUAL_TOL  # 1.6e-7 unpatched
+    want = M1.copy()
+    want[entry] *= scale
+    np.testing.assert_allclose(homogeneous._system(P, kernels, np.array([lam]))[1][0, 2], want,
+                               rtol=1e-15, atol=0)
+
+
+def test_a_module_with_its_own_coupling_fails_the_consistency():
+    # the control of the test above: a generator whose kappa alone is doubled,
+    # as a module keeping its own copy would have it, no longer matches the solve
+    k, lam, g = 1, P.a0 + 1.0, LogGrid(-6.0, 10.0, 2049)
+    G = ModeFunction(k, g, np.exp(-g.nodes**2))
+    gen = assemble_generator(k, P, g)
+    gen = dataclasses.replace(gen, coup=2.0 * gen.coup)
+    assert _masked_consistency(gen, solve_mode(G, lam, P), G, P, k, lam) > 0.1  # 0.345
+
+
+@pytest.mark.parametrize("alpha, beta, m, q, k", OPERATOR_CASES)
+def test_generator_coefficient_bytes(alpha, beta, m, q, k):
+    # dense() adds diag and coup entry by entry, so its bytes, and the eigenvalue
+    # bytes pinned below, hold only while both keep this order of operations
+    p = VortexParams(alpha=alpha, beta=beta, m=m, q=q)
+    g = LogGrid(-8.0, 10.0, 64)
+    gen = assemble_generator(k, p, g)
+    if k == 0:
+        assert gen.coup is None
+        assert gen.diag.tobytes() == np.full(g.n, p.a0, dtype=complex).tobytes()
+        return
+    decay = np.exp(-alpha * g.nodes)
+    assert gen.diag.tobytes() == (p.a0 + -1j * m * k * beta * decay).tobytes()
+    assert gen.coup.tobytes() == ((1j * alpha * (2.0 - alpha) * beta / 2.0) * decay).tobytes()
+
+
+@pytest.mark.parametrize("k", [1.5, -1, math.inf])
+def test_one_mode_index_rule(k):
+    # a mode index is a nonnegative integer, and K1's is at least 1; the
+    # generator once scanned the k = 1.5 operator and reported it as mode 1,
+    # and k = -1 as the radial mode
+    g = LogGrid(-8.0, 8.0, 64)
+    calls = [lambda: KernelK1(k, P.q, P.m), lambda: assemble_generator(k, P, g),
+             lambda: eig_scan([k], P, g), lambda: ModeFunction(k, g, np.zeros(g.n)),
+             lambda: KernelK2(P, k, 0.5)]
+    for call in calls:
+        with pytest.raises(ValueError, match="k must be an integer"):
+            call()
+    with pytest.raises(ValueError, match="k must be an integer >= 1, got 0"):
+        KernelK1(0, P.q, P.m)
 
 
 def test_generator_resolvent_consistency_tight_example():

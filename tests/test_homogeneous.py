@@ -92,8 +92,8 @@ def _series_vector(p, k, lam):
 
 def _right_vector(p, k, lam):
     """The shooting flow's right-admissible vector at t = 0, built as _mismatches does."""
-    M0, M1 = homogeneous._system(p, np.array([k], dtype=float), np.array([lam], dtype=complex))
     k1 = KernelK1(k, p.q, p.m)
+    M0, M1 = homogeneous._system(p, [k1], np.array([lam], dtype=complex))
     return homogeneous._flow_to_zero(M0 + k1.A_plus * np.eye(3), M1, p.alpha,
                                      [[1.0, -k1.A_plus, 0.0]], homogeneous.SHOOT_SPAN, "right")[0]
 
@@ -173,7 +173,7 @@ AGREEMENT_CASES = {
 
 def _flow(p, k, lam, y0, t0):
     """One solution of the mode system y' = (M0 + e^{-alpha t} M1) y from t0 to 0."""
-    M0, M1 = homogeneous._system(p, np.array([float(k)]), np.array([lam]))
+    M0, M1 = homogeneous._system(p, [KernelK1(k, p.q, p.m)], np.array([lam]))
 
     def rhs(t, y):
         return (M0[0] + math.exp(-p.alpha * t) * M1[0]) @ y

@@ -187,7 +187,7 @@ def test_scan_plan_far_right_matches_sequential_recurrence(offset, magnitude):
         return want
 
     kernel = KernelK2(P, 1, lam)
-    B, c = kernel.B, kernel.phase_amplitude
+    B, c = kernel.B, P.phase_amplitude(1)
     plan = _ScanPlan(g, kernel)
     assert len(plan.recurrence.blocks) == g.n - 1
     w = np.exp(-P.alpha * g.nodes)
@@ -217,7 +217,7 @@ def test_scan_plan_multiple_blocks_match_sequential_recurrence():
     # Re(B) * h = 3.05 per panel: blocks of 98 panels, three of them here
     g = LogGrid(-10.0, 10.0, 201)
     kernel = KernelK2(P, 1, 60.0)
-    B, c, h = kernel.B, kernel.phase_amplitude, g.h
+    B, c, h = kernel.B, P.phase_amplitude(1), g.h
     plan = _ScanPlan(g, kernel)
     assert len(plan.recurrence.blocks) == 3
     x = np.random.default_rng(9).standard_normal(g.n) + 0j

@@ -58,6 +58,17 @@ def test_public_names():
     ]
 
 
+def test_the_operator_coefficients_live_in_params():
+    # L_k's phase amplitude c_k = m k beta and coupling kappa = alpha (2 - alpha) beta / 2
+    # have one owner; the K2 kernel no longer carries its own c
+    p = ssvortex.VortexParams(alpha=0.5, beta=-1.5, m=3, q=2.0)
+    assert p.phase_amplitude(2) == -9.0
+    assert p.phase_amplitude(np.array([1.0, 2.0])).tolist() == [-4.5, -9.0]
+    assert isinstance(inspect.getattr_static(ssvortex.VortexParams, "coupling"), property)
+    assert p.coupling == -0.5625
+    assert not hasattr(ssvortex.KernelK2, "phase_amplitude")
+
+
 def test_every_public_function_runs_in_the_pipeline(small_all_config):
     called = set()
 
