@@ -45,9 +45,17 @@ def _mode_index(k, least: int = 0) -> int:
     return k
 
 
+def _complex(value) -> complex:
+    """``value`` as a complex number; text raises ValueError, as in ``_number``."""
+    if isinstance(value, str):
+        raise ValueError(f"{value!r} is text, not a complex number")
+    return complex(value)
+
+
 def _spectral_point(params: VortexParams, lam) -> complex:
-    """``lam`` as a complex number, finite and right of ``params.a0``, or ValueError."""
-    lam = complex(lam)
+    """``lam`` as a complex number (``_complex``), finite and right of
+    ``params.a0``, or ValueError."""
+    lam = _complex(lam)
     if not cmath.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
     if not lam.real > params.a0:

@@ -509,9 +509,9 @@ RESOLVENT_COLUMNS = ("check", "k", "q", "alpha", "lambda_re", "lambda_im", "valu
 
 def resolvent_row(check: str, k: int, params: VortexParams, lam, value, bound, passed: bool,
                   **extra) -> dict:
-    """One row of the resolvent suite's CSV at params' q and alpha; ``lam=None``
-    (no spectral point) writes NaN for both of its parts."""
-    lam = complex(math.nan, math.nan) if lam is None else complex(lam)
+    """One row of the resolvent suite's CSV at params' q and alpha, at the spectral
+    point ``lam``; ``lam=None`` (no spectral point) writes NaN for both of its parts."""
+    lam = complex(math.nan, math.nan) if lam is None else _spectral_point(params, lam)
     cells = (check, k, params.q, params.alpha, lam.real, lam.imag, value, bound, passed)
     return {**dict(zip(RESOLVENT_COLUMNS, cells)), **extra}
 
@@ -527,7 +527,7 @@ def resolvent_bound_check(lambda_values, params: VortexParams, k_max: int,
     rng = np.random.default_rng(seed)
     rows = []
     for lam in lambda_values:
-        lam = complex(lam)
+        lam = _spectral_point(p, lam)
         reB = KernelK2(p, 0, lam).B.real
         for k in range(0, k_max + 1):
             gam = contraction_bound(p, k)

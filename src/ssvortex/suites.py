@@ -20,7 +20,7 @@ from . import resolvent
 from .generator import SCAN_N_MAX, assemble_generator, eig_scan, evolve
 from .homogeneous import MISMATCH_THRESHOLD, NO_INTEGRABLE, shoot_batch
 from .modes import MAX_PANEL_DECAY, KernelK1, LogGrid, ModeFunction, _Phi1Plan, lq_norm_samples
-from .params import VortexParams, _number, _spectral_point
+from .params import VortexParams, _complex, _number, _spectral_point
 from .resolvent import (
     RESOLVENT_COLUMNS,
     ConvergenceError,
@@ -122,9 +122,6 @@ class RunConfig:
         # each probe point is a complex number, not text, and a K2 kernel's lambda (finite,
         # right of a0), and a K2 scan's recurrence must resolve its decay Re B * h per panel
         try:
-            for off in self.lambda_offsets:
-                if isinstance(off, str):
-                    raise TypeError(f"{off!r} is text, not a complex number")
             reB = max(KernelK2(self.params, 0, z).B.real for z in self.probe_lambdas())
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"lambda_offsets: {exc}") from None
@@ -134,7 +131,7 @@ class RunConfig:
                              f" of the fine or norm grid, beyond {MAX_PANEL_DECAY:g}")
 
     def probe_lambdas(self):
-        return tuple(self.params.a0 + complex(off) for off in self.lambda_offsets)
+        return tuple(self.params.a0 + _complex(off) for off in self.lambda_offsets)
 
     def shoot_lambdas(self):
         return tuple(complex(self.params.a0 + off, li)

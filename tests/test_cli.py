@@ -157,16 +157,19 @@ def test_cli_shoot_exit_2_on_a_shooting_point_that_rounds_onto_a0(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("offset", [0.0, -0.5, 1e-20, complex(2.0, math.nan), math.inf, 0.5],
-                         ids=["a0", "left", "rounds_onto_a0", "nan", "inf", "right"])
+@pytest.mark.parametrize("offset", [0.0, -0.5, 1e-20, complex(2.0, math.nan), math.inf, 0.5,
+                                    "0.5"],
+                         ids=["a0", "left", "rounds_onto_a0", "nan", "inf", "right", "text"])
 def test_one_spectral_point_rule_for_every_caller(offset):
     # lambda = a0 + offset (a0 = -1) is judged by params._spectral_point alone: the K2
-    # kernel and the shooting batch raise its message, and a config key that forms
-    # points raises it behind the key's name
+    # kernel, the shooting batch and a resolvent row raise its message, and a config
+    # key that forms points raises it behind the key's name; text is the lambda
+    # itself, which no caller may read as the number it spells
     p = VortexParams(alpha=0.5)
-    lam = p.a0 + complex(offset)
+    lam = offset if isinstance(offset, str) else p.a0 + complex(offset)
     callers = [("", lambda: KernelK2(p, 1, lam)),
                ("", lambda: shoot_batch(p, [(1, lam)])),
+               ("", lambda: resolvent.resolvent_row("residual", 1, p, lam, 0.0, 1.0, True)),
                ("lambda_offsets: ",
                 lambda: build_config({"lambda_offsets": offset}, None, ("resolvent",)))]
     # a shoot_offsets entry is real, and one that is not finite fails as a number first

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from ssvortex import homogeneous
 from ssvortex.homogeneous import INCONCLUSIVE, NO_INTEGRABLE, shoot_batch, shoot_homogeneous
@@ -239,14 +239,32 @@ def test_shifted_flow_keeps_states_bounded(case, monkeypatch):
     largest = []
 
     def recording(fun, t_span, y0, **kwargs):
-        # every state the integrator evaluates, trial stages included
+        # every state the integrator evaluates: those it passes to the right-hand
+        # side (first derivative, initial step, end-point stages) and the trial
+        # stages of every attempted step, which the stepper forms without it
+        assert kwargs["method"] is homogeneous._LinearFlow
         seen = []
 
-        def watched(t, y):
+        def watch(y):
             seen.append(np.linalg.norm(y.reshape(-1, 3), axis=1).max())
+
+        def watched(t, y):
+            watch(y)
             return fun(t, y)
 
-        sol = real(watched, t_span, y0, **kwargs)
+        class Watched(homogeneous._LinearFlow):
+            def _estimate_error_norm(self, K, h, scale):
+                # called once per attempt, after its stages: their states are
+                # y + h sum_j a_sj K_j, the last of them still in the stepper's buffer
+                for s in range(1, self.n_stages):
+                    z = self.y + np.dot(K[:s].T, self.A[s, :s]) * h
+                    watch(z)
+                assert np.array_equal(z, self._z)
+                watch(self.y + h * np.dot(K[:-1].T, self.B))  # the state at t + h
+                return super()._estimate_error_norm(K, h, scale)
+
+        sol = real(watched, t_span, y0, **{**kwargs, "method": Watched})
+        assert len(seen) == sol.nfev
         largest.append(max(seen))
         return sol
 
@@ -257,9 +275,66 @@ def test_shifted_flow_keeps_states_bounded(case, monkeypatch):
     assert max(largest) <= 2.0
 
 
+def _integrate(solver):
+    """Steps ``solver`` to its end; returns its end blocks, accepted steps and nfev."""
+    steps = 0
+    while solver.status == "running":
+        solver.step()
+        steps += 1
+    assert solver.status == "finished"
+    return solver.y.reshape(-1, 3), steps, solver.nfev
+
+
+_P_08 = VortexParams(alpha=0.8, beta=2.0, m=5, q=2.5)
+# the default grid, the negative-beta m = 3 vortex, complex lambda at alpha = 0.2,
+# and alpha = 0.8 (its left side, from t = -SHOOT_SPAN, is the slowest to resolve)
+ORACLE_CASES = {
+    "default": (*AGREEMENT_CASES["default"], homogeneous.SHOOT_SPAN),
+    "beta_neg_m3_q4": (*AGREEMENT_CASES["beta_neg_m3_q4"], homogeneous.SHOOT_SPAN),
+    "alpha_0.2_q10": (*BOUNDED_CASES["alpha_0.2_q10"], homogeneous.SHOOT_SPAN),
+    "alpha_0.8_span_4": (_P_08, [(k, complex(_P_08.a0 + off, im)) for k in (1, 3)
+                                 for off in (0.5, 2.0) for im in (0.0, 1.0)], 4.0),
+}
+
+
+def test_linear_flow_is_stock_dop853(monkeypatch):
+    # both sides of every case, integrated as `shoot_batch` integrates them, on the
+    # stepper and on scipy's DOP853 with the same right-hand side: the same steps,
+    # accepted and rejected, the same nfev, and the same end blocks to rounding
+    real = homogeneous.solve_ivp
+    rejections = 0
+    for p, tasks, span in ORACLE_CASES.values():
+        calls = []
+
+        def capture(fun, t_span, y0, **kwargs):
+            calls.append((fun, t_span, y0, kwargs))
+            return real(fun, t_span, y0, **kwargs)
+
+        monkeypatch.setattr(homogeneous, "solve_ivp", capture)
+        monkeypatch.setattr(homogeneous, "SHOOT_SPAN", span)
+        shoot_batch(p, tasks)
+        assert len(calls) == 2
+        for fun, (t0, t1), y0, kw in calls:
+            assert kw["method"] is homogeneous._LinearFlow
+            tol = {"rtol": kw["rtol"], "atol": kw["atol"]}
+            flow = kw["method"](fun, t0, y0, t1, A0=kw["A0"], A1=kw["A1"], alpha=kw["alpha"],
+                                **tol)
+            Y, steps, nfev = _integrate(flow)
+            Y_ref, steps_ref, nfev_ref = _integrate(DOP853(fun, t0, y0, t1, **tol))
+            assert (steps, nfev) == (steps_ref, nfev_ref)
+            # measured at most 7.1e-15
+            assert np.all(np.linalg.norm(Y - Y_ref, axis=1)
+                          <= 1e-12 * np.linalg.norm(Y_ref, axis=1))
+            # nfev: the first derivative, the initial step and n_stages per attempt
+            rejections += (nfev - 2) // DOP853.n_stages - steps
+    # the default grid's left side rejects one step, alpha = 0.8 four
+    assert rejections > 0
+
+
 def test_flows_get_contiguous_coefficients(monkeypatch):
-    # the right-hand side sums A0 and A1 on every call; a transposed view as
-    # the adjoint's A1 made each of those sums strided and the left flow slower
+    # every attempted step forms A0 + e^{-alpha t} A1 at its stage times; a
+    # transposed view as the adjoint's A1 made each of those sums strided and
+    # the left flow slower
     real = homogeneous._flow_to_zero
     seen = {}
 
